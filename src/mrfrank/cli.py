@@ -188,8 +188,8 @@ def cmd_features(args) -> int:
     stop = (textfeat.load_stopwords(args.stopwords) if args.stopwords
             else textfeat.load_stopwords())
     table = textfeat.build_feature_table(
-        corpus, window_years=args.window_years or 1,
-        min_df=args.min_df or 3, stopwords=stop)
+        corpus, window_years=1 if args.window_years is None else args.window_years,
+        min_df=3 if args.min_df is None else args.min_df, stopwords=stop)
     textfeat.write_feature_table(table, args.output,
                                  rho=args.rho if args.rho is not None else 0.2,
                                  u=args.u if args.u is not None else 3)

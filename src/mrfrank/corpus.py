@@ -10,6 +10,8 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 log = logging.getLogger(__name__)
 
 
@@ -212,6 +214,18 @@ def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> tuple[Corpus, FilterRep
 
     report.remaining = len(papers)
     return _assemble(papers), report
+
+
+def author_listings(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Every (paper, author) listing as two position arrays, papers in
+    sorted id order and authors in sorted id order, grouped by paper.  An
+    author listed twice on one paper gives two listings."""
+    author_pos = {a: i for i, a in enumerate(sorted(corpus.authors))}
+    papers = [corpus.papers[pid] for pid in sorted(corpus.papers)]
+    authors = np.fromiter((author_pos[a] for p in papers for a in p.author_ids),
+                          dtype=np.int64)
+    rows = np.repeat(np.arange(len(papers)), [len(p.author_ids) for p in papers])
+    return rows, authors
 
 
 def split_ground_truth(corpus: Corpus, cutoff_year: int,

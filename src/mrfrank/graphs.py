@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-from . import kernels
-from .corpus import Corpus
-from .textfeat import Feature, feature_key
+from .corpus import Corpus, author_listings
+from .sparse import (SparseMatrix, column_normalize, concat_ranges, divide_columns,
+                     group_sum, per_distinct)
+from .textfeat import feature_key
 
 
 @dataclass(frozen=True)
@@ -47,173 +49,59 @@ def build_index(corpus: Corpus, features) -> EntityIndex:
     )
 
 
-class SparseMatrix:
-    """COO triples in canonical (row, col) order with a derived CSR index.
-
-    All stored weights are strictly positive; zeros are omitted.
-    """
-
-    def __init__(self, shape: tuple[int, int], rows, cols, data):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        data = np.asarray(data, dtype=np.float64)
-        keep = data != 0.0
-        rows, cols, data = rows[keep], cols[keep], data[keep]
-        order = np.lexsort((cols, rows))
-        self.shape = shape
-        self.rows = rows[order]
-        self.cols = cols[order]
-        self.data = data[order]
-        self.indptr = np.searchsorted(self.rows, np.arange(shape[0] + 1))
-
-    @property
-    def nnz(self) -> int:
-        return self.data.size
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return kernels.spmv(self.indptr, self.rows, self.cols, self.data,
-                            x, self.shape[0])
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix((self.shape[1], self.shape[0]),
-                            self.cols, self.rows, self.data)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.data
-        return out
-
-    @classmethod
-    def from_entries(cls, shape: tuple[int, int], entries: dict) -> "SparseMatrix":
-        items = sorted(entries.items())
-        rows = [rc[0] for rc, _ in items]
-        cols = [rc[1] for rc, _ in items]
-        data = [w for _, w in items]
-        return cls(shape, rows, cols, data)
-
-    def write_coordinate(self, path) -> None:
-        """Coordinate-format text export: header with dimensions, then
-        ``row col weight`` triples."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{self.shape[0]} {self.shape[1]} {self.nnz}\n")
-            for r, c, w in zip(self.rows, self.cols, self.data):
-                fh.write(f"{r} {c} {w:.17g}\n")
-
-    @classmethod
-    def read_coordinate(cls, path) -> "SparseMatrix":
-        with open(path, encoding="utf-8") as fh:
-            nr, nc, nnz = (int(v) for v in fh.readline().split())
-            rows, cols, data = [], [], []
-            for _ in range(nnz):
-                r, c, w = fh.readline().split()
-                rows.append(int(r))
-                cols.append(int(c))
-                data.append(float(w))
-        return cls((nr, nc), rows, cols, data)
-
-
-def column_normalize(m: SparseMatrix) -> SparseMatrix:
-    """Scale every nonzero column to sum 1; zero columns stay zero."""
-    if m.nnz == 0:
-        return m
-    sums = np.bincount(m.cols, weights=m.data, minlength=m.shape[1])
-    out = SparseMatrix.__new__(SparseMatrix)
-    out.shape = m.shape
-    out.rows = m.rows
-    out.cols = m.cols
-    out.data = m.data / sums[m.cols]
-    out.indptr = m.indptr
-    return out
-
-
-def normalize_columns_like(m: SparseMatrix, ref: SparseMatrix) -> SparseMatrix:
-    """Scale each column of ``m`` by the matching column sum of ``ref``.
-
-    Used for the time-aware blocks with ``ref`` the undecayed counterpart:
-    every outgoing citation of one paper carries the same timestamp, so
-    normalizing by the decayed column sums would cancel the decay exactly.
-    Normalizing by the undecayed sums keeps each citer's vote split across
-    its references while recent votes keep more absolute weight; at rho = 0
-    this is plain column normalization.
-    """
-    if m.nnz == 0:
-        return m
-    if not (np.array_equal(m.rows, ref.rows) and np.array_equal(m.cols, ref.cols)):
-        raise ValueError("reference matrix has a different sparsity pattern")
-    sums = np.bincount(ref.cols, weights=ref.data, minlength=ref.shape[1])
-    out = SparseMatrix.__new__(SparseMatrix)
-    out.shape = m.shape
-    out.rows = m.rows
-    out.cols = m.cols
-    out.data = m.data / sums[m.cols]
-    out.indptr = m.indptr
-    return out
-
-
-def _decay(t_current: int, t_event: int, rho: float, time_aware: bool) -> float:
+def decay_weights(years: np.ndarray, t_current: int, rho: float,
+                  time_aware: bool = True) -> np.ndarray:
+    """exp(-rho * (t_current - year)) per entry of ``years``, with math.exp
+    called once per distinct year; all ones when decay is off."""
     if not time_aware or rho == 0.0:
-        return 1.0
-    return math.exp(-rho * (t_current - t_event))
+        return np.ones(len(years))
+    return per_distinct(lambda year: math.exp(-rho * (t_current - year)), years)
 
 
 def build_citation(corpus: Corpus, index: EntityIndex, t_current: int,
                    rho: float, time_aware: bool = True) -> SparseMatrix:
     """N x N matrix, entry (i, j) when paper i cites paper j, weighted by
     the age of the citation (citing paper's publication year)."""
-    entries: dict[tuple[int, int], float] = {}
-    for citing, cited, year in corpus.citation_edges:
-        i = index.paper_pos[citing]
-        j = index.paper_pos[cited]
-        entries[(i, j)] = _decay(t_current, year, rho, time_aware)
-    return SparseMatrix.from_entries((index.n, index.n), entries)
+    edges = corpus.citation_edges
+    pos = index.paper_pos
+    citing = np.fromiter(map(pos.__getitem__, map(itemgetter(0), edges)),
+                         dtype=np.int64, count=len(edges))
+    cited = np.fromiter(map(pos.__getitem__, map(itemgetter(1), edges)),
+                        dtype=np.int64, count=len(edges))
+    years = np.fromiter(map(itemgetter(2), edges), dtype=np.int64, count=len(edges))
+    return SparseMatrix((index.n, index.n), citing, cited,
+                        decay_weights(years, t_current, rho, time_aware))
+
+
+def _authorship(corpus: Corpus, index: EntityIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (paper, author) position pairs, sorted by paper, then author."""
+    paper, author = author_listings(corpus)
+    return np.divmod(np.unique(paper * index.m + author), index.m)
 
 
 def build_coauthor(corpus: Corpus, index: EntityIndex, t_current: int,
                    rho: float, time_aware: bool = True) -> SparseMatrix:
-    """Symmetric M x M matrix summing decayed weights over coauthored papers."""
-    entries: dict[tuple[int, int], float] = {}
-    for pid in sorted(corpus.papers):
-        p = corpus.papers[pid]
-        w = _decay(t_current, p.year, rho, time_aware)
-        idxs = sorted(index.author_pos[a] for a in set(p.author_ids))
-        for ii in range(len(idxs)):
-            for jj in range(ii + 1, len(idxs)):
-                a, b = idxs[ii], idxs[jj]
-                entries[(a, b)] = entries.get((a, b), 0.0) + w
-                entries[(b, a)] = entries.get((b, a), 0.0) + w
-    return SparseMatrix.from_entries((index.m, index.m), entries)
+    """Symmetric M x M matrix summing decayed weights over coauthored
+    papers; each author pair's weights are added in paper order."""
+    paper, author = _authorship(corpus, index)
+    # every listing pairs with the later listings of its paper
+    later = np.searchsorted(paper, paper, side="right") - np.arange(paper.size) - 1
+    first = np.repeat(np.arange(paper.size), later)
+    second = concat_ranges(np.arange(paper.size) + 1, later)
+    years = np.array([corpus.papers[pid].year for pid in index.paper_ids],
+                     dtype=np.int64)
+    w = decay_weights(years, t_current, rho, time_aware)[paper[first]]
+    a, b = author[first], author[second]
+    keys, sums = group_sum(np.concatenate([a * index.m + b, b * index.m + a]),
+                           np.concatenate([w, w]))
+    rows, cols = np.divmod(keys, index.m)
+    return SparseMatrix((index.m, index.m), rows, cols, sums)
 
 
 def build_author_paper(corpus: Corpus, index: EntityIndex) -> SparseMatrix:
     """Binary M x N authorship matrix."""
-    entries: dict[tuple[int, int], float] = {}
-    for pid in sorted(corpus.papers):
-        j = index.paper_pos[pid]
-        for a in corpus.papers[pid].author_ids:
-            entries[(index.author_pos[a], j)] = 1.0
-    return SparseMatrix.from_entries((index.m, index.n), entries)
-
-
-def build_paper_feature(weights: dict[tuple[str, Feature], float],
-                        index: EntityIndex) -> SparseMatrix:
-    """N x K tf-idf matrix from the paper tf-idf map."""
-    entries = {}
-    for (pid, feat), w in weights.items():
-        key = feature_key(feat)
-        if key in index.feature_pos:
-            entries[(index.paper_pos[pid], index.feature_pos[key])] = w
-    return SparseMatrix.from_entries((index.n, index.k), entries)
-
-
-def build_author_feature(weights: dict[tuple[str, Feature], float],
-                         index: EntityIndex) -> SparseMatrix:
-    """M x K tf-idf matrix from the author tf-idf map."""
-    entries = {}
-    for (aid, feat), w in weights.items():
-        key = feature_key(feat)
-        if key in index.feature_pos:
-            entries[(index.author_pos[aid], index.feature_pos[key])] = w
-    return SparseMatrix.from_entries((index.m, index.k), entries)
+    paper, author = _authorship(corpus, index)
+    return SparseMatrix((index.m, index.n), author, paper, np.ones(paper.size))
 
 
 @dataclass
@@ -224,31 +112,36 @@ class GraphSet:
     author_paper: SparseMatrix   # M x N, binary
     paper_feature: SparseMatrix  # N x K, tf-idf
     author_feature: SparseMatrix  # M x K, tf-idf
+    # the undecayed column sums of the time-aware blocks: references made
+    # by each paper (N), and coauthor links summed over each author's
+    # papers (M)
+    reference_counts: np.ndarray
+    coauthor_counts: np.ndarray
     t_current: int = 0
     rho_edge: float = 0.0
     time_aware: bool = True
-    # undecayed counterparts, present when decay is active; they provide the
-    # normalizing column sums for the time-aware blocks
-    citation_undecayed: SparseMatrix | None = None
-    coauthor_undecayed: SparseMatrix | None = None
 
 
-def build_graphs(corpus: Corpus, index: EntityIndex, paper_weights,
-                 author_weights, t_current: int, rho_edge: float,
+def build_graphs(corpus: Corpus, index: EntityIndex, paper_feature: SparseMatrix,
+                 author_feature: SparseMatrix, t_current: int, rho_edge: float,
                  time_aware: bool = True) -> GraphSet:
-    gs = GraphSet(
+    """The five graphs; the feature blocks are the tf-idf matrices as given."""
+    citation = build_citation(corpus, index, t_current, rho_edge, time_aware)
+    author_paper = build_author_paper(corpus, index)
+    paper_size = np.bincount(author_paper.cols, minlength=index.n)
+    return GraphSet(
         index=index,
-        citation=build_citation(corpus, index, t_current, rho_edge, time_aware),
+        citation=citation,
         coauthor=build_coauthor(corpus, index, t_current, rho_edge, time_aware),
-        author_paper=build_author_paper(corpus, index),
-        paper_feature=build_paper_feature(paper_weights, index),
-        author_feature=build_author_feature(author_weights, index),
+        author_paper=author_paper,
+        paper_feature=paper_feature,
+        author_feature=author_feature,
+        reference_counts=np.bincount(citation.rows, minlength=index.n).astype(np.float64),
+        coauthor_counts=np.bincount(author_paper.rows,
+                                    weights=paper_size[author_paper.cols] - 1.0,
+                                    minlength=index.m),
         t_current=t_current, rho_edge=rho_edge, time_aware=time_aware,
     )
-    if time_aware and rho_edge != 0.0:
-        gs.citation_undecayed = build_citation(corpus, index, t_current, 0.0, False)
-        gs.coauthor_undecayed = build_coauthor(corpus, index, t_current, 0.0, False)
-    return gs
 
 
 @dataclass
@@ -268,20 +161,20 @@ class OperatorBlocks:
 
 
 def operator_blocks(graphs: GraphSet) -> OperatorBlocks:
-    if graphs.citation_undecayed is not None:
-        pp = normalize_columns_like(graphs.citation.transpose(),
-                                    graphs.citation_undecayed.transpose())
-    else:
-        pp = column_normalize(graphs.citation.transpose())
-    if graphs.coauthor_undecayed is not None:
-        aa = normalize_columns_like(graphs.coauthor, graphs.coauthor_undecayed)
-    else:
-        aa = column_normalize(graphs.coauthor)
+    """Column-normalize every graph into its block.
+
+    The time-aware blocks pp and aa are divided by their undecayed column
+    sums instead of their own: every reference of one citing paper carries
+    that paper's timestamp, so normalizing by the decayed sums would cancel
+    the decay exactly.  Dividing by the reference count keeps each citer's
+    vote split across its references while recent votes keep more absolute
+    weight; at rho = 0 this is plain column normalization.
+    """
     return OperatorBlocks(
-        pp=pp,
+        pp=divide_columns(graphs.citation.transpose(), graphs.reference_counts),
         pa=column_normalize(graphs.author_paper.transpose()),
         pt=column_normalize(graphs.paper_feature),
-        aa=aa,
+        aa=divide_columns(graphs.coauthor, graphs.coauthor_counts),
         ap=column_normalize(graphs.author_paper),
         at=column_normalize(graphs.author_feature),
         tp=column_normalize(graphs.paper_feature.transpose()),

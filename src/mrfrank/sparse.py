@@ -1,0 +1,85 @@
+"""Sparse matrices in canonical COO order, and the integer-array helpers
+the graphs and tf-idf blocks are built with."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import kernels
+
+
+class SparseMatrix:
+    """COO triples in canonical (row, col) order with a derived CSR index.
+
+    All stored weights are strictly positive; zeros are omitted.
+    """
+
+    def __init__(self, shape: tuple[int, int], rows, cols, data):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        data = np.asarray(data, dtype=np.float64)
+        keep = data != 0.0
+        rows, cols, data = rows[keep], cols[keep], data[keep]
+        order = np.lexsort((cols, rows))
+        self.shape = shape
+        self.rows = rows[order]
+        self.cols = cols[order]
+        self.data = data[order]
+        self.indptr = np.searchsorted(self.rows, np.arange(shape[0] + 1))
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return kernels.spmv(self.indptr, self.rows, self.cols, self.data,
+                            x, self.shape[0])
+
+    def transpose(self) -> "SparseMatrix":
+        return SparseMatrix((self.shape[1], self.shape[0]),
+                            self.cols, self.rows, self.data)
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.data
+        return out
+
+
+def divide_columns(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
+    """Divide every stored entry by the value ``sums`` gives its column."""
+    if m.nnz == 0:
+        return m
+    out = SparseMatrix.__new__(SparseMatrix)
+    out.shape = m.shape
+    out.rows = m.rows
+    out.cols = m.cols
+    out.data = m.data / sums[m.cols]
+    out.indptr = m.indptr
+    return out
+
+
+def column_normalize(m: SparseMatrix) -> SparseMatrix:
+    """Scale every nonzero column to sum 1; zero columns stay zero."""
+    return divide_columns(m, np.bincount(m.cols, weights=m.data,
+                                         minlength=m.shape[1]))
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for every pair of ``starts`` and ``lengths``,
+    concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def group_sum(keys: np.ndarray, weights: np.ndarray):
+    """The distinct keys in ascending order and the sum of the weights of
+    each.  A key's weights are added in the order they come in ``keys``."""
+    distinct, group = np.unique(keys, return_inverse=True)
+    return distinct, np.bincount(group, weights=weights, minlength=distinct.size)
+
+
+def per_distinct(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (a Python float function) of every entry of ``values``,
+    called once per distinct value."""
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()], dtype=np.float64)[where]

@@ -8,8 +8,12 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import combinations, repeat
 
-from .corpus import Corpus, PaperRecord
+import numpy as np
+
+from .corpus import Corpus, PaperRecord, author_listings
+from .sparse import SparseMatrix, concat_ranges, group_sum, per_distinct
 
 # Feature keys: ("w", token) for a word, ("p", tok_a, tok_b) for a pair
 # with tok_a < tok_b lexicographically.
@@ -45,20 +49,22 @@ def tokenize(text: str, stopwords: frozenset[str] = _DEFAULT_STOPWORDS) -> list[
     return sentences
 
 
+def _feature_occurrences(paper: PaperRecord,
+                        stopwords: frozenset[str] = _DEFAULT_STOPWORDS) -> list[Feature]:
+    """Every word occurrence and every same-sentence pair (once per
+    sentence) of a paper, in text order."""
+    feats: list[Feature] = []
+    for sentence in tokenize(paper.title + ". " + paper.abstract, stopwords):
+        feats += zip(repeat("w"), sentence)
+        feats += [("p", a, b) for a, b in combinations(sorted(set(sentence)), 2)]
+    return feats
+
+
 def extract_features(paper: PaperRecord,
                      stopwords: frozenset[str] = _DEFAULT_STOPWORDS) -> Counter:
     """Per-paper feature counts: word counts plus same-sentence pair
     co-occurrences (a pair counts once per sentence)."""
-    counts: Counter = Counter()
-    text = paper.title + ". " + paper.abstract
-    for sentence in tokenize(text, stopwords):
-        for tok in sentence:
-            counts[("w", tok)] += 1
-        uniq = sorted(set(sentence))
-        for i in range(len(uniq)):
-            for j in range(i + 1, len(uniq)):
-                counts[("p", uniq[i], uniq[j])] += 1
-    return counts
+    return Counter(_feature_occurrences(paper, stopwords))
 
 
 @dataclass
@@ -70,14 +76,26 @@ class FeatureStats:
     lambda_i: float = 0.0
 
 
+def _no_entries() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
 @dataclass
 class FeatureTable:
+    """Per-feature window statistics, plus the paper x feature counts as
+    COO arrays: one entry per (paper, retained feature) pair, ``rows`` in
+    ascending order.  A row is the paper's position in sorted paper-id
+    order, a column the feature's position in ``feature_key`` order; both
+    are the positions ``graphs.build_index`` gives them."""
+
     features: dict[Feature, FeatureStats]
     global_lambda: float
     window_years: int
     origin_year: int                  # window 0 starts at this year
     n_windows: int                    # windows 0..n_windows-1 cover the corpus
-    paper_features: dict[str, Counter] = field(default_factory=dict)
+    rows: np.ndarray = field(default_factory=_no_entries)
+    cols: np.ndarray = field(default_factory=_no_entries)
+    counts: np.ndarray = field(default_factory=_no_entries)
 
     def window_of(self, year: int) -> int:
         return (year - self.origin_year) // self.window_years
@@ -92,54 +110,83 @@ class FeatureTable:
 def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
                         stopwords: frozenset[str] = _DEFAULT_STOPWORDS,
                         lambda_lifetime: bool = True) -> FeatureTable:
-    """Windowed document frequencies and Poisson mean estimates per feature.
+    """Windowed document frequencies and Poisson mean estimates per feature,
+    and the paper x feature counts of the features seen in ``min_df`` papers
+    or more.
 
+    Each distinct feature is interned to an int id once, when it is first
+    extracted; everything after that works on id arrays.
     ``lambda_lifetime`` averages each feature's frequencies from its first
     occurrence window to the latest window; when off, the average runs over
     all corpus windows.
     """
-    if not corpus.papers:
-        return FeatureTable({}, 0.0, window_years, 0, 0, {})
+    if window_years < 1:
+        raise ValueError(f"window_years must be at least 1, got {window_years}")
+    if min_df < 1:
+        raise ValueError(f"min_df must be at least 1, got {min_df}")
+    papers = [corpus.papers[pid] for pid in sorted(corpus.papers)]
+    if not papers:
+        return FeatureTable({}, 0.0, window_years, 0, 0)
 
-    origin = min(p.year for p in corpus.papers.values())
-    last = max(p.year for p in corpus.papers.values())
-    n_windows = (last - origin) // window_years + 1
+    years = np.array([p.year for p in papers], dtype=np.int64)
+    origin = int(years.min())
+    n_windows = (int(years.max()) - origin) // window_years + 1
 
-    per_paper: dict[str, Counter] = {}
-    window_freqs: dict[Feature, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    doc_freq: Counter = Counter()
-    for pid in sorted(corpus.papers):
-        p = corpus.papers[pid]
-        counts = extract_features(p, stopwords)
-        per_paper[pid] = counts
-        j = (p.year - origin) // window_years
-        for feat in counts:
-            window_freqs[feat][j] += 1
-            doc_freq[feat] += 1
+    interned: defaultdict = defaultdict()
+    interned.default_factory = interned.__len__   # a new feature gets the next id
+    ids, lengths = [], []
+    for p in papers:
+        found = _feature_occurrences(p, stopwords)
+        ids.extend(map(interned.__getitem__, found))
+        lengths.append(len(found))
+    interned.default_factory = None   # frees the dict without the cycle collector
+    # one entry per (paper, feature) pair, counting its occurrences
+    n_ids = len(interned)
+    occurrences = (np.repeat(np.arange(len(papers)), lengths) * n_ids
+                   + np.array(ids, dtype=np.int64))
+    pairs, counts = np.unique(occurrences, return_counts=True)
+    rows, ids = np.divmod(pairs, n_ids)
+    doc_freq = np.bincount(ids, minlength=n_ids)
+
+    # retained features become columns in feature_key order
+    feats = list(interned)
+    kept = np.flatnonzero(doc_freq >= min_df)
+    keys = [feature_key(feats[i]) for i in kept.tolist()]
+    kept_by_key = kept[sorted(range(kept.size), key=keys.__getitem__)]
+    col_of = np.full(len(feats), -1, dtype=np.int64)
+    col_of[kept_by_key] = np.arange(kept.size)
+    cols = col_of[ids]
+    keep = cols >= 0
+    rows = rows[keep]
+    cols = cols[keep]
+    counts = counts[keep]
+
+    # papers per (column, window), grouped by column, windows ascending
+    window = (years - origin) // window_years
+    col_windows, in_window = np.unique(cols * n_windows + window[rows],
+                                       return_counts=True)
+    bounds = np.searchsorted(col_windows, np.arange(kept.size + 1) * n_windows).tolist()
+    windows = (col_windows % n_windows).tolist()
+    in_window = in_window.tolist()
+    col_list = col_of.tolist()
+    df_list = doc_freq.tolist()
 
     features: dict[Feature, FeatureStats] = {}
-    for feat in sorted(window_freqs):
-        if doc_freq[feat] < min_df:
-            continue
-        freqs = dict(window_freqs[feat])
-        first = min(freqs)
+    for i in sorted(kept.tolist(), key=feats.__getitem__):
+        lo, hi = bounds[col_list[i]], bounds[col_list[i] + 1]
+        first = windows[lo]
         span = n_windows - first if lambda_lifetime else n_windows
-        lam = sum(freqs.values()) / span
-        features[feat] = FeatureStats(feature=feat, window_freqs=freqs,
-                                      first_seen=first, doc_freq=doc_freq[feat],
-                                      lambda_i=lam)
+        features[feats[i]] = FeatureStats(
+            feature=feats[i], window_freqs=dict(zip(windows[lo:hi], in_window[lo:hi])),
+            first_seen=first, doc_freq=df_list[i], lambda_i=df_list[i] / span)
 
     if features:
         global_lambda = sum(s.lambda_i for s in features.values()) / len(features)
     else:
         global_lambda = 0.0
-
-    for pid in per_paper:
-        per_paper[pid] = Counter({f: c for f, c in per_paper[pid].items()
-                                  if f in features})
     return FeatureTable(features=features, global_lambda=global_lambda,
                         window_years=window_years, origin_year=origin,
-                        n_windows=n_windows, paper_features=per_paper)
+                        n_windows=n_windows, rows=rows, cols=cols, counts=counts)
 
 
 def innovativeness(stats: FeatureStats, table: FeatureTable, j: int,
@@ -170,38 +217,33 @@ def innovativeness_at_window(table: FeatureTable, j: int, rho: float,
             for feat, stats in table.features.items()}
 
 
-def tfidf_paper(corpus: Corpus, table: FeatureTable) -> dict[tuple[str, Feature], float]:
-    """tf-idf per (paper, feature): raw in-paper count times ln(N / df)."""
-    n = len(corpus.papers)
-    weights: dict[tuple[str, Feature], float] = {}
-    for pid in sorted(table.paper_features):
-        for feat, tf in table.paper_features[pid].items():
-            idf = math.log(n / table.features[feat].doc_freq)
-            w = tf * idf
-            if w > 0.0:
-                weights[(pid, feat)] = w
-    return weights
+def _idf(total: int, users: np.ndarray) -> np.ndarray:
+    """ln(total / users) per feature, math.log once per distinct count."""
+    return per_distinct(lambda u: math.log(total / u) if u else 0.0, users)
 
 
-def tfidf_author(corpus: Corpus, table: FeatureTable) -> dict[tuple[str, Feature], float]:
-    """tf-idf per (author, feature) over the author's concatenated papers:
-    summed counts times ln(M / authors-using-feature)."""
-    author_tf: dict[str, Counter] = defaultdict(Counter)
-    for pid in sorted(table.paper_features):
-        for a in corpus.papers[pid].author_ids:
-            author_tf[a].update(table.paper_features[pid])
-    m = len(corpus.authors)
-    author_freq: Counter = Counter()
-    for a in author_tf:
-        author_freq.update(author_tf[a].keys())
-    weights: dict[tuple[str, Feature], float] = {}
-    for a in sorted(author_tf):
-        for feat, tf in author_tf[a].items():
-            idf = math.log(m / author_freq[feat])
-            w = tf * idf
-            if w > 0.0:
-                weights[(a, feat)] = w
-    return weights
+def tfidf_paper(corpus: Corpus, table: FeatureTable) -> SparseMatrix:
+    """N x K tf-idf: raw in-paper count times ln(N / df)."""
+    n, k = len(corpus.papers), len(table.features)
+    idf = _idf(n, np.bincount(table.cols, minlength=k))
+    return SparseMatrix((n, k), table.rows, table.cols, table.counts * idf[table.cols])
+
+
+def tfidf_author(corpus: Corpus, table: FeatureTable) -> SparseMatrix:
+    """M x K tf-idf over each author's concatenated papers: summed counts
+    times ln(M / authors-using-feature).  A paper that lists an author twice
+    counts twice towards that author."""
+    n, m, k = len(corpus.papers), len(corpus.authors), len(table.features)
+    paper, author = author_listings(corpus)
+    row_start = np.searchsorted(table.rows, np.arange(n + 1))
+    starts = row_start[paper]
+    lengths = row_start[paper + 1] - starts
+    entries = concat_ranges(starts, lengths)
+    keys, tf = group_sum(np.repeat(author, lengths) * k + table.cols[entries],
+                         table.counts[entries])
+    rows, cols = np.divmod(keys, k)
+    idf = _idf(m, np.bincount(cols, minlength=k))
+    return SparseMatrix((m, k), rows, cols, tf * idf[cols])
 
 
 def feature_key(feature: Feature) -> str:

@@ -30,13 +30,20 @@ def random_instance(rng, max_dim=12):
         {f"a{i:02d}": i for i in range(m)},
         {f"f{i:02d}": i for i in range(k)},
     )
+    citation = random_sparse(rng, n, n, nodiag=True)
+    coauthor = random_sparse(rng, m, m, symmetric=True)
     gs = GraphSet(
         index=idx,
-        citation=random_sparse(rng, n, n, nodiag=True),
-        coauthor=random_sparse(rng, m, m, symmetric=True),
+        citation=citation,
+        coauthor=coauthor,
         author_paper=random_sparse(rng, m, n),
         paper_feature=random_sparse(rng, n, k),
         author_feature=random_sparse(rng, m, k),
+        # the weights' own sums, so that pp and aa are column-stochastic
+        reference_counts=np.bincount(citation.rows, weights=citation.data,
+                                     minlength=n),
+        coauthor_counts=np.bincount(coauthor.cols, weights=coauthor.data,
+                                    minlength=m),
     )
     e = rng.random(k) + 0.05
     return gs, e

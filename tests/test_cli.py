@@ -72,6 +72,22 @@ class TestExitCodes:
             "# WARNING: NOT CONVERGED\n")
 
 
+    @pytest.mark.parametrize("command, flag", [
+        ("rank", "--window-years"), ("rank", "--min-df"),
+        ("features", "--window-years"), ("features", "--min-df")])
+    def test_data_error_feature_setting_below_one(self, corpus_file, tmp_path,
+                                                  capsys, command, flag):
+        if command == "rank":
+            args = rank_args(corpus_file, tmp_path / "ws", flag, "0")
+        else:
+            args = ["features", "--input", str(corpus_file),
+                    "--output", str(tmp_path / "f.tsv"), flag, "0"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") + " must be at least 1, got 0" in err
+        assert "Traceback" not in err
+
+
 class TestIngest:
     def test_native_roundtrip(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "native.jsonl"

@@ -1,15 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import random_sparse
 from mrfrank.corpus import parse_corpus
-from mrfrank.graphs import (SparseMatrix, build_author_paper, build_citation,
-                            build_coauthor, build_graphs, build_index,
-                            column_normalize, normalize_columns_like,
-                            operator_blocks)
-from mrfrank.textfeat import (build_feature_table, tfidf_author, tfidf_paper)
+from mrfrank.graphs import (SparseMatrix, build_coauthor, build_graphs,
+                            build_index, column_normalize, operator_blocks)
+from mrfrank.textfeat import (build_feature_table, extract_features,
+                              feature_key, tfidf_author, tfidf_paper)
 
 
 def small_corpus():
@@ -58,16 +58,6 @@ class TestSparseMatrix:
         assert list(m.rows) == [0, 2, 2]
         assert list(m.cols) == [1, 0, 2]
 
-    def test_coordinate_roundtrip(self, rng, tmp_path):
-        m = random_sparse(rng, 7, 5)
-        path = tmp_path / "m.coord"
-        m.write_coordinate(path)
-        back = SparseMatrix.read_coordinate(path)
-        assert back.shape == m.shape
-        assert np.array_equal(back.rows, m.rows)
-        assert np.array_equal(back.cols, m.cols)
-        assert np.array_equal(back.data, m.data)  # exact via %.17g
-
     def test_empty_matvec(self):
         m = SparseMatrix((3, 4), [], [], [])
         assert np.array_equal(m.matvec(np.ones(4)), np.zeros(3))
@@ -86,28 +76,6 @@ class TestColumnNormalize:
         dense = out.to_dense()
         assert np.allclose(dense[:, 0], [0.25, 0.75])
         assert np.all(dense[:, 1:] == 0.0)
-
-    def test_normalize_columns_like(self):
-        # decayed weights normalized by undecayed (count) sums
-        m = SparseMatrix((2, 2), [0, 1, 0], [0, 0, 1],
-                         [math.exp(-1), math.exp(-2), math.exp(-1)])
-        ref = SparseMatrix((2, 2), [0, 1, 0], [0, 0, 1], [1.0, 1.0, 1.0])
-        out = normalize_columns_like(m, ref).to_dense()
-        assert out[0, 0] == pytest.approx(math.exp(-1) / 2)
-        assert out[1, 0] == pytest.approx(math.exp(-2) / 2)
-        assert out[0, 1] == pytest.approx(math.exp(-1))
-
-    def test_normalize_columns_like_rho_zero_is_colnorm(self, rng):
-        m = random_sparse(rng, 6, 6)
-        same = normalize_columns_like(m, m)
-        plain = column_normalize(m)
-        assert np.array_equal(same.data, plain.data)
-
-    def test_pattern_mismatch_rejected(self):
-        m = SparseMatrix((2, 2), [0], [0], [1.0])
-        ref = SparseMatrix((2, 2), [1], [1], [1.0])
-        with pytest.raises(ValueError):
-            normalize_columns_like(m, ref)
 
 
 class TestBuildGraphs:
@@ -161,22 +129,29 @@ class TestBuildGraphs:
                          time_aware=False)
         assert np.array_equal(a.citation.data, b.citation.data)
         assert np.array_equal(a.coauthor.data, b.coauthor.data)
-        assert a.citation_undecayed is None and b.citation_undecayed is None
+        assert np.array_equal(a.coauthor_counts, b.coauthor_counts)
 
     def test_undecayed_counterparts_present(self):
-        _, _, gs = small_setup(rho=0.5)
-        assert gs.citation_undecayed is not None
-        assert set(np.unique(gs.citation_undecayed.data)) == {1.0}
+        # A cites nothing, B cites A, C cites A and B; coauthor links:
+        # u-v on A, v-w on C
+        _, index, gs = small_setup(rho=0.5)
+        refs = dict(zip(index.paper_ids, gs.reference_counts))
+        assert refs == {"A": 0.0, "B": 1.0, "C": 2.0}
+        links = dict(zip(index.author_ids, gs.coauthor_counts))
+        assert links == {"u": 1.0, "v": 2.0, "w": 1.0}
 
     def test_feature_matrices_carry_tfidf(self):
         corpus, index, gs = small_setup()
         table = build_feature_table(corpus, min_df=2)
         pw = tfidf_paper(corpus, table)
-        for (pid, feat), w in pw.items():
-            from mrfrank.textfeat import feature_key
-            i = index.paper_pos[pid]
-            j = index.feature_pos[feature_key(feat)]
-            assert gs.paper_feature.to_dense()[i, j] == pytest.approx(w)
+        aw = tfidf_author(corpus, table)
+        assert gs.paper_feature.shape == (index.n, index.k)
+        assert np.array_equal(gs.paper_feature.to_dense(), pw.to_dense())
+        assert gs.author_feature.shape == (index.m, index.k)
+        assert np.array_equal(gs.author_feature.to_dense(), aw.to_dense())
+        # the pair alpha-beta is in the titles of A and B only
+        a, pair = index.paper_pos["A"], index.feature_pos["p|alpha|beta"]
+        assert pw.to_dense()[a, pair] == pytest.approx(math.log(3 / 2))
 
 
 class TestOperatorBlocks:
@@ -203,6 +178,24 @@ class TestOperatorBlocks:
         assert pp[b, c] == pytest.approx(0.5)
         assert pp[a, b] == pytest.approx(math.exp(-0.5))
 
+    def test_aa_normalized_by_coauthor_counts(self):
+        # v coauthors A (2000) with u and C (2004) with w: two links, so
+        # each of v's coauthors gets its decayed weight over 2
+        corpus, index, gs = small_setup(rho=0.5, t_current=2004)
+        aa = operator_blocks(gs).aa.to_dense()
+        u, v, w = (index.author_pos[x] for x in "uvw")
+        assert aa[u, v] == pytest.approx(math.exp(-0.5 * 4) / 2)
+        assert aa[w, v] == pytest.approx(1.0 / 2)
+        assert aa[v, u] == pytest.approx(math.exp(-0.5 * 4))
+        assert aa[v, w] == pytest.approx(1.0)
+
+    def test_rho_zero_time_aware_blocks_are_column_normalized(self):
+        _, _, gs = small_setup(rho=0.0)
+        blocks = operator_blocks(gs)
+        assert np.array_equal(blocks.pp.data,
+                              column_normalize(gs.citation.transpose()).data)
+        assert np.array_equal(blocks.aa.data, column_normalize(gs.coauthor).data)
+
     def test_untimed_blocks_column_stochastic(self):
         _, index, gs = small_setup(rho=0.0)
         blocks = operator_blocks(gs)
@@ -214,52 +207,110 @@ class TestOperatorBlocks:
             assert np.allclose(sums[np.unique(m.cols)], 1.0)
 
     def test_brute_force_dense_oracle(self, rng):
-        """Rebuild every block densely from the raw corpus for random small
-        corpora and compare against the sparse pipeline."""
-        for trial in range(10):
+        """Recount every graph, tf-idf matrix and block densely from the
+        corpus and ``extract_features`` for random small corpora (authors
+        listed twice, rho 0 and > 0, one- and two-year windows) and compare
+        against the array pipeline.  The recount adds in the pipeline's
+        order, so every value must match exactly."""
+        t_cur = 2005
+        for trial in range(12):
+            rho = 0.0 if trial % 3 == 0 else 0.3
+            window_years = 1 + trial % 2
             n = int(rng.integers(4, 12))
             recs = []
             for i in range(n):
                 year = 1995 + int(rng.integers(10))
                 refs = [f"P{j}" for j in range(i) if rng.random() < 0.3]
-                n_auth = 1 + int(rng.integers(3))
+                authors = [f"a{int(rng.integers(5))}"
+                           for _ in range(1 + int(rng.integers(3)))]
+                if rng.random() < 0.3:
+                    authors.append(authors[0])
                 recs.append({
                     "id": f"P{i}", "title": f"t{int(rng.integers(4))} shared",
                     "abstract": f"w{int(rng.integers(4))} shared common.",
-                    "authors": [f"a{int(rng.integers(5))}" for _ in range(n_auth)],
-                    "year": year, "refs": refs})
+                    "authors": authors, "year": year, "refs": refs})
             corpus, _ = parse_corpus(recs)
-            table = build_feature_table(corpus, min_df=2)
+            table = build_feature_table(corpus, window_years=window_years, min_df=2)
             index = build_index(corpus, table.features)
             pw, aw = tfidf_paper(corpus, table), tfidf_author(corpus, table)
-            rho, t_cur = 0.3, 2005
             gs = build_graphs(corpus, index, pw, aw, t_cur, rho)
+            blocks = operator_blocks(gs)
+            papers = [corpus.papers[pid] for pid in index.paper_ids]
+            apos = index.author_pos
+
+            # feature table: retained features, window counts, lambdas
+            feats = [extract_features(p) for p in papers]
+            df = Counter(f for counts in feats for f in counts)
+            kept = sorted((f for f in df if df[f] >= 2), key=feature_key)
+            assert [feature_key(f) for f in kept] == list(index.feature_ids)
+            assert set(table.features) == set(kept)
+            origin = min(p.year for p in papers)
+            n_windows = (max(p.year for p in papers) - origin) // window_years + 1
+            for f in kept:
+                windows = Counter((p.year - origin) // window_years
+                                  for p, counts in zip(papers, feats) if f in counts)
+                stats = table.features[f]
+                assert stats.window_freqs == dict(windows)
+                assert stats.doc_freq == df[f]
+                assert stats.first_seen == min(windows)
+                assert stats.lambda_i == df[f] / (n_windows - min(windows))
+
+            # tf-idf: an author listed twice on a paper counts it twice
+            col = {f: j for j, f in enumerate(kept)}
+            tf_p = np.zeros((index.n, index.k))
+            for i, counts in enumerate(feats):
+                for f, c in counts.items():
+                    if f in col:
+                        tf_p[i, col[f]] = c
+            tf_a = np.zeros((index.m, index.k))
+            for i, p in enumerate(papers):
+                for a in p.author_ids:
+                    tf_a[apos[a]] += tf_p[i]
+            idf_p = np.array([math.log(index.n / df[f]) for f in kept])
+            idf_a = np.array([math.log(index.m / u) for u in (tf_a > 0).sum(axis=0)])
+            P, A = tf_p * idf_p, tf_a * idf_a
+            assert np.array_equal(pw.to_dense(), P)
+            assert np.array_equal(aw.to_dense(), A)
+
+            def decay(year):
+                return math.exp(-rho * (t_cur - year))
 
             cit = np.zeros((index.n, index.n))
             for citing, cited, year in corpus.citation_edges:
-                cit[index.paper_pos[citing], index.paper_pos[cited]] = \
-                    math.exp(-rho * (t_cur - year))
-            assert np.allclose(gs.citation.to_dense(), cit)
+                cit[index.paper_pos[citing], index.paper_pos[cited]] = decay(year)
+            assert np.array_equal(gs.citation.to_dense(), cit)
 
+            # coauthor weights added in paper order, as the pipeline does
             co = np.zeros((index.m, index.m))
-            for p in corpus.papers.values():
-                w = math.exp(-rho * (t_cur - p.year))
+            links = np.zeros((index.m, index.m))
+            ap = np.zeros((index.m, index.n))
+            for i, p in enumerate(papers):
                 aset = sorted(set(p.author_ids))
                 for x in aset:
+                    ap[apos[x], i] = 1.0
                     for y in aset:
                         if x != y:
-                            co[index.author_pos[x], index.author_pos[y]] += w
-            assert np.allclose(gs.coauthor.to_dense(), co)
+                            co[apos[x], apos[y]] += decay(p.year)
+                            links[apos[x], apos[y]] += 1.0
+            assert np.array_equal(gs.coauthor.to_dense(), co)
+            assert np.array_equal(gs.author_paper.to_dense(), ap)
 
-            ap = np.zeros((index.m, index.n))
-            for pid, p in corpus.papers.items():
-                for a in p.author_ids:
-                    ap[index.author_pos[a], index.paper_pos[pid]] = 1.0
-            assert np.allclose(gs.author_paper.to_dense(), ap)
+            def colnorm(dense, sums=None):
+                if sums is None:
+                    sums = np.zeros(dense.shape[1])
+                    for row in dense:
+                        sums += row
+                return np.divide(dense, sums, out=np.zeros_like(dense),
+                                 where=sums != 0)
 
-            # block normalization oracle: decayed entries over undecayed sums
-            blocks = operator_blocks(gs)
-            citT = cit.T
-            counts = (citT != 0).sum(axis=0)
-            expect = np.divide(citT, np.where(counts == 0, 1, counts))
-            assert np.allclose(blocks.pp.to_dense(), expect)
+            # time-aware blocks: decayed entries over undecayed counts
+            refs = (cit != 0).sum(axis=1)
+            expect = {
+                "pp": colnorm(cit.T, refs.astype(float)),
+                "aa": colnorm(co, links.sum(axis=0)),
+                "pa": colnorm(ap.T), "ap": colnorm(ap),
+                "pt": colnorm(P), "tp": colnorm(P.T),
+                "at": colnorm(A), "ta": colnorm(A.T),
+            }
+            for name, dense in expect.items():
+                assert np.array_equal(getattr(blocks, name).to_dense(), dense), name

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrfrank.corpus import PaperRecord, parse_corpus
+from mrfrank.graphs import build_index
 from mrfrank.textfeat import (FeatureStats, FeatureTable, build_feature_table,
                               extract_features, feature_key, innovativeness,
                               innovativeness_at_window, tfidf_author,
@@ -109,7 +110,28 @@ class TestFeatureTable:
 
     def test_paper_features_filtered_to_retained(self):
         table = build_feature_table(self.make_corpus(), min_df=3)
-        assert set().union(*table.paper_features.values()) == {("w", "alpha")}
+        assert list(table.features) == [("w", "alpha")]
+        # alpha is column 0; A holds it twice, B and C once
+        assert table.rows.tolist() == [0, 1, 2]
+        assert table.cols.tolist() == [0, 0, 0]
+        assert table.counts.tolist() == [2, 1, 1]
+
+    def test_columns_in_feature_key_order(self):
+        corpus = self.make_corpus()
+        table = build_feature_table(corpus, min_df=1)
+        index = build_index(corpus, table.features)
+        assert list(table.features) == sorted(table.features)
+        for row, col, count in zip(table.rows, table.cols, table.counts):
+            pid = index.paper_ids[row]
+            feat = tuple(index.feature_ids[col].split("|"))
+            assert extract_features(corpus.papers[pid])[feat] == count
+        assert table.rows.size == sum(len(extract_features(p))
+                                      for p in corpus.papers.values())
+
+    @pytest.mark.parametrize("setting", ["window_years", "min_df"])
+    def test_setting_below_one_rejected(self, setting):
+        with pytest.raises(ValueError, match=f"{setting} must be at least 1"):
+            build_feature_table(self.make_corpus(), **{setting: 0})
 
     def test_window_years(self):
         table = build_feature_table(self.make_corpus(), window_years=2, min_df=1)
@@ -122,6 +144,7 @@ class TestFeatureTable:
         table = build_feature_table(corpus)
         assert table.features == {}
         assert table.global_lambda == 0.0
+        assert table.rows.size == table.cols.size == table.counts.size == 0
 
 
 def make_table(window_freqs, lam_i, lam_global, first_seen=0, n_windows=None):
@@ -221,12 +244,21 @@ class TestTfidf:
         corpus, _ = parse_corpus(recs)
         return corpus, build_feature_table(corpus, min_df=2)
 
+    def weight(self, corpus, table, matrix, entity, key):
+        """Entry of a tf-idf matrix: a paper row for an upper-case id, an
+        author row for a lower-case one."""
+        index = build_index(corpus, table.features)
+        pos = index.paper_pos if entity.isupper() else index.author_pos
+        return matrix.to_dense()[pos[entity], index.feature_pos[key]]
+
     def test_paper_weights(self):
         corpus, table = self.make()
         w = tfidf_paper(corpus, table)
         # alpha: tf 3 in A, df 2 of 4 papers
-        assert w[("A", ("w", "alpha"))] == pytest.approx(3 * math.log(4 / 2))
-        assert w[("B", ("w", "beta"))] == pytest.approx(1 * math.log(4 / 3))
+        assert self.weight(corpus, table, w, "A", "w|alpha") == pytest.approx(
+            3 * math.log(4 / 2))
+        assert self.weight(corpus, table, w, "B", "w|beta") == pytest.approx(
+            1 * math.log(4 / 3))
 
     def test_uniform_feature_has_zero_weight(self):
         recs = [
@@ -235,15 +267,32 @@ class TestTfidf:
         corpus, _ = parse_corpus(recs)
         table = build_feature_table(corpus, min_df=1)
         w = tfidf_paper(corpus, table)
-        assert w == {}  # ln(3/3) = 0, zero weights omitted
+        assert w.shape == (3, 1)
+        assert w.nnz == 0  # ln(3/3) = 0, zero weights omitted
 
     def test_author_weights_sum_over_papers(self):
         corpus, table = self.make()
         w = tfidf_author(corpus, table)
         # u has alpha tf 3 + 1 = 4; alpha used by 2 of 3 authors
-        assert w[("u", ("w", "alpha"))] == pytest.approx(4 * math.log(3 / 2))
+        assert self.weight(corpus, table, w, "u", "w|alpha") == pytest.approx(
+            4 * math.log(3 / 2))
         # w (the author) has beta tf 1; beta used by all 3 authors -> weight 0
-        assert ("w", ("w", "beta")) not in w
+        assert self.weight(corpus, table, w, "w", "w|beta") == 0.0
+
+    def test_author_listed_twice_counts_twice(self):
+        recs = [
+            {"id": "A", "title": "alpha", "abstract": "", "authors": ["u", "u"],
+             "year": 2000, "refs": []},
+            {"id": "B", "title": "alpha", "abstract": "", "authors": ["v"],
+             "year": 2000, "refs": []},
+            {"id": "C", "title": "beta", "abstract": "", "authors": ["w"],
+             "year": 2000, "refs": []},
+        ]
+        corpus, _ = parse_corpus(recs)
+        table = build_feature_table(corpus, min_df=1)
+        w = tfidf_author(corpus, table)
+        assert self.weight(corpus, table, w, "u", "w|alpha") == 2 * math.log(3 / 2)
+        assert self.weight(corpus, table, w, "v", "w|alpha") == math.log(3 / 2)
 
 
 class TestFeatureKey:
