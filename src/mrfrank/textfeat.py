@@ -208,7 +208,8 @@ def innovativeness(stats: FeatureStats, table: FeatureTable, j: int,
         lookback += ((x_j - x_prev) / lam_i) * (1.0 / s)
     age_years = (j - stats.first_seen) * table.window_years
     score = first * lookback * math.exp(-rho * age_years)
-    return max(score, 0.0)
+    # not max(score, 0.0): that keeps -0.0 when first is 0 and lookback < 0
+    return score if score > 0.0 else 0.0
 
 
 def innovativeness_at_window(table: FeatureTable, j: int, rho: float,

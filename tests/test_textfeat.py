@@ -186,6 +186,11 @@ class TestInnovativeness:
     def test_declining_series_clamped_to_zero(self):
         stats, table = make_table({0: 9, 1: 6, 2: 3, 3: 1}, 4.75, 3.0)
         assert innovativeness(stats, table, 3, rho=0.2) == 0.0
+        # latest count at its mean (zero deviation) after a decline: the
+        # product is -0.0, and the clamp must return +0.0
+        stats, table = make_table({0: 8, 1: 6, 2: 4, 3: 4}, 4.0, 3.0)
+        score = innovativeness(stats, table, 3, rho=0.2)
+        assert score == 0.0 and math.copysign(1.0, score) == 1.0
 
     def test_pre_first_seen_windows_read_zero(self):
         # first seen at window 2: lookback to windows 0, 1 uses frequency 0
