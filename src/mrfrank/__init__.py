@@ -8,12 +8,12 @@ from .corpus import (AuthorRecord, Corpus, GroundTruth, PaperRecord,
                      PreprocessConfig, parse_corpus, preprocess,
                      split_ground_truth)
 from .ranking import (ConvergenceLog, HyperParams, RankState,
-                      assemble_combined, init_state, iterate_once,
-                      rank_entities, run)
+                      assemble_combined, combined_operator, init_state,
+                      iterate_once, rank_entities, run)
 
 __all__ = [
     "AuthorRecord", "Corpus", "GroundTruth", "PaperRecord",
     "PreprocessConfig", "parse_corpus", "preprocess", "split_ground_truth",
     "ConvergenceLog", "HyperParams", "RankState", "assemble_combined",
-    "init_state", "iterate_once", "rank_entities", "run",
+    "combined_operator", "init_state", "iterate_once", "rank_entities", "run",
 ]

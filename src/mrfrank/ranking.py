@@ -1,11 +1,13 @@
 """Mutual-reinforcement power iteration over papers, authors and text
 features, with the dense combined-matrix oracle and ranked-list output.
 
-The iteration applies the combined block matrix to the concatenated
+The combined (N+M+K)^2 block matrix is held as a list of terms, each a
+column-normalized block already scaled by its coefficient and placed at its
+row and column offset.  One step applies every term to the concatenated
 authority vector and renormalizes it by its total sum, which is exactly
-power iteration and therefore converges to the dominant eigenvector of
-the combined matrix.  The exposed per-type vectors are each rescaled to
-sum 1 after every step; their relative masses are carried in the state.
+power iteration and therefore converges to the dominant eigenvector of the
+combined matrix.  The per-type vectors are the three sections of that one
+vector, each rescaled to sum 1.
 
 The innovativeness vector is rescaled to sum 1 before entering the
 matrix, so only the relative burstiness of features matters and a global
@@ -14,11 +16,13 @@ rescaling of the scores cannot change any ranking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import EntityIndex, GraphSet, OperatorBlocks, operator_blocks
+from .graphs import GraphSet, operator_blocks
+from .sparse import SparseMatrix
 
 MODES = ("full", "no_time", "no_content", "no_time_no_content")
 
@@ -42,14 +46,25 @@ class HyperParams:
     mode: str = "full"
 
     def __post_init__(self):
+        for name in ("alpha_p", "beta_p", "alpha_a", "beta_a", "alpha_f",
+                     "rho_edge", "rho_feature", "tolerance"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         for name in ("alpha_p", "beta_p", "alpha_a", "beta_a", "alpha_f"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
         if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be > 0")
-        if self.rho_edge < 0.0 or self.rho_feature < 0.0:
-            raise ValueError("decay rates must be >= 0")
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        for name in ("rho_edge", "rho_feature"):
+            v = getattr(self, name)
+            if v < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {v}")
+        for name in ("u", "max_iterations"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ValueError(f"{name} must be at least 1, got {v}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -66,21 +81,32 @@ class HyperParams:
 
 @dataclass
 class RankState:
-    a_paper: np.ndarray
-    a_author: np.ndarray
-    a_feature: np.ndarray
-    # relative mass of each section in the underlying concatenated vector
-    masses: np.ndarray = field(default_factory=lambda: np.full(3, 1.0 / 3.0))
+    # paper, author and feature authority concatenated; sums to 1
+    vector: np.ndarray
+    sizes: tuple[int, int, int]
     iteration: int = 0
     last_delta: float = float("inf")
 
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate([self.a_paper, self.a_author, self.a_feature])
+    def _section(self, i: int) -> np.ndarray:
+        start = sum(self.sizes[:i])
+        sec = self.vector[start:start + self.sizes[i]]
+        return sec / sec.sum()
 
-    def raw(self) -> np.ndarray:
-        return np.concatenate([self.masses[0] * self.a_paper,
-                               self.masses[1] * self.a_author,
-                               self.masses[2] * self.a_feature])
+    @property
+    def a_paper(self) -> np.ndarray:
+        return self._section(0)
+
+    @property
+    def a_author(self) -> np.ndarray:
+        return self._section(1)
+
+    @property
+    def a_feature(self) -> np.ndarray:
+        return self._section(2)
+
+    def per_type(self) -> np.ndarray:
+        """The three sections, each rescaled to sum 1, concatenated."""
+        return np.concatenate([self.a_paper, self.a_author, self.a_feature])
 
 
 @dataclass
@@ -94,11 +120,12 @@ class ConvergenceLog:
 
 
 def init_state(n: int, m: int, k: int) -> RankState:
+    """Uniform within each section, a third of the mass per section."""
     if n <= 0 or m <= 0 or k <= 0:
         raise ValueError(f"entity counts must be positive, got {(n, m, k)}")
-    return RankState(a_paper=np.full(n, 1.0 / n),
-                     a_author=np.full(m, 1.0 / m),
-                     a_feature=np.full(k, 1.0 / k))
+    uniform = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m),
+                              np.full(k, 1.0 / k)])
+    return RankState(vector=uniform * (1.0 / 3.0), sizes=(n, m, k))
 
 
 def normalize_innovativeness(e: np.ndarray) -> np.ndarray:
@@ -110,88 +137,78 @@ def normalize_innovativeness(e: np.ndarray) -> np.ndarray:
     return e / total if total > 0.0 else e.copy()
 
 
-def _apply_blocks(blocks: OperatorBlocks, e_norm: np.ndarray, hp: HyperParams,
-                  p: np.ndarray, a: np.ndarray, f: np.ndarray):
-    """One application of the combined matrix to raw section vectors."""
-    c_pp = hp.alpha_p
-    c_pa = hp.beta_p * (1.0 - hp.alpha_p)
-    c_pt = (1.0 - hp.beta_p) * (1.0 - hp.alpha_p)
-    c_aa = hp.alpha_a
-    c_ap = hp.beta_a * (1.0 - hp.alpha_a)
-    c_at = (1.0 - hp.beta_a) * (1.0 - hp.alpha_a)
-
-    new_p = np.zeros_like(p)
-    if c_pp != 0.0:
-        new_p += c_pp * blocks.pp.matvec(p)
-    if c_pa != 0.0:
-        new_p += c_pa * blocks.pa.matvec(a)
-    if c_pt != 0.0:
-        new_p += c_pt * blocks.pt.matvec(f)
-
-    new_a = np.zeros_like(a)
-    if c_aa != 0.0:
-        new_a += c_aa * blocks.aa.matvec(a)
-    if c_ap != 0.0:
-        new_a += c_ap * blocks.ap.matvec(p)
-    if c_at != 0.0:
-        new_a += c_at * blocks.at.matvec(f)
-
-    new_f = np.zeros_like(f)
-    if hp.alpha_f != 0.0:
-        new_f += hp.alpha_f * blocks.ta.matvec(a)
-    if hp.alpha_f != 1.0:
-        new_f += (1.0 - hp.alpha_f) * blocks.tp.matvec(p)
-    new_f *= e_norm
-    return new_p, new_a, new_f
+Operator = list[tuple[int, int, SparseMatrix]]
 
 
-def iterate_once(state: RankState, blocks: OperatorBlocks, e: np.ndarray,
-                 hp: HyperParams) -> RankState:
-    """One Jacobi-style update of all three vectors from the old state.
+def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Operator:
+    """The combined matrix as (row offset, col offset, block) terms.
 
-    A section whose raw image is all zero is reset to a uniform vector of
-    unit mass before the global renormalization.
+    Each block comes fresh from ``operator_blocks`` and its weights are
+    scaled in place by its coefficient, and the feature rows also by the
+    normalized innovativeness.  Terms whose coefficient is 0 are left out.
     """
     hp = hp.effective()
+    b = operator_blocks(graphs)
+    n, m = graphs.index.n, graphs.index.m
+    f = n + m
+    terms = [
+        (0, 0, b.pp, hp.alpha_p),
+        (0, n, b.pa, hp.beta_p * (1.0 - hp.alpha_p)),
+        (0, f, b.pt, (1.0 - hp.beta_p) * (1.0 - hp.alpha_p)),
+        (n, n, b.aa, hp.alpha_a),
+        (n, 0, b.ap, hp.beta_a * (1.0 - hp.alpha_a)),
+        (n, f, b.at, (1.0 - hp.beta_a) * (1.0 - hp.alpha_a)),
+        (f, n, b.ta, hp.alpha_f),
+        (f, 0, b.tp, 1.0 - hp.alpha_f),
+    ]
     e_norm = normalize_innovativeness(e)
-    raw = state.raw()
-    n, m = state.a_paper.size, state.a_author.size
-    p, a, f = raw[:n], raw[n:n + m], raw[n + m:]
-    new_p, new_a, new_f = _apply_blocks(blocks, e_norm, hp, p, a, f)
+    operator = []
+    for row, col, block, coef in terms:
+        if coef == 0.0:
+            continue
+        block.data *= coef
+        if row == f:
+            block.data *= e_norm[block.rows]
+        operator.append((row, col, block))
+    return operator
 
-    sections = [new_p, new_a, new_f]
-    for i, sec in enumerate(sections):
-        if not np.all(np.isfinite(sec)):
-            raise NumericalError(
-                f"non-finite value at iteration {state.iteration + 1}")
+
+def iterate_once(state: RankState, operator: Operator) -> RankState:
+    """One Jacobi-style update of the whole vector from the old state.
+
+    A section whose image is all zero is reset to a uniform vector of unit
+    mass before the global renormalization.
+    """
+    x = state.vector
+    y = np.zeros_like(x)
+    for row, col, block in operator:
+        y[row:row + block.shape[0]] += block.matvec(x[col:col + block.shape[1]])
+    if not np.all(np.isfinite(y)):
+        raise NumericalError(f"non-finite value at iteration {state.iteration + 1}")
+    total = 0.0
+    start = 0
+    for size in state.sizes:
+        sec = y[start:start + size]
         if sec.sum() == 0.0:
-            sections[i] = np.full(sec.size, 1.0 / sec.size)
-    total = sections[0].sum() + sections[1].sum() + sections[2].sum()
-    sections = [sec / total for sec in sections]
-    masses = np.array([sec.sum() for sec in sections])
-
-    out = RankState(
-        a_paper=sections[0] / masses[0],
-        a_author=sections[1] / masses[1],
-        a_feature=sections[2] / masses[2],
-        masses=masses,
-        iteration=state.iteration + 1,
-    )
-    out.last_delta = float(np.abs(out.concatenated() - state.concatenated()).sum())
+            sec[:] = 1.0 / size
+        total += sec.sum()
+        start += size
+    out = RankState(vector=y / total, sizes=state.sizes,
+                    iteration=state.iteration + 1)
+    out.last_delta = float(np.abs(out.per_type() - state.per_type()).sum())
     return out
 
 
-def run(graphs: GraphSet, e: np.ndarray, hp: HyperParams,
-        blocks: OperatorBlocks | None = None) -> tuple[RankState, ConvergenceLog]:
+def run(graphs: GraphSet, e: np.ndarray,
+        hp: HyperParams) -> tuple[RankState, ConvergenceLog]:
     """Iterate to convergence (L1 delta over the concatenated per-type
     vectors below tolerance) or until max_iterations."""
-    if blocks is None:
-        blocks = operator_blocks(graphs)
+    operator = combined_operator(graphs, e, hp)
     idx = graphs.index
     state = init_state(idx.n, idx.m, idx.k)
     log = ConvergenceLog()
     for _ in range(hp.max_iterations):
-        state = iterate_once(state, blocks, e, hp)
+        state = iterate_once(state, operator)
         log.deltas.append(state.last_delta)
         if state.last_delta < hp.tolerance:
             log.converged = True

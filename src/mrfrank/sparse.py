@@ -5,14 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
-
 
 class SparseMatrix:
-    """COO triples in canonical (row, col) order with a derived CSR index.
-
-    All stored weights are strictly positive; zeros are omitted.
-    """
+    """COO triples in canonical (row, col) order; the constructor omits
+    zero weights."""
 
     def __init__(self, shape: tuple[int, int], rows, cols, data):
         rows = np.asarray(rows, dtype=np.int64)
@@ -25,15 +21,15 @@ class SparseMatrix:
         self.rows = rows[order]
         self.cols = cols[order]
         self.data = data[order]
-        self.indptr = np.searchsorted(self.rows, np.arange(shape[0] + 1))
 
     @property
     def nnz(self) -> int:
         return self.data.size
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return kernels.spmv(self.indptr, self.rows, self.cols, self.data,
-                            x, self.shape[0])
+        """A @ x; each row adds its products in ascending column order."""
+        return np.bincount(self.rows, weights=self.data * x[self.cols],
+                           minlength=self.shape[0]).astype(np.float64, copy=False)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix((self.shape[1], self.shape[0]),
@@ -54,7 +50,6 @@ def divide_columns(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
     out.rows = m.rows
     out.cols = m.cols
     out.data = m.data / sums[m.cols]
-    out.indptr = m.indptr
     return out
 
 

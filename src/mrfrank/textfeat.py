@@ -255,6 +255,8 @@ def feature_key(feature: Feature) -> str:
 def write_feature_table(table: FeatureTable, path, rho: float, u: int = 3) -> None:
     """Snapshot the table as TSV: kind, terms, df, lambda, per-window counts
     and innovativeness at the latest window."""
+    if u < 1:
+        raise ValueError(f"u must be at least 1, got {u}")
     j = table.n_windows - 1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# origin_year\t{table.origin_year}\twindow_years\t{table.window_years}"

@@ -17,9 +17,8 @@ import pytest
 from conftest import random_hyperparams, random_instance
 from mrfrank.cli import main as cli_main
 from mrfrank.evaluate import max_ri, ri_item, ri_list
-from mrfrank.graphs import operator_blocks
-from mrfrank.ranking import (HyperParams, assemble_combined, init_state,
-                             iterate_once, run)
+from mrfrank.ranking import (HyperParams, assemble_combined, combined_operator,
+                             init_state, iterate_once, run)
 from mrfrank.textfeat import FeatureStats, FeatureTable, innovativeness
 from synthgen import rising_paper_corpus, scale_corpus
 
@@ -64,11 +63,11 @@ def test_criterion_1_and_2_eigenvector_oracle_and_normalization(rng, capfd):
             gs, e = random_instance(rng, max_dim=11)  # N+M+K <= 30
             assert gs.index.n + gs.index.m + gs.index.k <= 30
             hp = random_hyperparams(rng, tolerance=1e-13, max_iterations=5000)
-            blocks = operator_blocks(gs)
+            operator = combined_operator(gs, e, hp)
             state = init_state(gs.index.n, gs.index.m, gs.index.k)
             converged = False
             for _ in range(hp.max_iterations):
-                state = iterate_once(state, blocks, e, hp)
+                state = iterate_once(state, operator)
                 for sec in (state.a_paper, state.a_author, state.a_feature):
                     if abs(sec.sum() - 1.0) > 1e-12 or np.any(sec < 0.0):
                         norm_ok = False
@@ -78,7 +77,7 @@ def test_criterion_1_and_2_eigenvector_oracle_and_normalization(rng, capfd):
             if not converged:
                 continue
             v = dominant_eigenvector(assemble_combined(gs, e, hp))
-            x = state.raw()
+            x = state.vector
             assert np.max(np.abs(x / x.sum() - v)) <= 1e-6
             checked += 1
         elapsed = time.perf_counter() - start
@@ -208,6 +207,10 @@ def scale_corpus_path(tmp_path_factory):
     return path
 
 
+def threads_env(threads: str) -> dict:
+    return {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+
+
 def run_scale_subprocess(corpus, workspace, env_extra):
     env = dict(os.environ, **env_extra)
     args = [sys.executable, "-m", "mrfrank.cli", "rank",
@@ -224,8 +227,7 @@ def run_scale_subprocess(corpus, workspace, env_extra):
 def scale_run(scale_corpus_path, tmp_path_factory):
     ws = tmp_path_factory.mktemp("scale_ws")
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    elapsed = run_scale_subprocess(scale_corpus_path, ws,
-                                   {"NUMBA_NUM_THREADS": "4"})
+    elapsed = run_scale_subprocess(scale_corpus_path, ws, threads_env("4"))
     peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return elapsed, max(peak_kb, before), ws
 
@@ -251,17 +253,15 @@ def test_criterion_9_determinism(rising_corpus, scale_corpus_path, scale_run,
     with criterion(capfd, 9, "criterion-7 and criterion-8 pipelines are "
                       "byte-identical across reruns and thread settings"):
         # rising-paper pipeline: two in-process runs, then subprocess runs
-        # with different thread counts and with the numba path disabled
+        # with different BLAS/OpenMP thread counts
         ws = {}
         for name in ("a", "b"):
             ws[name] = tmp_path_factory.mktemp(f"det_{name}")
             assert run_rising(rising_corpus, ws[name], "full") == 0
         assert workspace_bytes(ws["a"]) == workspace_bytes(ws["b"])
-        corpus = None
-        for threads, numba_flag in (("1", "1"), ("4", "1"), ("2", "0")):
-            wsx = tmp_path_factory.mktemp(f"det_t{threads}_n{numba_flag}")
-            env = dict(os.environ, NUMBA_NUM_THREADS=threads,
-                       MRFRANK_NUMBA=numba_flag)
+        for threads in ("1", "4", "2"):
+            wsx = tmp_path_factory.mktemp(f"det_t{threads}")
+            env = dict(os.environ, **threads_env(threads))
             args = [sys.executable, "-m", "mrfrank.cli", "rank",
                     "--corpus", str(rising_corpus), "--workspace", str(wsx),
                     "--tolerance", "1e-8", "--max-iterations", "2000"]
@@ -272,6 +272,5 @@ def test_criterion_9_determinism(rising_corpus, scale_corpus_path, scale_run,
         # scale pipeline: rerun with a different thread count
         _, _, ws8 = scale_run
         ws8b = tmp_path_factory.mktemp("det_scale")
-        run_scale_subprocess(scale_corpus_path, ws8b,
-                             {"NUMBA_NUM_THREADS": "1"})
+        run_scale_subprocess(scale_corpus_path, ws8b, threads_env("1"))
         assert workspace_bytes(ws8b) == workspace_bytes(ws8)

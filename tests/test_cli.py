@@ -74,7 +74,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         ("rank", "--window-years"), ("rank", "--min-df"),
-        ("features", "--window-years"), ("features", "--min-df")])
+        ("features", "--window-years"), ("features", "--min-df"),
+        ("rank", "--u"), ("rank", "--max-iterations"), ("features", "--u")])
     def test_data_error_feature_setting_below_one(self, corpus_file, tmp_path,
                                                   capsys, command, flag):
         if command == "rank":
@@ -85,6 +86,15 @@ class TestExitCodes:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert flag[2:].replace("-", "_") + " must be at least 1, got 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tolerance", "nan"), ("--rho-edge", "inf"), ("--alpha-p", "nan")])
+    def test_data_error_nonfinite_setting(self, corpus_file, tmp_path, capsys,
+                                          flag, value):
+        assert main(rank_args(corpus_file, tmp_path / "ws", flag, value)) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be finite, got {value}" in err
         assert "Traceback" not in err
 
 

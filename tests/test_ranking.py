@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperparams, random_instance
-from mrfrank.graphs import operator_blocks
-from mrfrank.ranking import (HyperParams, NumericalError, RankState,
-                             assemble_combined, init_state, iterate_once,
-                             normalize_innovativeness, rank_entities, run,
-                             write_ranking)
+from mrfrank.ranking import (MODES, HyperParams, NumericalError,
+                             assemble_combined, combined_operator, init_state,
+                             iterate_once, normalize_innovativeness,
+                             rank_entities, run, write_ranking)
 
 
 class TestHyperParams:
@@ -20,9 +19,13 @@ class TestHyperParams:
     @pytest.mark.parametrize("kwargs", [
         {"alpha_p": -0.1}, {"beta_a": 1.5}, {"tolerance": 0.0},
         {"rho_edge": -1.0}, {"mode": "bogus"},
+        {"u": 0}, {"u": -2}, {"max_iterations": 0}, {"max_iterations": -5},
+        {"tolerance": float("nan")}, {"rho_edge": float("inf")},
+        {"rho_feature": float("nan")}, {"alpha_f": float("nan")},
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (name, _), = kwargs.items()
+        with pytest.raises(ValueError, match=name):
             HyperParams(**kwargs)
 
     def test_effective_no_time(self):
@@ -46,7 +49,8 @@ class TestInitAndNormalize:
         assert np.allclose(s.a_paper, 0.25)
         assert s.a_author.sum() == pytest.approx(1.0)
         assert s.a_feature.sum() == pytest.approx(1.0)
-        assert np.allclose(s.masses, 1 / 3)
+        v = s.vector
+        assert np.allclose([v[:4].sum(), v[4:7].sum(), v[7:].sum()], 1 / 3)
 
     def test_init_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -65,57 +69,96 @@ class TestIterateOnce:
     def test_sections_sum_to_one(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
-        blocks = operator_blocks(gs)
+        operator = combined_operator(gs, e, hp)
         s = init_state(gs.index.n, gs.index.m, gs.index.k)
         for _ in range(5):
-            s = iterate_once(s, blocks, e, hp)
+            s = iterate_once(s, operator)
             assert s.a_paper.sum() == pytest.approx(1.0)
             assert s.a_author.sum() == pytest.approx(1.0)
             assert s.a_feature.sum() == pytest.approx(1.0)
-            assert s.masses.sum() == pytest.approx(1.0)
+            assert s.vector.sum() == pytest.approx(1.0)
 
     def test_matches_dense_matrix_application(self, rng):
-        """One sparse block update must equal one multiply by the assembled
+        """One sparse update must equal one multiply by the assembled
         combined matrix followed by the same normalization."""
         for _ in range(15):
             gs, e = random_instance(rng)
             hp = random_hyperparams(rng)
             combined = assemble_combined(gs, e, hp)
-            blocks = operator_blocks(gs)
+            operator = combined_operator(gs, e, hp)
             n, m = gs.index.n, gs.index.m
             s = init_state(n, m, gs.index.k)
             for _ in range(3):
-                raw_next = combined @ s.raw()
-                s = iterate_once(s, blocks, e, hp)
+                raw_next = combined @ s.vector
+                s = iterate_once(s, operator)
                 expect = raw_next / raw_next.sum()
-                assert np.allclose(s.raw(), expect, atol=1e-14)
+                assert np.allclose(s.vector, expect, atol=1e-14)
 
     def test_zero_innovativeness_resets_features_uniform(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
-        blocks = operator_blocks(gs)
+        operator = combined_operator(gs, np.zeros_like(e), hp)
         s = init_state(gs.index.n, gs.index.m, gs.index.k)
-        s = iterate_once(s, blocks, np.zeros_like(e), hp)
+        s = iterate_once(s, operator)
         assert np.allclose(s.a_feature, 1.0 / gs.index.k)
 
     def test_nonfinite_raises(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
-        blocks = operator_blocks(gs)
+        operator = combined_operator(gs, e, hp)
         s = init_state(gs.index.n, gs.index.m, gs.index.k)
-        s.a_paper[0] = np.inf
+        s.vector[0] = np.inf
         with pytest.raises(NumericalError):
-            iterate_once(s, blocks, e, hp)
+            iterate_once(s, operator)
 
     def test_iteration_counter_and_delta(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
-        blocks = operator_blocks(gs)
+        operator = combined_operator(gs, e, hp)
         s0 = init_state(gs.index.n, gs.index.m, gs.index.k)
-        s1 = iterate_once(s0, blocks, e, hp)
+        s1 = iterate_once(s0, operator)
         assert s1.iteration == 1
         assert s1.last_delta == pytest.approx(
-            np.abs(s1.concatenated() - s0.concatenated()).sum())
+            np.abs(s1.per_type() - s0.per_type()).sum())
+
+
+def operator_to_dense(operator, size):
+    out = np.zeros((size, size))
+    for row, col, block in operator:
+        out[row:row + block.shape[0], col:col + block.shape[1]] += block.to_dense()
+    return out
+
+
+class TestCombinedOperator:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_assemble_combined(self, rng, mode):
+        gs, e = random_instance(rng)
+        hp = random_hyperparams(rng, mode=mode)
+        size = gs.index.n + gs.index.m + gs.index.k
+        dense = operator_to_dense(combined_operator(gs, e, hp), size)
+        assert np.allclose(dense, assemble_combined(gs, e, hp), rtol=0, atol=1e-15)
+
+    def test_no_content_leaves_out_pt_and_at(self, rng):
+        gs, e = random_instance(rng)
+        hp = random_hyperparams(rng, mode="no_content")
+        n, m = gs.index.n, gs.index.m
+        operator = combined_operator(gs, e, hp)
+        offsets = [(row, col) for row, col, _ in operator]
+        assert (0, n + m) not in offsets and (n, n + m) not in offsets
+        assert len(offsets) == 6
+        dense = operator_to_dense(operator, n + m + gs.index.k)
+        assert np.allclose(dense, assemble_combined(gs, e, hp), rtol=0, atol=1e-15)
+
+    def test_graphs_not_scaled(self, rng):
+        """The in-place scaling touches fresh blocks only: building the
+        operator twice from the same graphs gives the same terms."""
+        gs, e = random_instance(rng)
+        hp = random_hyperparams(rng)
+        first = combined_operator(gs, e, hp)
+        second = combined_operator(gs, e, hp)
+        for (r1, c1, b1), (r2, c2, b2) in zip(first, second, strict=True):
+            assert (r1, c1) == (r2, c2)
+            assert np.array_equal(b1.data, b2.data)
 
 
 class TestRun:
@@ -134,7 +177,7 @@ class TestRun:
             lead = np.argmax(np.abs(vals))
             v = np.real(vecs[:, lead])
             v = v / v.sum()
-            assert np.max(np.abs(state.raw() - v)) < 1e-8
+            assert np.max(np.abs(state.vector - v)) < 1e-8
             checked += 1
         assert checked >= 8
 
