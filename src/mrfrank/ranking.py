@@ -46,21 +46,17 @@ class HyperParams:
     mode: str = "full"
 
     def __post_init__(self):
-        for name in ("alpha_p", "beta_p", "alpha_a", "beta_a", "alpha_f",
-                     "rho_edge", "rho_feature", "tolerance"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        # written so that nan fails every check
         for name in ("alpha_p", "beta_p", "alpha_a", "beta_a", "alpha_f"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         for name in ("rho_edge", "rho_feature"):
             v = getattr(self, name)
-            if v < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         for name in ("u", "max_iterations"):
             v = getattr(self, name)
             if v < 1:
@@ -79,6 +75,11 @@ class HyperParams:
         return hp
 
 
+def _split(vector: np.ndarray, sizes: tuple[int, int, int]) -> list[np.ndarray]:
+    """Views of the paper, author and feature sections of ``vector``."""
+    return np.split(vector, np.cumsum(sizes[:2]))
+
+
 @dataclass
 class RankState:
     # paper, author and feature authority concatenated; sums to 1
@@ -88,8 +89,7 @@ class RankState:
     last_delta: float = float("inf")
 
     def _section(self, i: int) -> np.ndarray:
-        start = sum(self.sizes[:i])
-        sec = self.vector[start:start + self.sizes[i]]
+        sec = _split(self.vector, self.sizes)[i]
         return sec / sec.sum()
 
     @property
@@ -186,13 +186,10 @@ def iterate_once(state: RankState, operator: Operator) -> RankState:
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"non-finite value at iteration {state.iteration + 1}")
     total = 0.0
-    start = 0
-    for size in state.sizes:
-        sec = y[start:start + size]
+    for sec in _split(y, state.sizes):
         if sec.sum() == 0.0:
-            sec[:] = 1.0 / size
+            sec[:] = 1.0 / sec.size
         total += sec.sum()
-        start += size
     out = RankState(vector=y / total, sizes=state.sizes,
                     iteration=state.iteration + 1)
     out.last_delta = float(np.abs(out.per_type() - state.per_type()).sum())

@@ -257,6 +257,8 @@ def write_feature_table(table: FeatureTable, path, rho: float, u: int = 3) -> No
     and innovativeness at the latest window."""
     if u < 1:
         raise ValueError(f"u must be at least 1, got {u}")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
     j = table.n_windows - 1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# origin_year\t{table.origin_year}\twindow_years\t{table.window_years}"

@@ -88,13 +88,22 @@ class TestExitCodes:
         assert flag[2:].replace("-", "_") + " must be at least 1, got 0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--tolerance", "nan"), ("--rho-edge", "inf"), ("--alpha-p", "nan")])
-    def test_data_error_nonfinite_setting(self, corpus_file, tmp_path, capsys,
-                                          flag, value):
-        assert main(rank_args(corpus_file, tmp_path / "ws", flag, value)) == 2
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("rank", "--tolerance", "nan", "tolerance must be finite and > 0, got nan"),
+        ("rank", "--rho-edge", "inf", "rho_edge must be finite and >= 0, got inf"),
+        ("rank", "--alpha-p", "nan", "alpha_p=nan outside [0, 1]"),
+        ("features", "--rho", "nan", "rho must be finite and >= 0, got nan"),
+        ("features", "--rho", "-1", "rho must be finite and >= 0, got -1.0")])
+    def test_data_error_invalid_float_setting(self, corpus_file, tmp_path, capsys,
+                                              command, flag, value, message):
+        if command == "rank":
+            args = rank_args(corpus_file, tmp_path / "ws", flag, value)
+        else:
+            args = ["features", "--input", str(corpus_file),
+                    "--output", str(tmp_path / "f.tsv"), flag, value]
+        assert main(args) == 2
         err = capsys.readouterr().err
-        assert f"{flag[2:].replace('-', '_')} must be finite, got {value}" in err
+        assert message in err
         assert "Traceback" not in err
 
 
