@@ -1,12 +1,10 @@
+"""The sparse matrix-vector kernel: SparseMatrix.matvec, a numpy bincount
+over the canonical COO triples, checked against a dense product."""
+
 import numpy as np
-import pytest
 
 from conftest import random_sparse
-from mrfrank import kernels
-
-
-def csr_parts(m):
-    return m.indptr, m.rows, m.cols, m.data
+from mrfrank.sparse import SparseMatrix
 
 
 class TestNumpyPath:
@@ -15,40 +13,11 @@ class TestNumpyPath:
             r, c = rng.integers(1, 40, 2)
             m = random_sparse(rng, r, c, density=0.3)
             x = rng.random(c)
-            out = kernels.spmv_numpy(m.rows, m.cols, m.data, x, r)
-            assert np.allclose(out, m.to_dense() @ x)
+            assert np.allclose(m.matvec(x), m.to_dense() @ x)
 
     def test_empty(self):
-        out = kernels.spmv_numpy(np.array([], dtype=np.int64),
-                                 np.array([], dtype=np.int64),
-                                 np.array([]), np.ones(3), 4)
-        assert np.array_equal(out, np.zeros(4))
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-class TestNumbaPath:
-    def test_matches_dense(self, rng):
-        for _ in range(30):
-            r, c = rng.integers(1, 40, 2)
-            m = random_sparse(rng, r, c, density=0.3)
-            x = rng.random(c)
-            out = kernels.spmv_numba(m.indptr, m.cols, m.data, x, r)
-            assert np.allclose(out, m.to_dense() @ x)
-
-    def test_bit_identical_to_numpy(self, rng):
-        """Both paths accumulate each row in ascending column order, so the
-        float64 results must agree bit for bit, not just approximately."""
-        for _ in range(50):
-            r, c = rng.integers(1, 60, 2)
-            m = random_sparse(rng, r, c, density=0.4)
-            x = rng.random(c) * rng.choice([1.0, 1e8, 1e-8])
-            a = kernels.spmv_numba(m.indptr, m.cols, m.data, x, r)
-            b = kernels.spmv_numpy(m.rows, m.cols, m.data, x, r)
-            assert np.array_equal(a, b)
-
-
-def test_dispatcher_uses_selected_path(rng):
-    m = random_sparse(rng, 10, 10)
-    x = rng.random(10)
-    out = kernels.spmv(*csr_parts(m), x, 10)
-    assert np.allclose(out, m.to_dense() @ x)
+        for shape in ((4, 3), (3, 4)):
+            m = SparseMatrix(shape, [], [], [])
+            out = m.matvec(np.ones(shape[1]))
+            assert out.dtype == np.float64
+            assert np.array_equal(out, np.zeros(shape[0]))
