@@ -10,6 +10,8 @@ import dataclasses
 import json
 import logging
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -99,16 +101,73 @@ def _merge(cls, file_section: dict, args, fields):
     return cls(**kwargs)
 
 
+# config file section -> the dataclass whose fields it sets (all of them
+# when no names are given)
+_SECTIONS = {
+    "preprocess": (PreprocessConfig, None),
+    "hyperparams": (HyperParams, None),
+    "features": (RunConfig, ("window_years", "min_df", "stopwords")),
+    "protocol": (RunConfig, ("cutoff_year", "horizon_year", "cohort_years", "ks")),
+}
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string",
+               type(None): "null"}
+
+
+def _json_type(hint) -> str:
+    """The JSON type a config value needs to set a field of type ``hint``."""
+    if typing.get_origin(hint) is tuple:
+        return f"list of {_json_type(typing.get_args(hint)[0])}s"
+    if isinstance(hint, types.UnionType):
+        return " or ".join(map(_json_type, typing.get_args(hint)))
+    return _JSON_TYPES[hint]
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can set a field of type ``hint``: a list for a
+    tuple, an integer (not a boolean) for an int, any number for a float."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0])
+                                               for v in value)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool) or hint is bool:
+        return isinstance(value, bool) and hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _section(raw: dict, name: str) -> dict:
+    """The settings of one config file section, each checked against the
+    type of the field it sets, lists turned into tuples."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise DataError(f"config section {name} must be an object")
+    cls, names = _SECTIONS[name]
+    hints = typing.get_type_hints(cls)
+    for key, value in section.items():
+        if key not in (names or hints):
+            raise DataError(f"unknown config setting {name}.{key}")
+        if not _fits(value, hints[key]):
+            raise DataError(f"config setting {name}.{key} must be "
+                            f"{_json_type(hints[key])}, got {value!r}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
+
+
 def load_config(args) -> RunConfig:
     raw = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise DataError("config file must hold a JSON object")
+    for key in raw:
+        if key not in ("corpus", "workspace", *_SECTIONS):
+            raise DataError(f"unknown config setting {key}")
+        if key not in _SECTIONS and not _fits(raw[key], str | None):
+            raise DataError(f"config setting {key} must be string or null, "
+                            f"got {raw[key]!r}")
 
-    pp_raw = dict(raw.get("preprocess", {}))
+    pp_raw = _section(raw, "preprocess")
     for key in ("survey_substrings", "proceedings_prefixes"):
-        if key in pp_raw:
-            pp_raw[key] = tuple(pp_raw[key])
         v = getattr(args, key, None)
         if v is not None:
             pp_raw[key] = tuple(s for s in v.split(",") if s)
@@ -116,14 +175,17 @@ def load_config(args) -> RunConfig:
     pp = _merge(PreprocessConfig, pp_raw,
                 args, [f.name for f in dataclasses.fields(PreprocessConfig)])
 
-    hp_raw = dict(raw.get("hyperparams", {}))
+    hp_raw = _section(raw, "hyperparams")
     if getattr(args, "mode", None) is not None:
         args.mode = args.mode.replace("-", "_")
     hp = _merge(HyperParams, hp_raw,
                 args, [f.name for f in dataclasses.fields(HyperParams)])
 
-    feat_raw = raw.get("features", {})
-    proto = raw.get("protocol", {})
+    feat_raw = _section(raw, "features")
+    proto = _section(raw, "protocol")
+    for k in proto.get("ks", ()):
+        if k < 1:
+            raise DataError(f"protocol.ks must be at least 1, got {k}")
 
     def pick(name, default, section):
         v = getattr(args, name, None)
@@ -145,8 +207,8 @@ def load_config(args) -> RunConfig:
         hyperparams=hp,
         cutoff_year=proto.get("cutoff_year", 2005),
         horizon_year=proto.get("horizon_year", 2011),
-        cohort_years=tuple(proto.get("cohort_years", ())),
-        ks=tuple(proto.get("ks", (10, 20, 50))),
+        cohort_years=proto.get("cohort_years", ()),
+        ks=proto.get("ks", (10, 20, 50)),
     )
 
 
@@ -156,11 +218,11 @@ def _load_corpus(path):
 
 
 def cmd_ingest(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        if args.format == "arnetminer":
+    if args.format == "arnetminer":
+        with open(args.input, encoding="utf-8") as fh:
             records = corpus_mod.convert_arnetminer(fh)
-        else:
-            records = [json.loads(line) for line in fh if line.strip()]
+    else:
+        records = corpus_mod.read_native(args.input)
     corpus, report = corpus_mod.parse_corpus(records)
     corpus_mod.write_native(corpus, args.output)
     for line in report.lines():
@@ -283,6 +345,7 @@ def cmd_eval(args) -> int:
     if not methods:
         raise DataError(f"no ranking files found in workspace {ws}")
 
+    counts = eval_mod.citation_counts(sub)
     rows = []
     for year in cfg.cohort_years:
         cohorts = {"P": eval_mod.papers_of_year(sub, year),
@@ -298,7 +361,7 @@ def cmd_eval(args) -> int:
                     continue
                 for res in eval_mod.evaluate_run(ranked, gt, cohort, list(cfg.ks)):
                     rows.append((year, method, kind, res.k, res.total_ri))
-            cc = eval_mod.citation_count_baseline(sub, cohort)
+            cc = eval_mod.citation_count_baseline(counts, cohort)
             for res in eval_mod.evaluate_run(cc, gt, cohort, list(cfg.ks)):
                 rows.append((year, "cc", kind, res.k, res.total_ri))
 

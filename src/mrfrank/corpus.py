@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -17,6 +18,12 @@ log = logging.getLogger(__name__)
 
 class DataError(Exception):
     """Unrecoverable problem in the input data (e.g. duplicate paper id)."""
+
+
+# a year outside this range is malformed, so year arithmetic on the int64
+# years array cannot overflow
+_YEAR_MIN, _YEAR_MAX = -(2**31), 2**31 - 1
+_STR = frozenset({str})
 
 
 @dataclass(frozen=True)
@@ -37,15 +44,59 @@ class AuthorRecord:
     first_pub_year: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
+    """Papers and authors keyed by id, in sorted id order.  A paper's or an
+    author's position is its index in that order; the arrays refer to
+    papers and authors by position."""
+
     papers: dict[str, PaperRecord]
     authors: dict[str, AuthorRecord]
-    # (citing_id, cited_id, citing_year), deduplicated
-    citation_edges: tuple[tuple[str, str, int], ...]
+    # E x 2 (citing, cited) positions, deduplicated, grouped by citing
+    # paper in the order of its references
+    citation_edges: np.ndarray
+    years: np.ndarray            # N publication years
+    # one (paper, author) pair per listing, grouped by paper in the order of
+    # its author list; an author listed twice on a paper gives two listings
+    listing_papers: np.ndarray
+    listing_authors: np.ndarray
 
     def __len__(self) -> int:
         return len(self.papers)
+
+    def subset(self, keep: np.ndarray) -> "Corpus":
+        """The papers where the boolean mask ``keep`` is true, with the
+        citations and listings among them.  Authors and their first
+        publication years are derived again from the kept listings."""
+        new_pos = np.cumsum(keep) - 1
+        ids = list(self.papers)
+        papers = {ids[i]: self.papers[ids[i]] for i in np.flatnonzero(keep).tolist()}
+        edges = self.citation_edges[keep[self.citation_edges].all(axis=1)]
+        listed = keep[self.listing_papers]
+        return _corpus(papers, self.years[keep], new_pos[edges],
+                       new_pos[self.listing_papers[listed]],
+                       self.listing_authors[listed], list(self.authors))
+
+    def sum_over_authors(self, per_paper: np.ndarray) -> np.ndarray:
+        """Per author, the sum of ``per_paper`` over the author's listings."""
+        return np.bincount(self.listing_authors, weights=per_paper[self.listing_papers],
+                           minlength=len(self.authors))
+
+
+def _corpus(papers: dict[str, PaperRecord], years: np.ndarray, edges: np.ndarray,
+            listing_papers: np.ndarray, listing_authors: np.ndarray,
+            author_ids: list[str]) -> Corpus:
+    """A Corpus over ``papers`` (sorted by id), keeping the authors of
+    ``author_ids`` (sorted) that some listing names, renumbered in order."""
+    listed = np.zeros(len(author_ids), dtype=bool)
+    listed[listing_authors] = True
+    listing_authors = (np.cumsum(listed) - 1)[listing_authors]
+    first = np.full(int(listed.sum()), np.iinfo(np.int64).max)
+    np.minimum.at(first, listing_authors, years[listing_papers])
+    kept = [author_ids[i] for i in np.flatnonzero(listed).tolist()]
+    authors = {a: AuthorRecord(a, a, y) for a, y in zip(kept, first.tolist())}
+    return Corpus(papers=papers, authors=authors, citation_edges=edges, years=years,
+                  listing_papers=listing_papers, listing_authors=listing_authors)
 
 
 @dataclass
@@ -100,73 +151,91 @@ class GroundTruth:
     author_future_citations: dict[str, int]
 
 
-def _derive_authors(papers: dict[str, PaperRecord]) -> dict[str, AuthorRecord]:
-    first: dict[str, int] = {}
-    for p in papers.values():
-        for a in p.author_ids:
-            y = first.get(a)
-            if y is None or p.year < y:
-                first[a] = p.year
-    return {a: AuthorRecord(a, a, y) for a, y in sorted(first.items())}
+def malformed_reason(rec) -> str | None:
+    """Why a raw record cannot become a paper, or None when it can.
 
-
-def _assemble(papers: dict[str, PaperRecord]) -> Corpus:
-    """Rebuild derived structures (authors, edge list) from a paper map."""
-    edges = []
-    for pid in sorted(papers):
-        p = papers[pid]
-        for ref in p.references:
-            if ref in papers:
-                edges.append((pid, ref, p.year))
-    return Corpus(papers=dict(sorted(papers.items())),
-                  authors=_derive_authors(papers),
-                  citation_edges=tuple(edges))
+    ``id`` must be a non-empty string and ``year`` an integer (not a bool);
+    ``authors`` and ``refs`` are lists of strings and ``title``,
+    ``abstract`` and ``venue`` strings, each of the five optional (missing
+    or null means empty).
+    """
+    if not isinstance(rec, dict):
+        return "not a JSON object"
+    pid, year = rec.get("id"), rec.get("year")
+    if not pid or year is None:
+        return "missing id or year"
+    if not isinstance(pid, str):
+        return "id is not a string"
+    if type(year) is not int or not _YEAR_MIN <= year <= _YEAR_MAX:
+        return f"year is not an integer in [{_YEAR_MIN}, {_YEAR_MAX}]"
+    for key in ("authors", "refs"):
+        v = rec.get(key)
+        if v is not None and not (isinstance(v, list) and _STR.issuperset(map(type, v))):
+            return f"{key} is not a list of strings"
+    for key in ("title", "abstract", "venue"):
+        if rec.get(key) is not None and not isinstance(rec[key], str):
+            return f"{key} is not a string"
+    return None
 
 
 def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
     """Parse an iterable of raw record dicts into a Corpus.
 
-    Records missing ``id`` or ``year`` are skipped and logged with their
-    position; a duplicate paper id is a hard error.  References to unknown
-    ids and self-references are dropped (counted as dangling).
+    A record ``malformed_reason`` rejects is skipped, counted and logged
+    with its position; a None record (a line ``read_native`` could not
+    decode, and reported) is skipped and counted.  A duplicate paper id is
+    a hard error.  Self-references and repeated references are dropped;
+    references to unknown ids are dropped and counted as dangling.
     """
     report = ParseReport()
     raw: dict[str, dict] = {}
     for lineno, rec in enumerate(record_stream, start=1):
-        pid = rec.get("id")
-        year = rec.get("year")
-        if not pid or not isinstance(year, int):
+        reason = "" if rec is None else malformed_reason(rec)
+        if reason is not None:
             report.skipped_malformed += 1
-            log.warning("record %d skipped: missing id or year", lineno)
+            if reason:   # None records were reported by read_native
+                log.warning("record %d skipped: %s", lineno, reason)
             continue
+        pid = rec["id"]
         if pid in raw:
             raise DataError(f"duplicate paper id {pid!r} at record {lineno}")
         raw[pid] = rec
         report.parsed += 1
 
+    pos = {pid: i for i, pid in enumerate(sorted(raw))}
     papers: dict[str, PaperRecord] = {}
-    for pid in sorted(raw):
+    for pid in pos:
         rec = raw[pid]
-        refs = []
-        seen = set()
-        for ref in rec.get("refs", []):
-            if ref == pid or ref in seen:
-                continue
-            seen.add(ref)
-            if ref not in raw:
-                report.dangling_references += 1
-                continue
-            refs.append(ref)
+        refs = dict.fromkeys(rec.get("refs") or ())
+        refs.pop(pid, None)
+        kept = tuple(filter(pos.__contains__, refs))
+        report.dangling_references += len(refs) - len(kept)
         papers[pid] = PaperRecord(
             paper_id=pid,
-            title=rec.get("title", ""),
-            abstract=rec.get("abstract", "") or "",
-            author_ids=tuple(rec.get("authors", [])),
+            title=rec.get("title") or "",
+            abstract=rec.get("abstract") or "",
+            author_ids=tuple(rec.get("authors") or ()),
             year=rec["year"],
-            venue=rec.get("venue", "") or "",
-            references=tuple(refs),
+            venue=rec.get("venue") or "",
+            references=kept,
         )
-    return _assemble(papers), report
+
+    records = papers.values()
+    author_ids = sorted({a for p in records for a in p.author_ids})
+    author_pos = {a: i for i, a in enumerate(author_ids)}
+    cited = _positions(pos, chain.from_iterable(p.references for p in records))
+    citing = np.repeat(np.arange(len(papers)), [len(p.references) for p in records])
+    listing_authors = _positions(author_pos,
+                                 chain.from_iterable(p.author_ids for p in records))
+    listing_papers = np.repeat(np.arange(len(papers)),
+                               [len(p.author_ids) for p in records])
+    years = np.array([p.year for p in records], dtype=np.int64)
+    return _corpus(papers, years, np.stack([citing, cited], axis=1),
+                   listing_papers, listing_authors, author_ids), report
+
+
+def _positions(pos: dict[str, int], ids) -> np.ndarray:
+    return np.fromiter(map(pos.__getitem__, ids), dtype=np.int64)
 
 
 def _title_matches(title: str, cfg: PreprocessConfig) -> bool:
@@ -178,54 +247,31 @@ def _title_matches(title: str, cfg: PreprocessConfig) -> bool:
 
 def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> tuple[Corpus, FilterReport]:
     """Apply the corpus filters: survey titles, year floor, missing abstract,
-    then citation isolation run to fixpoint."""
-    report = FilterReport(input_papers=len(corpus.papers))
-    papers = dict(corpus.papers)
-
-    for pid in list(papers):
-        if _title_matches(papers[pid].title, cfg):
-            del papers[pid]
-            report.removed_survey += 1
-    for pid in list(papers):
-        if papers[pid].year < cfg.min_year:
-            del papers[pid]
-            report.removed_year += 1
+    then citation isolation."""
+    report = FilterReport(input_papers=len(corpus))
+    records = corpus.papers.values()
+    survey = np.array([_title_matches(p.title, cfg) for p in records], dtype=bool)
+    early = ~survey & (corpus.years < cfg.min_year)
+    keep = ~survey & ~early
+    report.removed_survey = int(survey.sum())
+    report.removed_year = int(early.sum())
     if cfg.require_abstract:
-        for pid in list(papers):
-            if not papers[pid].abstract.strip():
-                del papers[pid]
-                report.removed_no_abstract += 1
+        blank = keep & np.array([not p.abstract.strip() for p in records], dtype=bool)
+        keep &= ~blank
+        report.removed_no_abstract = int(blank.sum())
 
-    # isolation filter to fixpoint: removals may isolate further papers
-    while True:
-        cited: set[str] = set()
-        citing: set[str] = set()
-        for pid, p in papers.items():
-            for ref in p.references:
-                if ref in papers:
-                    citing.add(pid)
-                    cited.add(ref)
-        isolated = [pid for pid in papers if pid not in citing and pid not in cited]
-        if not isolated:
-            break
-        for pid in isolated:
-            del papers[pid]
-            report.removed_isolated += 1
+    # isolation filter: a kept paper no citation among the kept papers
+    # touches is removed.  One pass reaches the fixpoint, because removing
+    # such papers removes no citation between the others.
+    citing, cited = corpus.citation_edges[keep[corpus.citation_edges].all(axis=1)].T
+    linked = np.zeros(len(corpus), dtype=bool)
+    linked[citing] = True
+    linked[cited] = True
+    report.removed_isolated = int((keep & ~linked).sum())
+    keep &= linked
 
-    report.remaining = len(papers)
-    return _assemble(papers), report
-
-
-def author_listings(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-    """Every (paper, author) listing as two position arrays, papers in
-    sorted id order and authors in sorted id order, grouped by paper.  An
-    author listed twice on one paper gives two listings."""
-    author_pos = {a: i for i, a in enumerate(sorted(corpus.authors))}
-    papers = [corpus.papers[pid] for pid in sorted(corpus.papers)]
-    authors = np.fromiter((author_pos[a] for p in papers for a in p.author_ids),
-                          dtype=np.int64)
-    rows = np.repeat(np.arange(len(papers)), [len(p.author_ids) for p in papers])
-    return rows, authors
+    report.remaining = int(keep.sum())
+    return corpus.subset(keep), report
 
 
 def split_ground_truth(corpus: Corpus, cutoff_year: int,
@@ -235,32 +281,40 @@ def split_ground_truth(corpus: Corpus, cutoff_year: int,
     if cutoff_year >= horizon_year:
         raise ValueError(f"cutoff_year {cutoff_year} must be < horizon_year {horizon_year}")
 
-    pre = {pid: p for pid, p in corpus.papers.items() if p.year <= cutoff_year}
-    paper_future = {pid: 0 for pid in pre}
-    for citing, cited, year in corpus.citation_edges:
-        if cutoff_year < year <= horizon_year and cited in pre:
-            paper_future[cited] += 1
-
-    sub = _assemble(pre)
-    author_future = {a: 0 for a in sub.authors}
-    for pid, count in paper_future.items():
-        for a in pre[pid].author_ids:
-            author_future[a] += count
+    pre = corpus.years <= cutoff_year
+    citing, cited = corpus.citation_edges.T
+    year = corpus.years[citing]
+    future = (cutoff_year < year) & (year <= horizon_year)
+    paper_future = np.bincount(cited[future], minlength=len(corpus))[pre]
+    sub = corpus.subset(pre)
+    author_future = sub.sum_over_authors(paper_future).astype(np.int64)
 
     gt = GroundTruth(cutoff_year=cutoff_year, horizon_year=horizon_year,
-                     paper_future_citations=paper_future,
-                     author_future_citations=author_future)
+                     paper_future_citations=dict(zip(sub.papers, paper_future.tolist())),
+                     author_future_citations=dict(zip(sub.authors,
+                                                      author_future.tolist())))
     return sub, gt
 
 
-def read_native(path) -> list[dict]:
-    """Read native JSON-lines corpus records."""
+def read_native(path) -> list[dict | None]:
+    """Read native JSON-lines corpus records.  A line that is not UTF-8
+    JSON is logged with its line number and read as None, which
+    ``parse_corpus`` counts as malformed."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                records.append(json.loads(line.decode("utf-8")))
+                continue
+            except UnicodeDecodeError as exc:
+                reason = f"not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+            except json.JSONDecodeError as exc:
+                reason = f"not JSON ({exc.msg} at column {exc.colno})"
+            log.warning("%s line %d skipped: %s", path, lineno, reason)
+            records.append(None)
     return records
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import Corpus, GroundTruth
 
 log = logging.getLogger(__name__)
@@ -57,19 +59,28 @@ def ri_list(returned: list[str], gt_topk) -> float:
                for o_r, pid in enumerate(returned, start=1))
 
 
-def citation_count_baseline(corpus: Corpus, cohort: Cohort) -> list[str]:
-    """Rank cohort members by in-corpus citation count at the cutoff
-    (authors by the sum over their papers)."""
-    paper_counts: dict[str, int] = {pid: 0 for pid in corpus.papers}
-    for _, cited, _ in corpus.citation_edges:
-        paper_counts[cited] += 1
+@dataclass(frozen=True)
+class CitationCounts:
+    """In-corpus citations at the cutoff: per paper, and per author summed
+    over the author's listings (a paper that lists an author twice counts
+    twice)."""
+
+    papers: dict[str, int]
+    authors: dict[str, int]
+
+
+def citation_counts(corpus: Corpus) -> CitationCounts:
+    paper = np.bincount(corpus.citation_edges[:, 1], minlength=len(corpus))
+    author = corpus.sum_over_authors(paper).astype(np.int64)
+    return CitationCounts(papers=dict(zip(corpus.papers, paper.tolist())),
+                          authors=dict(zip(corpus.authors, author.tolist())))
+
+
+def citation_count_baseline(counts: CitationCounts, cohort: Cohort) -> list[str]:
+    """Rank cohort members by citation count at the cutoff, ties by id."""
     if cohort.kind == "papers_of_year":
-        return _sorted_by_count(paper_counts, cohort.member_ids)
-    author_counts: dict[str, int] = {a: 0 for a in corpus.authors}
-    for pid, c in paper_counts.items():
-        for a in corpus.papers[pid].author_ids:
-            author_counts[a] += c
-    return _sorted_by_count(author_counts, cohort.member_ids)
+        return _sorted_by_count(counts.papers, cohort.member_ids)
+    return _sorted_by_count(counts.authors, cohort.member_ids)
 
 
 @dataclass

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
-from .corpus import Corpus, author_listings
+from .corpus import Corpus
 from .sparse import (SparseMatrix, column_normalize, concat_ranges, divide_columns,
                      group_sum, per_distinct)
 from .textfeat import feature_key
@@ -62,21 +61,15 @@ def build_citation(corpus: Corpus, index: EntityIndex, t_current: int,
                    rho: float, time_aware: bool = True) -> SparseMatrix:
     """N x N matrix, entry (i, j) when paper i cites paper j, weighted by
     the age of the citation (citing paper's publication year)."""
-    edges = corpus.citation_edges
-    pos = index.paper_pos
-    citing = np.fromiter(map(pos.__getitem__, map(itemgetter(0), edges)),
-                         dtype=np.int64, count=len(edges))
-    cited = np.fromiter(map(pos.__getitem__, map(itemgetter(1), edges)),
-                        dtype=np.int64, count=len(edges))
-    years = np.fromiter(map(itemgetter(2), edges), dtype=np.int64, count=len(edges))
+    citing, cited = corpus.citation_edges.T
     return SparseMatrix((index.n, index.n), citing, cited,
-                        decay_weights(years, t_current, rho, time_aware))
+                        decay_weights(corpus.years[citing], t_current, rho, time_aware))
 
 
 def _authorship(corpus: Corpus, index: EntityIndex) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (paper, author) position pairs, sorted by paper, then author."""
-    paper, author = author_listings(corpus)
-    return np.divmod(np.unique(paper * index.m + author), index.m)
+    return np.divmod(np.unique(corpus.listing_papers * index.m + corpus.listing_authors),
+                     index.m)
 
 
 def build_coauthor(corpus: Corpus, index: EntityIndex, t_current: int,
@@ -88,9 +81,7 @@ def build_coauthor(corpus: Corpus, index: EntityIndex, t_current: int,
     later = np.searchsorted(paper, paper, side="right") - np.arange(paper.size) - 1
     first = np.repeat(np.arange(paper.size), later)
     second = concat_ranges(np.arange(paper.size) + 1, later)
-    years = np.array([corpus.papers[pid].year for pid in index.paper_ids],
-                     dtype=np.int64)
-    w = decay_weights(years, t_current, rho, time_aware)[paper[first]]
+    w = decay_weights(corpus.years, t_current, rho, time_aware)[paper[first]]
     a, b = author[first], author[second]
     keys, sums = group_sum(np.concatenate([a * index.m + b, b * index.m + a]),
                            np.concatenate([w, w]))

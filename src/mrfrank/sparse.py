@@ -22,6 +22,14 @@ class SparseMatrix:
         self.cols = cols[order]
         self.data = data[order]
 
+    @classmethod
+    def canonical(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+                  data: np.ndarray) -> "SparseMatrix":
+        """Wrap arrays that are already in canonical order, without zeros."""
+        out = cls.__new__(cls)
+        out.shape, out.rows, out.cols, out.data = shape, rows, cols, data
+        return out
+
     @property
     def nnz(self) -> int:
         return self.data.size
@@ -32,8 +40,11 @@ class SparseMatrix:
                            minlength=self.shape[0]).astype(np.float64, copy=False)
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix((self.shape[1], self.shape[0]),
-                            self.cols, self.rows, self.data)
+        # entries sharing a column are in ascending row order, so a stable
+        # sort by column alone gives the transpose's canonical order
+        order = np.argsort(self.cols, kind="stable")
+        return SparseMatrix.canonical((self.shape[1], self.shape[0]), self.cols[order],
+                                      self.rows[order], self.data[order])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -45,12 +56,7 @@ def divide_columns(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
     """Divide every stored entry by the value ``sums`` gives its column."""
     if m.nnz == 0:
         return m
-    out = SparseMatrix.__new__(SparseMatrix)
-    out.shape = m.shape
-    out.rows = m.rows
-    out.cols = m.cols
-    out.data = m.data / sums[m.cols]
-    return out
+    return SparseMatrix.canonical(m.shape, m.rows, m.cols, m.data / sums[m.cols])
 
 
 def column_normalize(m: SparseMatrix) -> SparseMatrix:

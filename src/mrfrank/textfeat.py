@@ -12,7 +12,7 @@ from itertools import combinations, repeat
 
 import numpy as np
 
-from .corpus import Corpus, PaperRecord, author_listings
+from .corpus import Corpus, PaperRecord
 from .sparse import SparseMatrix, concat_ranges, group_sum, per_distinct
 
 # Feature keys: ("w", token) for a word, ("p", tok_a, tok_b) for a pair
@@ -128,7 +128,7 @@ def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
     if not papers:
         return FeatureTable({}, 0.0, window_years, 0, 0)
 
-    years = np.array([p.year for p in papers], dtype=np.int64)
+    years = corpus.years
     origin = int(years.min())
     n_windows = (int(years.max()) - origin) // window_years + 1
 
@@ -235,7 +235,7 @@ def tfidf_author(corpus: Corpus, table: FeatureTable) -> SparseMatrix:
     times ln(M / authors-using-feature).  A paper that lists an author twice
     counts twice towards that author."""
     n, m, k = len(corpus.papers), len(corpus.authors), len(table.features)
-    paper, author = author_listings(corpus)
+    paper, author = corpus.listing_papers, corpus.listing_authors
     row_start = np.searchsorted(table.rows, np.arange(n + 1))
     starts = row_start[paper]
     lengths = row_start[paper + 1] - starts

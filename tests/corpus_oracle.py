@@ -1,0 +1,165 @@
+"""Dict-based reference implementation of the corpus front half.
+
+``mrfrank.corpus`` carries the citation graph as position arrays; this
+module keeps the straightforward version built on dicts and tuples of
+``(citing_id, cited_id, citing_year)`` string edges, so tests can check
+that the array path computes exactly the same corpora, reports, ground
+truth and citation counts.  It applies the same record rules as
+``parse_corpus`` (``malformed_reason``) but none of its array code.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from mrfrank.corpus import (AuthorRecord, DataError, FilterReport, PaperRecord,
+                            ParseReport, PreprocessConfig, malformed_reason)
+
+
+@dataclass(frozen=True)
+class OracleCorpus:
+    papers: dict[str, PaperRecord]
+    authors: dict[str, AuthorRecord]
+    # (citing_id, cited_id, citing_year), in citing id order, then in the
+    # citing paper's reference order
+    citation_edges: tuple[tuple[str, str, int], ...]
+
+
+def _derive_authors(papers: dict[str, PaperRecord]) -> dict[str, AuthorRecord]:
+    first: dict[str, int] = {}
+    for p in papers.values():
+        for a in p.author_ids:
+            y = first.get(a)
+            if y is None or p.year < y:
+                first[a] = p.year
+    return {a: AuthorRecord(a, a, y) for a, y in sorted(first.items())}
+
+
+def assemble(papers: dict[str, PaperRecord]) -> OracleCorpus:
+    edges = []
+    for pid in sorted(papers):
+        p = papers[pid]
+        for ref in p.references:
+            if ref in papers:
+                edges.append((pid, ref, p.year))
+    return OracleCorpus(papers=dict(sorted(papers.items())),
+                        authors=_derive_authors(papers),
+                        citation_edges=tuple(edges))
+
+
+def parse_corpus(record_stream) -> tuple[OracleCorpus, ParseReport]:
+    report = ParseReport()
+    raw: dict[str, dict] = {}
+    for lineno, rec in enumerate(record_stream, start=1):
+        if rec is None or malformed_reason(rec) is not None:
+            report.skipped_malformed += 1
+            continue
+        pid = rec["id"]
+        if pid in raw:
+            raise DataError(f"duplicate paper id {pid!r} at record {lineno}")
+        raw[pid] = rec
+        report.parsed += 1
+
+    papers: dict[str, PaperRecord] = {}
+    for pid in sorted(raw):
+        rec = raw[pid]
+        refs = []
+        seen = set()
+        for ref in rec.get("refs") or []:
+            if ref == pid or ref in seen:
+                continue
+            seen.add(ref)
+            if ref not in raw:
+                report.dangling_references += 1
+                continue
+            refs.append(ref)
+        papers[pid] = PaperRecord(
+            paper_id=pid,
+            title=rec.get("title") or "",
+            abstract=rec.get("abstract") or "",
+            author_ids=tuple(rec.get("authors") or []),
+            year=rec["year"],
+            venue=rec.get("venue") or "",
+            references=tuple(refs),
+        )
+    return assemble(papers), report
+
+
+def _title_matches(title: str, cfg: PreprocessConfig) -> bool:
+    t = title.lower()
+    if any(s in t for s in cfg.survey_substrings):
+        return True
+    return any(t.startswith(p) for p in cfg.proceedings_prefixes)
+
+
+def preprocess(corpus: OracleCorpus,
+               cfg: PreprocessConfig) -> tuple[OracleCorpus, FilterReport]:
+    report = FilterReport(input_papers=len(corpus.papers))
+    papers = dict(corpus.papers)
+
+    for pid in list(papers):
+        if _title_matches(papers[pid].title, cfg):
+            del papers[pid]
+            report.removed_survey += 1
+    for pid in list(papers):
+        if papers[pid].year < cfg.min_year:
+            del papers[pid]
+            report.removed_year += 1
+    if cfg.require_abstract:
+        for pid in list(papers):
+            if not papers[pid].abstract.strip():
+                del papers[pid]
+                report.removed_no_abstract += 1
+
+    while True:
+        cited: set[str] = set()
+        citing: set[str] = set()
+        for pid, p in papers.items():
+            for ref in p.references:
+                if ref in papers:
+                    citing.add(pid)
+                    cited.add(ref)
+        isolated = [pid for pid in papers if pid not in citing and pid not in cited]
+        if not isolated:
+            break
+        for pid in isolated:
+            del papers[pid]
+            report.removed_isolated += 1
+
+    report.remaining = len(papers)
+    return assemble(papers), report
+
+
+def split_ground_truth(corpus: OracleCorpus, cutoff_year: int, horizon_year: int):
+    """The sub-corpus and the (paper, author) future citation dicts."""
+    pre = {pid: p for pid, p in corpus.papers.items() if p.year <= cutoff_year}
+    paper_future = {pid: 0 for pid in pre}
+    for citing, cited, year in corpus.citation_edges:
+        if cutoff_year < year <= horizon_year and cited in pre:
+            paper_future[cited] += 1
+
+    sub = assemble(pre)
+    author_future = {a: 0 for a in sub.authors}
+    for pid, count in paper_future.items():
+        for a in pre[pid].author_ids:
+            author_future[a] += count
+    return sub, paper_future, author_future
+
+
+def citation_counts(corpus: OracleCorpus) -> tuple[dict[str, int], dict[str, int]]:
+    """In-corpus citations per paper, and per author summed over the
+    author's listings."""
+    paper_counts: dict[str, int] = {pid: 0 for pid in corpus.papers}
+    for _, cited, _ in corpus.citation_edges:
+        paper_counts[cited] += 1
+    author_counts: dict[str, int] = {a: 0 for a in corpus.authors}
+    for pid, c in paper_counts.items():
+        for a in corpus.papers[pid].author_ids:
+            author_counts[a] += c
+    return paper_counts, author_counts
+
+
+def citation_count_baseline(corpus: OracleCorpus, kind: str, members) -> list[str]:
+    paper_counts, author_counts = citation_counts(corpus)
+    counts = paper_counts if kind == "papers_of_year" else author_counts
+    return sorted(members, key=lambda x: (-counts.get(x, 0), x))

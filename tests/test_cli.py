@@ -106,6 +106,43 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section, settings, message", [
+        ("hyperparams", {"u": "3"}, "hyperparams.u must be integer, got '3'"),
+        ("hyperparams", {"tolerance": "1e-8"},
+         "hyperparams.tolerance must be number, got '1e-8'"),
+        ("hyperparams", {"max_iterations": 2.5},
+         "hyperparams.max_iterations must be integer, got 2.5"),
+        ("hyperparams", {"alpha_p": True}, "hyperparams.alpha_p must be number, got True"),
+        ("hyperparams", {"tolerence": 1e-8}, "unknown config setting hyperparams.tolerence"),
+        ("preprocess", {"require_abstract": "yes"},
+         "preprocess.require_abstract must be boolean, got 'yes'"),
+        ("preprocess", {"survey_substrings": "survey"},
+         "preprocess.survey_substrings must be list of strings, got 'survey'"),
+        ("features", {"min_df": "3"}, "features.min_df must be integer, got '3'"),
+        ("features", {"stopwords": 1}, "features.stopwords must be string or null, got 1"),
+        ("protocol", {"ks": [10, "20"]}, "protocol.ks must be list of integers"),
+        ("protocol", {"ks": [10, 0]}, "protocol.ks must be at least 1, got 0"),
+        ("protocol", {"cohort_years": 2000},
+         "protocol.cohort_years must be list of integers, got 2000"),
+        ("protocol", {"cutoff_year": "2003"},
+         "protocol.cutoff_year must be integer, got '2003'"),
+        ("protocol", {"horizon_year": 2011.0},
+         "protocol.horizon_year must be integer, got 2011.0"),
+        ("protocol", [2003], "config section protocol must be an object"),
+        ("protocl", {}, "unknown config setting protocl"),
+    ])
+    def test_data_error_config_setting(self, corpus_file, tmp_path, capsys,
+                                       section, settings, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus_file),
+                                   "workspace": str(tmp_path / "ws"),
+                                   section: settings}))
+        for command in ("rank", "eval"):
+            assert main([command, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err
+
 
 class TestIngest:
     def test_native_roundtrip(self, corpus_file, tmp_path, capsys):
@@ -118,6 +155,25 @@ class TestIngest:
         assert ids == sorted(ids)
         captured = capsys.readouterr()
         assert "parsed_papers\t30" in captured.out
+
+    @pytest.mark.parametrize("bad, warning", [
+        (b"{not json", "line 5 skipped: not JSON (Expecting property name enclosed "
+                       "in double quotes at column 2)"),
+        (b'{"id": "\xff", "year": 2001}',
+         "line 5 skipped: not UTF-8 (invalid start byte at byte 9)"),
+        (b'{"id": "p99", "year": true}', "record 5 skipped: year is not an integer")])
+    def test_bad_line_skipped_and_counted(self, corpus_file, tmp_path, capsys,
+                                          caplog, bad, warning):
+        lines = corpus_file.read_bytes().splitlines()
+        corpus_file.write_bytes(b"\n".join(lines[:4] + [bad] + lines[4:]) + b"\n")
+        out = tmp_path / "native.jsonl"
+        assert main(["ingest", "--input", str(corpus_file),
+                     "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 30
+        captured = capsys.readouterr()
+        assert "parsed_papers\t30" in captured.out
+        assert "skipped_malformed\t1" in captured.out
+        assert warning in caplog.text
 
     def test_arnetminer(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"

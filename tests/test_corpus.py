@@ -1,9 +1,16 @@
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus_oracle as oracle
 from mrfrank.corpus import (DataError, PreprocessConfig, convert_arnetminer,
-                            parse_corpus, preprocess, split_ground_truth)
+                            parse_corpus, preprocess, read_native,
+                            split_ground_truth, write_native)
+from mrfrank.evaluate import (authors_starting_year, citation_count_baseline,
+                              citation_counts, papers_of_year)
 
 
 def rec(pid, year, refs=(), title="t", authors=("x",), abstract="a"):
@@ -18,22 +25,54 @@ class TestParse:
             rec("C", 2002),
         ])
         assert len(corpus.papers) == 3
-        assert corpus.citation_edges == (("B", "A", 2001),)
+        assert corpus.citation_edges.tolist() == [[1, 0]]   # B cites A
         assert report.dangling_references == 1
 
     def test_empty_stream(self):
         corpus, _ = parse_corpus([])
         assert len(corpus.papers) == 0
-        assert corpus.citation_edges == ()
+        assert corpus.citation_edges.shape == (0, 2)
 
     def test_edge_carries_citing_year(self):
         corpus, _ = parse_corpus([rec("A", 2000), rec("B", 2001, refs=["A"])])
-        assert corpus.citation_edges == (("B", "A", 2001),)
+        assert corpus.citation_edges.tolist() == [[1, 0]]
+        assert corpus.years[corpus.citation_edges[0, 0]] == 2001
 
     def test_malformed_record_skipped(self):
         corpus, report = parse_corpus([rec("A", 2000), {"title": "no id"}])
         assert len(corpus.papers) == 1
         assert report.skipped_malformed == 1
+
+    @pytest.mark.parametrize("bad, reason", [
+        ({"id": "B", "year": True}, "year is not an integer in"),
+        ({"id": "B", "year": 10**12}, "year is not an integer in"),
+        ({"id": "B", "year": 2001.0}, "year is not an integer in"),
+        ({"id": "B", "year": "2001"}, "year is not an integer in"),
+        ({"id": "B"}, "missing id or year"),
+        ({"id": "", "year": 2001}, "missing id or year"),
+        ({"id": 7, "year": 2001}, "id is not a string"),
+        ({"id": "B", "year": 2001, "authors": "bob"}, "authors is not a list of strings"),
+        ({"id": "B", "year": 2001, "authors": ["bob", 7]},
+         "authors is not a list of strings"),
+        ({"id": "B", "year": 2001, "refs": "A"}, "refs is not a list of strings"),
+        ({"id": "B", "year": 2001, "refs": [["A"]]}, "refs is not a list of strings"),
+        ({"id": "B", "year": 2001, "title": 5}, "title is not a string"),
+        (["B", 2001], "not a JSON object"),
+    ])
+    def test_malformed_record_rules(self, bad, reason, caplog):
+        corpus, report = parse_corpus([rec("A", 2000), bad])
+        assert list(corpus.papers) == ["A"]
+        assert (report.parsed, report.skipped_malformed) == (1, 1)
+        assert f"record 2 skipped: {reason}" in caplog.text
+
+    def test_null_optional_fields_are_empty(self):
+        corpus, report = parse_corpus([
+            {"id": "A", "year": 2000, "title": None, "abstract": None,
+             "venue": None, "authors": None, "refs": None}])
+        p = corpus.papers["A"]
+        assert (p.title, p.abstract, p.venue, p.author_ids, p.references) == \
+            ("", "", "", (), ())
+        assert report.skipped_malformed == 0
 
     def test_duplicate_id_is_hard_error(self):
         with pytest.raises(DataError, match="A"):
@@ -41,7 +80,7 @@ class TestParse:
 
     def test_self_citation_dropped(self):
         corpus, _ = parse_corpus([rec("A", 2000, refs=["A"])])
-        assert corpus.citation_edges == ()
+        assert corpus.citation_edges.shape == (0, 2)
 
     def test_author_first_pub_year(self):
         corpus, _ = parse_corpus([
@@ -119,7 +158,7 @@ def test_preprocess_idempotent_and_conserving(records):
     once, report = preprocess(corpus, cfg)
     twice, report2 = preprocess(once, cfg)
     assert twice.papers == once.papers
-    assert twice.citation_edges == once.citation_edges
+    assert np.array_equal(twice.citation_edges, once.citation_edges)
     removed = (report.removed_survey + report.removed_year +
                report.removed_no_abstract + report.removed_isolated)
     assert removed + report.remaining == report.input_papers
@@ -170,10 +209,119 @@ def test_split_edge_partition(records, cutoff):
     sub, gt = split_ground_truth(corpus, cutoff, 2011)
     kept = len(sub.citation_edges)
     counted = sum(gt.paper_future_citations.values())
+    years = corpus.years.tolist()
     discarded = sum(
-        1 for citing, cited, y in corpus.citation_edges
-        if corpus.papers[cited].year > cutoff or y > 2011)
+        1 for citing, cited in corpus.citation_edges.tolist()
+        if years[cited] > cutoff or years[citing] > 2011)
     assert kept + counted + discarded == len(corpus.citation_edges)
+
+
+def edge_tuples(corpus):
+    """The citation edges as (citing_id, cited_id, citing_year) tuples."""
+    ids = list(corpus.papers)
+    return tuple((ids[a], ids[b], int(corpus.years[a]))
+                 for a, b in corpus.citation_edges.tolist())
+
+
+def assert_matches_oracle(corpus, expected):
+    assert corpus.papers == expected.papers
+    assert list(corpus.papers) == list(expected.papers)
+    assert corpus.authors == expected.authors
+    assert list(corpus.authors) == list(expected.authors)
+    assert edge_tuples(corpus) == expected.citation_edges
+    assert corpus.citation_edges.dtype == np.int64
+    assert corpus.years.tolist() == [p.year for p in expected.papers.values()]
+    author_ids = list(corpus.authors)
+    listings = [(i, a) for i, p in enumerate(expected.papers.values())
+                for a in p.author_ids]
+    assert list(zip(corpus.listing_papers.tolist(),
+                    [author_ids[a] for a in corpus.listing_authors.tolist()])) == listings
+
+
+@st.composite
+def oracle_case(draw):
+    """Records in shuffled order with dangling, self and repeated references,
+    citation chains the filters break, survey and proceedings titles, blank
+    abstracts and authors listed twice; plus a filter config and a split."""
+    n = draw(st.integers(0, 20))
+    ids = [f"P{i:02d}" for i in range(n)]
+    records = []
+    for i in range(n):
+        targets = ids[max(0, i - 3):i + 1] + ["X1", "X2"]   # chains, self, dangling
+        refs = draw(st.lists(st.sampled_from(targets), max_size=5))
+        records.append(rec(
+            ids[i], draw(st.integers(1986, 2010)), refs=refs,
+            title=draw(st.sampled_from(["t"] * 8 + [
+                "A Survey of t", "Proceedings of t", "t: a review of u",
+                "Workshop on t"])),
+            authors=draw(st.lists(st.sampled_from("uvwxy"), max_size=4)),
+            abstract=draw(st.sampled_from(["a"] * 4 + ["", " "]))))
+    order = draw(st.permutations(range(n)))
+    cfg = PreprocessConfig(min_year=draw(st.integers(1985, 1992)),
+                           require_abstract=draw(st.booleans()))
+    cutoff = draw(st.integers(1990, 2008))
+    horizon = draw(st.integers(cutoff + 1, 2012))
+    return [records[i] for i in order], cfg, cutoff, horizon
+
+
+@given(oracle_case())
+@settings(max_examples=150, deadline=None)
+def test_array_path_matches_oracle(case):
+    records, cfg, cutoff, horizon = case
+    corpus, report = parse_corpus(records)
+    expected, expected_report = oracle.parse_corpus(records)
+    assert report == expected_report
+    assert_matches_oracle(corpus, expected)
+
+    pre, filter_report = preprocess(corpus, cfg)
+    expected_pre, expected_filter_report = oracle.preprocess(expected, cfg)
+    assert filter_report == expected_filter_report
+    assert_matches_oracle(pre, expected_pre)
+
+    sub, gt = split_ground_truth(pre, cutoff, horizon)
+    expected_sub, paper_future, author_future = oracle.split_ground_truth(
+        expected_pre, cutoff, horizon)
+    assert_matches_oracle(sub, expected_sub)
+    assert gt.paper_future_citations == paper_future
+    assert gt.author_future_citations == author_future
+    assert list(gt.paper_future_citations) == list(paper_future)
+    assert list(gt.author_future_citations) == list(author_future)
+
+    counts = citation_counts(sub)
+    assert (counts.papers, counts.authors) == oracle.citation_counts(expected_sub)
+    for year in range(1986, cutoff + 1):
+        for cohort in (papers_of_year(sub, year), authors_starting_year(sub, year)):
+            assert citation_count_baseline(counts, cohort) == \
+                oracle.citation_count_baseline(expected_sub, cohort.kind,
+                                               cohort.member_ids)
+
+
+class TestReadNative:
+    def test_undecodable_line_skipped_and_counted(self, tmp_path, caplog):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join([
+            json.dumps(rec("A", 2000)).encode(), b"", b"{not json",
+            b'{"id": "\xff", "year": 2001}',
+            json.dumps(rec("B", 2001, refs=["A"])).encode()]) + b"\n")
+        corpus, report = parse_corpus(read_native(path))
+        assert list(corpus.papers) == ["A", "B"]
+        assert (report.parsed, report.skipped_malformed) == (2, 2)
+        assert f"{path} line 3 skipped" in caplog.text
+        assert f"{path} line 4 skipped" in caplog.text
+
+
+@given(oracle_case())
+@settings(max_examples=40, deadline=None)
+def test_native_roundtrip(tmp_path_factory, case):
+    """parse -> write_native -> read_native -> parse keeps every paper;
+    the written references are the resolved ones, so none dangle."""
+    path = tmp_path_factory.mktemp("native") / "corpus.jsonl"
+    corpus, _ = parse_corpus(case[0])
+    write_native(corpus, path)
+    again, report = parse_corpus(read_native(path))
+    assert again.papers == corpus.papers
+    assert np.array_equal(again.citation_edges, corpus.citation_edges)
+    assert (report.parsed, report.dangling_references) == (len(corpus), 0)
 
 
 class TestArnetMiner:

@@ -53,6 +53,21 @@ class TestSparseMatrix:
         m = random_sparse(rng, 6, 4)
         assert np.array_equal(m.transpose().to_dense(), m.to_dense().T)
 
+    def test_transpose_equals_lexsorted(self, rng):
+        """The stable sort by column gives exactly the arrays the
+        constructor's (row, col) lexsort gives, repeated entries included."""
+        for _ in range(30):
+            r, c = rng.integers(1, 12, 2)
+            size = int(rng.integers(0, 40))
+            m = SparseMatrix((r, c), rng.integers(0, r, size), rng.integers(0, c, size),
+                             rng.random(size))
+            fast = m.transpose()
+            lexsorted = SparseMatrix((c, r), m.cols, m.rows, m.data)
+            assert fast.shape == lexsorted.shape
+            for name in ("rows", "cols", "data"):
+                assert np.array_equal(getattr(fast, name), getattr(lexsorted, name))
+                assert getattr(fast, name).dtype == getattr(lexsorted, name).dtype
+
     def test_canonical_order(self):
         m = SparseMatrix((3, 3), [2, 0, 2], [0, 1, 2], [1.0, 2.0, 3.0])
         assert list(m.rows) == [0, 2, 2]
@@ -276,8 +291,8 @@ class TestOperatorBlocks:
                 return math.exp(-rho * (t_cur - year))
 
             cit = np.zeros((index.n, index.n))
-            for citing, cited, year in corpus.citation_edges:
-                cit[index.paper_pos[citing], index.paper_pos[cited]] = decay(year)
+            for citing, cited in corpus.citation_edges.tolist():
+                cit[citing, cited] = decay(papers[citing].year)
             assert np.array_equal(gs.citation.to_dense(), cit)
 
             # coauthor weights added in paper order, as the pipeline does
