@@ -186,6 +186,11 @@ def load_config(args) -> RunConfig:
     for k in proto.get("ks", ()):
         if k < 1:
             raise DataError(f"protocol.ks must be at least 1, got {k}")
+    cutoff = proto.get("cutoff_year", 2005)
+    horizon = proto.get("horizon_year", 2011)
+    if cutoff >= horizon:
+        raise DataError(f"protocol.cutoff_year {cutoff} must be before "
+                        f"protocol.horizon_year {horizon}")
 
     def pick(name, default, section):
         v = getattr(args, name, None)
@@ -205,8 +210,8 @@ def load_config(args) -> RunConfig:
         min_df=pick("min_df", 3, feat_raw),
         stopwords=pick("stopwords", None, feat_raw),
         hyperparams=hp,
-        cutoff_year=proto.get("cutoff_year", 2005),
-        horizon_year=proto.get("horizon_year", 2011),
+        cutoff_year=cutoff,
+        horizon_year=horizon,
         cohort_years=proto.get("cohort_years", ()),
         ks=proto.get("ks", (10, 20, 50)),
     )

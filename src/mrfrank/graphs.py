@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .sparse import (SparseMatrix, column_normalize, concat_ranges, divide_columns,
-                     group_sum, per_distinct)
+from .sparse import (SparseMatrix, column_normalize, distinct, divide_columns,
+                     group_sum, pairs_within_groups, per_distinct)
 from .textfeat import feature_key
 
 
@@ -68,7 +68,7 @@ def build_citation(corpus: Corpus, index: EntityIndex, t_current: int,
 
 def _authorship(corpus: Corpus, index: EntityIndex) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (paper, author) position pairs, sorted by paper, then author."""
-    return np.divmod(np.unique(corpus.listing_papers * index.m + corpus.listing_authors),
+    return np.divmod(distinct(corpus.listing_papers * index.m + corpus.listing_authors),
                      index.m)
 
 
@@ -78,9 +78,7 @@ def build_coauthor(corpus: Corpus, index: EntityIndex, t_current: int,
     papers; each author pair's weights are added in paper order."""
     paper, author = _authorship(corpus, index)
     # every listing pairs with the later listings of its paper
-    later = np.searchsorted(paper, paper, side="right") - np.arange(paper.size) - 1
-    first = np.repeat(np.arange(paper.size), later)
-    second = concat_ranges(np.arange(paper.size) + 1, later)
+    first, second = pairs_within_groups(paper)
     w = decay_weights(corpus.years, t_current, rho, time_aware)[paper[first]]
     a, b = author[first], author[second]
     keys, sums = group_sum(np.concatenate([a * index.m + b, b * index.m + a]),

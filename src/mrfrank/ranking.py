@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,8 +238,7 @@ def assemble_combined(graphs: GraphSet, e: np.ndarray, hp: HyperParams,
     return out
 
 
-@dataclass(frozen=True)
-class RankedEntity:
+class RankedEntity(NamedTuple):
     rank: int
     entity_id: str
     score: float
@@ -246,12 +247,14 @@ class RankedEntity:
 def rank_entities(vector: np.ndarray, ids, cohort=None) -> list[RankedEntity]:
     """Descending by score, ties broken by ascending id; an optional cohort
     filter is applied after ranking and ranks renumbered within it."""
-    order = sorted(range(len(ids)), key=lambda i: (-vector[i], ids[i]))
-    ranked = [(ids[i], float(vector[i])) for i in order]
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    # a stable sort by score keeps tied entities in id order
+    order = by_id[np.argsort(-vector[by_id], kind="stable")]
     if cohort is not None:
         cohort = set(cohort)
-        ranked = [(eid, s) for eid, s in ranked if eid in cohort]
-    return [RankedEntity(r, eid, s) for r, (eid, s) in enumerate(ranked, start=1)]
+        order = order[np.array([ids[i] in cohort for i in order.tolist()], dtype=bool)]
+    return list(map(RankedEntity, count(1), map(ids.__getitem__, order.tolist()),
+                    vector[order].tolist()))
 
 
 def write_ranking(ranked: list[RankedEntity], path, converged: bool = True) -> None:

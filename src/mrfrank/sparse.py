@@ -72,6 +72,28 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
+def pairs_within_groups(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, of every two entries of ``groups``
+    (sorted ascending) that share a value: each entry pairs with the later
+    entries of its group, in order."""
+    n = groups.size
+    later = np.searchsorted(groups, groups, side="right") - np.arange(n) - 1
+    return np.repeat(np.arange(n), later), concat_ranges(np.arange(n) + 1, later)
+
+
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending.
+
+    A sort and a neighbour test: for int64 keys, numpy 2.4's hash-based
+    ``np.unique`` (taken when no index or count is asked for) was 20-40
+    times slower on a 2-core VM, 0.14 s against 0.006 s for 300k keys.
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def group_sum(keys: np.ndarray, weights: np.ndarray):
     """The distinct keys in ascending order and the sum of the weights of
     each.  A key's weights are added in the order they come in ``keys``."""

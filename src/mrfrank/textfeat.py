@@ -5,22 +5,25 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, defaultdict
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import combinations, repeat
 
 import numpy as np
 
 from .corpus import Corpus, PaperRecord
-from .sparse import SparseMatrix, concat_ranges, group_sum, per_distinct
+from .sparse import (SparseMatrix, concat_ranges, distinct, group_sum,
+                     pairs_within_groups, per_distinct)
 
 # Feature keys: ("w", token) for a word, ("p", tok_a, tok_b) for a pair
 # with tok_a < tok_b lexicographically.
 Feature = tuple
 
-_SENTENCE_SPLIT = re.compile(r"[.!?]+")
-_TOKEN = re.compile(r"[a-z0-9]+")
+# A piece is a run of letters and digits (a token) or a run of sentence
+# terminators; a sentence is the tokens between two terminator runs.
+_PIECE = re.compile(r"[a-z0-9]+|[.!?]+")
+_TERMINATORS = ".!?"
 
 
 def load_stopwords(path=None) -> frozenset[str]:
@@ -34,37 +37,50 @@ def load_stopwords(path=None) -> frozenset[str]:
 _DEFAULT_STOPWORDS = load_stopwords()
 
 
-def tokenize(text: str, stopwords: frozenset[str] = _DEFAULT_STOPWORDS) -> list[list[str]]:
-    """Split into sentences of normalized tokens.
+def _occurrences(papers: list[PaperRecord], stopwords: frozenset[str]):
+    """The kept words in lexicographic order, then one (paper, feature id)
+    entry per word occurrence and per same-sentence pair of distinct words
+    (a pair once per sentence).
 
-    Sentences split on terminal punctuation; tokens lowercased, punctuation
-    stripped; stopwords and tokens shorter than 2 characters dropped.
+    A word's id is its position in the word list, so ids order like the
+    words; the pair of words a < b has id ``V + a * V + b`` for V words.
+    Each paper's lowered ``title + ". " + abstract`` is split into pieces
+    once, and each piece is looked up in one dict, so the word tests (not a
+    terminator, 2 characters or more, not a stopword) run once per distinct
+    piece.
     """
-    sentences = []
-    for chunk in _SENTENCE_SPLIT.split(text.lower()):
-        tokens = [t for t in _TOKEN.findall(chunk)
-                  if len(t) >= 2 and t not in stopwords]
-        if tokens:
-            sentences.append(tokens)
-    return sentences
+    interned: defaultdict = defaultdict()
+    interned.default_factory = interned.__len__   # a new piece gets the next id
+    ids, lengths = array("q"), []
+    for p in papers:
+        pieces = _PIECE.findall((p.title + ". " + p.abstract).lower())
+        ids.extend(map(interned.__getitem__, pieces))
+        lengths.append(len(pieces))
+    interned.default_factory = None   # frees the dict without the cycle collector
+    strings = list(interned)
+    words = sorted(s for s in strings if s[0] not in _TERMINATORS
+                   and len(s) >= 2 and s not in stopwords)
+    word_id = dict(zip(words, range(len(words))))
+    # per distinct piece: its word id, -1 for a terminator run, -2 otherwise
+    code = np.array([word_id.get(s, -1 if s[0] in _TERMINATORS else -2)
+                     for s in strings], dtype=np.int64)
+    piece = code[np.frombuffer(ids, dtype=np.int64)]
+    paper = np.repeat(np.arange(len(papers)), lengths)
+    # a sentence ends at a terminator run and at the end of a paper
+    sentence = np.cumsum(piece == -1) + paper
+    paper_of = np.zeros(sentence[-1] + 1, dtype=np.int64)
+    paper_of[sentence] = paper
+    is_word = piece >= 0
+    word, word_paper, word_sentence = piece[is_word], paper[is_word], sentence[is_word]
 
-
-def _feature_occurrences(paper: PaperRecord,
-                        stopwords: frozenset[str] = _DEFAULT_STOPWORDS) -> list[Feature]:
-    """Every word occurrence and every same-sentence pair (once per
-    sentence) of a paper, in text order."""
-    feats: list[Feature] = []
-    for sentence in tokenize(paper.title + ". " + paper.abstract, stopwords):
-        feats += zip(repeat("w"), sentence)
-        feats += [("p", a, b) for a, b in combinations(sorted(set(sentence)), 2)]
-    return feats
-
-
-def extract_features(paper: PaperRecord,
-                     stopwords: frozenset[str] = _DEFAULT_STOPWORDS) -> Counter:
-    """Per-paper feature counts: word counts plus same-sentence pair
-    co-occurrences (a pair counts once per sentence)."""
-    return Counter(_feature_occurrences(paper, stopwords))
+    # the distinct words of each sentence, ascending; each pairs with the
+    # later ones of its sentence
+    n = len(words)
+    sentence, word_u = np.divmod(distinct(word_sentence * n + word), n)
+    first, second = pairs_within_groups(sentence)
+    pair_paper = paper_of[sentence[first]]
+    pair = n + word_u[first] * n + word_u[second]
+    return words, np.concatenate([word_paper, pair_paper]), np.concatenate([word, pair])
 
 
 @dataclass
@@ -114,8 +130,9 @@ def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
     and the paper x feature counts of the features seen in ``min_df`` papers
     or more.
 
-    Each distinct feature is interned to an int id once, when it is first
-    extracted; everything after that works on id arrays.
+    Each paper is tokenized once, and every word and pair is an int id
+    from then on (``_occurrences``); feature tuples and keys are built only
+    for the retained features.
     ``lambda_lifetime`` averages each feature's frequencies from its first
     occurrence window to the latest window; when off, the average runs over
     all corpus windows.
@@ -132,29 +149,25 @@ def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
     origin = int(years.min())
     n_windows = (int(years.max()) - origin) // window_years + 1
 
-    interned: defaultdict = defaultdict()
-    interned.default_factory = interned.__len__   # a new feature gets the next id
-    ids, lengths = [], []
-    for p in papers:
-        found = _feature_occurrences(p, stopwords)
-        ids.extend(map(interned.__getitem__, found))
-        lengths.append(len(found))
-    interned.default_factory = None   # frees the dict without the cycle collector
-    # one entry per (paper, feature) pair, counting its occurrences
-    n_ids = len(interned)
-    occurrences = (np.repeat(np.arange(len(papers)), lengths) * n_ids
-                   + np.array(ids, dtype=np.int64))
-    pairs, counts = np.unique(occurrences, return_counts=True)
+    words, paper, feature = _occurrences(papers, stopwords)
+    # compact ids keep the (paper, feature) keys below N * F; then one
+    # entry per (paper, feature) pair, counting its occurrences
+    raw, feature = np.unique(feature, return_inverse=True)
+    n_ids = raw.size
+    pairs, counts = np.unique(paper * n_ids + feature, return_counts=True)
     rows, ids = np.divmod(pairs, n_ids)
     doc_freq = np.bincount(ids, minlength=n_ids)
 
-    # retained features become columns in feature_key order
-    feats = list(interned)
+    # retained features in tuple order: pairs (ids from V on) before words;
+    # they become columns in feature_key order
+    n = len(words)
     kept = np.flatnonzero(doc_freq >= min_df)
-    keys = [feature_key(feats[i]) for i in kept.tolist()]
-    kept_by_key = kept[sorted(range(kept.size), key=keys.__getitem__)]
-    col_of = np.full(len(feats), -1, dtype=np.int64)
-    col_of[kept_by_key] = np.arange(kept.size)
+    kept = np.roll(kept, -int(np.searchsorted(raw[kept], n)))
+    feats = [("w", words[i]) if i < n else ("p", words[i // n - 1], words[i % n])
+             for i in raw[kept].tolist()]
+    keys = [feature_key(f) for f in feats]
+    col_of = np.full(n_ids, -1, dtype=np.int64)
+    col_of[kept[sorted(range(kept.size), key=keys.__getitem__)]] = np.arange(kept.size)
     cols = col_of[ids]
     keep = cols >= 0
     rows = rows[keep]
@@ -172,12 +185,12 @@ def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
     df_list = doc_freq.tolist()
 
     features: dict[Feature, FeatureStats] = {}
-    for i in sorted(kept.tolist(), key=feats.__getitem__):
+    for feat, i in zip(feats, kept.tolist()):
         lo, hi = bounds[col_list[i]], bounds[col_list[i] + 1]
         first = windows[lo]
         span = n_windows - first if lambda_lifetime else n_windows
-        features[feats[i]] = FeatureStats(
-            feature=feats[i], window_freqs=dict(zip(windows[lo:hi], in_window[lo:hi])),
+        features[feat] = FeatureStats(
+            feature=feat, window_freqs=dict(zip(windows[lo:hi], in_window[lo:hi])),
             first_seen=first, doc_freq=df_list[i], lambda_i=df_list[i] / span)
 
     if features:

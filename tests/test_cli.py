@@ -144,6 +144,28 @@ class TestExitCodes:
             assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("protocol, message", [
+        ({"cutoff_year": 2005, "horizon_year": 2005},
+         "protocol.cutoff_year 2005 must be before protocol.horizon_year 2005"),
+        ({"cutoff_year": 2008, "horizon_year": 2003},
+         "protocol.cutoff_year 2008 must be before protocol.horizon_year 2003"),
+        ({"cutoff_year": 2011},
+         "protocol.cutoff_year 2011 must be before protocol.horizon_year 2011"),
+    ])
+    def test_data_error_cutoff_not_before_horizon(self, tmp_path, capsys, protocol,
+                                                  message):
+        # the corpus does not exist: the check runs before it is read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus": str(tmp_path / "missing.jsonl"),
+                                   "workspace": str(tmp_path / "ws"),
+                                   "protocol": protocol}))
+        for command in ("rank", "eval"):
+            assert main([command, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err
+
+
 class TestIngest:
     def test_native_roundtrip(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "native.jsonl"

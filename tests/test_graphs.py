@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse
+from feature_oracle import extract_features
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import (SparseMatrix, build_coauthor, build_graphs,
                             build_index, column_normalize, operator_blocks)
-from mrfrank.textfeat import (build_feature_table, extract_features,
-                              feature_key, tfidf_author, tfidf_paper)
+from mrfrank.textfeat import (build_feature_table, feature_key, tfidf_author,
+                              tfidf_paper)
 
 
 def small_corpus():

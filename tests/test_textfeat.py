@@ -4,16 +4,18 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import feature_oracle as oracle
+from feature_oracle import extract_features, tokenize
 from mrfrank.corpus import PaperRecord, parse_corpus
 from mrfrank.graphs import build_index
 from mrfrank.textfeat import (FeatureStats, FeatureTable, build_feature_table,
-                              extract_features, feature_key, innovativeness,
-                              innovativeness_at_window, tfidf_author,
-                              tfidf_paper, tokenize)
+                              feature_key, innovativeness, innovativeness_at_window,
+                              load_stopwords, tfidf_author, tfidf_paper)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -338,3 +340,72 @@ def test_brute_force_window_recount(rng):
         assert stats.lambda_i == pytest.approx(sum(expected[feat].values()) / span)
     for feat, df in doc_freq.items():
         assert (feat in table.features) == (df >= 3)
+
+
+# "ab" is a prefix of "abc" and "abd", so their pair keys sort differently
+# from their pair tuples; "K" is the Kelvin sign, which lowers to "k"
+_WORDS = ["ab", "abc", "abd", "Ab", "ABC", "zeta", "x", "7", "42", "a1", "b2b",
+          "naïve", "straße", "İstanbul", "K", "the", "of", "and"]
+_STOPWORDS = ["the", "of", "and", "a", "to", "we"]
+_GAPS = [" ", "  ", ", ", "-", " (", ") ", "; ", "\n"]
+_ENDS = [".", "?", "!", "?!.", "...", ". "]
+
+
+@st.composite
+def _text(draw, words):
+    parts = []
+    for _ in range(draw(st.integers(0, 12))):
+        parts.append(draw(st.sampled_from(words)))
+        parts.append(draw(st.sampled_from(_GAPS + _ENDS)))
+    return "".join(parts)
+
+
+@st.composite
+def feature_case(draw):
+    """Random small corpora and table settings for the oracle comparison."""
+    only_stopwords = draw(st.booleans()) and draw(st.booleans())
+    words = _STOPWORDS if only_stopwords else _WORDS
+    records = [{"id": f"P{i}", "title": draw(_text(words)),
+                "abstract": draw(_text(words)), "authors": ["u"],
+                "year": draw(st.integers(2000, 2006)), "refs": []}
+               for i in range(draw(st.integers(0, 8)))]
+    stopwords = load_stopwords() if draw(st.booleans()) else frozenset(_STOPWORDS)
+    return records, dict(window_years=draw(st.integers(1, 3)),
+                         min_df=draw(st.integers(1, 3)), stopwords=stopwords,
+                         lambda_lifetime=draw(st.booleans()))
+
+
+def assert_same_table(table, expected):
+    assert list(table.features) == list(expected.features)
+    for feat, stats in expected.features.items():
+        assert table.features[feat] == stats
+    assert table.global_lambda == expected.global_lambda
+    assert ((table.window_years, table.origin_year, table.n_windows)
+            == (expected.window_years, expected.origin_year, expected.n_windows))
+    for t in (table, expected):
+        assert (t.rows.dtype, t.cols.dtype, t.counts.dtype) == (np.int64,) * 3
+        assert np.all(np.diff(t.rows) >= 0)
+    assert (set(zip(table.rows.tolist(), table.cols.tolist(), table.counts.tolist()))
+            == set(zip(expected.rows.tolist(), expected.cols.tolist(),
+                       expected.counts.tolist())))
+    assert table.rows.size == expected.rows.size
+
+
+@given(feature_case())
+@settings(max_examples=200, deadline=None)
+def test_table_matches_oracle(case):
+    """The token-id feature table equals the tuple-keyed oracle's, field by
+    field; the COO entries may be in another order within a row."""
+    records, kwargs = case
+    corpus, _ = parse_corpus(records)
+    assert_same_table(build_feature_table(corpus, **kwargs),
+                      oracle.build_feature_table(corpus, **kwargs))
+
+
+def test_all_stopwords_corpus_has_no_features():
+    corpus, _ = parse_corpus([
+        {"id": f"P{i}", "title": "the of", "abstract": "and. a of!",
+         "authors": ["u"], "year": 2000 + i, "refs": []} for i in range(3)])
+    table = build_feature_table(corpus, min_df=1)
+    assert_same_table(table, oracle.build_feature_table(corpus, min_df=1))
+    assert table.features == {} and table.n_windows == 3
