@@ -296,9 +296,7 @@ def cmd_rank(args) -> int:
     for feat, score in e_by_feat.items():
         e[index.feature_pos[textfeat.feature_key(feat)]] = score
 
-    pw = textfeat.tfidf_paper(sub, table)
-    aw = textfeat.tfidf_author(sub, table)
-    gs = graphs_mod.build_graphs(sub, index, pw, aw, t_current=cfg.cutoff_year,
+    gs = graphs_mod.build_graphs(sub, index, table, t_current=cfg.cutoff_year,
                                  rho_edge=hp_eff.rho_edge)
     state, conv = ranking_mod.run(gs, e, hp)
 

@@ -1,5 +1,6 @@
-"""The five sparse literature graphs with time-aware edge weights, plus the
-column-normalized operator blocks consumed by the ranking iteration."""
+"""The five sparse literature graphs with time-aware edge weights, the
+column-normalized paper and author blocks consumed by the ranking
+iteration, and the dense-built eight-block oracle."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 from .corpus import Corpus
 from .sparse import (SparseMatrix, column_normalize, distinct, divide_columns,
                      group_sum, pairs_within_groups, per_distinct)
-from .textfeat import feature_key
+from .textfeat import FeatureTable, feature_key, idf_author, idf_paper
 
 
 @dataclass(frozen=True)
@@ -48,22 +49,21 @@ def build_index(corpus: Corpus, features) -> EntityIndex:
     )
 
 
-def decay_weights(years: np.ndarray, t_current: int, rho: float,
-                  time_aware: bool = True) -> np.ndarray:
+def decay_weights(years: np.ndarray, t_current: int, rho: float) -> np.ndarray:
     """exp(-rho * (t_current - year)) per entry of ``years``, with math.exp
-    called once per distinct year; all ones when decay is off."""
-    if not time_aware or rho == 0.0:
+    called once per distinct year; all ones at rho = 0."""
+    if rho == 0.0:
         return np.ones(len(years))
     return per_distinct(lambda year: math.exp(-rho * (t_current - year)), years)
 
 
 def build_citation(corpus: Corpus, index: EntityIndex, t_current: int,
-                   rho: float, time_aware: bool = True) -> SparseMatrix:
+                   rho: float) -> SparseMatrix:
     """N x N matrix, entry (i, j) when paper i cites paper j, weighted by
     the age of the citation (citing paper's publication year)."""
     citing, cited = corpus.citation_edges.T
     return SparseMatrix((index.n, index.n), citing, cited,
-                        decay_weights(corpus.years[citing], t_current, rho, time_aware))
+                        decay_weights(corpus.years[citing], t_current, rho))
 
 
 def _authorship(corpus: Corpus, index: EntityIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -73,13 +73,13 @@ def _authorship(corpus: Corpus, index: EntityIndex) -> tuple[np.ndarray, np.ndar
 
 
 def build_coauthor(corpus: Corpus, index: EntityIndex, t_current: int,
-                   rho: float, time_aware: bool = True) -> SparseMatrix:
+                   rho: float) -> SparseMatrix:
     """Symmetric M x M matrix summing decayed weights over coauthored
     papers; each author pair's weights are added in paper order."""
     paper, author = _authorship(corpus, index)
     # every listing pairs with the later listings of its paper
     first, second = pairs_within_groups(paper)
-    w = decay_weights(corpus.years, t_current, rho, time_aware)[paper[first]]
+    w = decay_weights(corpus.years, t_current, rho)[paper[first]]
     a, b = author[first], author[second]
     keys, sums = group_sum(np.concatenate([a * index.m + b, b * index.m + a]),
                            np.concatenate([w, w]))
@@ -87,49 +87,56 @@ def build_coauthor(corpus: Corpus, index: EntityIndex, t_current: int,
     return SparseMatrix((index.m, index.m), rows, cols, sums)
 
 
-def build_author_paper(corpus: Corpus, index: EntityIndex) -> SparseMatrix:
-    """Binary M x N authorship matrix."""
-    paper, author = _authorship(corpus, index)
-    return SparseMatrix((index.m, index.n), author, paper, np.ones(paper.size))
+def build_listings(corpus: Corpus, index: EntityIndex) -> SparseMatrix:
+    """M x N listing counts: entry (a, i) is how many times paper i lists
+    author a, so an author listed twice counts twice."""
+    keys, counts = np.unique(corpus.listing_authors * index.n + corpus.listing_papers,
+                             return_counts=True)
+    rows, cols = np.divmod(keys, index.n)
+    return SparseMatrix.canonical((index.m, index.n), rows, cols,
+                                  counts.astype(np.float64))
 
 
 @dataclass
 class GraphSet:
     index: EntityIndex
-    citation: SparseMatrix       # N x N, (i, j): i cites j
-    coauthor: SparseMatrix       # M x M, symmetric
-    author_paper: SparseMatrix   # M x N, binary
-    paper_feature: SparseMatrix  # N x K, tf-idf
-    author_feature: SparseMatrix  # M x K, tf-idf
+    citation: SparseMatrix        # N x N, (i, j): i cites j
+    coauthor: SparseMatrix        # M x M, symmetric
+    author_paper: SparseMatrix    # M x N, binary
+    listings: SparseMatrix        # M x N, listing counts (L)
+    feature_counts: SparseMatrix  # N x K, in-paper feature counts (C)
+    idf_paper: np.ndarray         # K, ln(N / papers using the feature)
+    idf_author: np.ndarray        # K, ln(M / authors using the feature)
     # the undecayed column sums of the time-aware blocks: references made
     # by each paper (N), and coauthor links summed over each author's
     # papers (M)
     reference_counts: np.ndarray
     coauthor_counts: np.ndarray
-    t_current: int = 0
-    rho_edge: float = 0.0
-    time_aware: bool = True
 
 
-def build_graphs(corpus: Corpus, index: EntityIndex, paper_feature: SparseMatrix,
-                 author_feature: SparseMatrix, t_current: int, rho_edge: float,
-                 time_aware: bool = True) -> GraphSet:
-    """The five graphs; the feature blocks are the tf-idf matrices as given."""
-    citation = build_citation(corpus, index, t_current, rho_edge, time_aware)
-    author_paper = build_author_paper(corpus, index)
+def build_graphs(corpus: Corpus, index: EntityIndex, table: FeatureTable,
+                 t_current: int, rho_edge: float) -> GraphSet:
+    """The five graphs; the feature graphs are held as their factors: the
+    counts C and L and the two idf vectors."""
+    citation = build_citation(corpus, index, t_current, rho_edge)
+    listings = build_listings(corpus, index)
+    author_paper = SparseMatrix.canonical(listings.shape, listings.rows, listings.cols,
+                                          np.ones(listings.nnz))
     paper_size = np.bincount(author_paper.cols, minlength=index.n)
     return GraphSet(
         index=index,
         citation=citation,
-        coauthor=build_coauthor(corpus, index, t_current, rho_edge, time_aware),
+        coauthor=build_coauthor(corpus, index, t_current, rho_edge),
         author_paper=author_paper,
-        paper_feature=paper_feature,
-        author_feature=author_feature,
+        listings=listings,
+        feature_counts=SparseMatrix((index.n, index.k), table.rows, table.cols,
+                                    table.counts),
+        idf_paper=idf_paper(corpus, table),
+        idf_author=idf_author(corpus, table),
         reference_counts=np.bincount(citation.rows, minlength=index.n).astype(np.float64),
         coauthor_counts=np.bincount(author_paper.rows,
                                     weights=paper_size[author_paper.cols] - 1.0,
                                     minlength=index.m),
-        t_current=t_current, rho_edge=rho_edge, time_aware=time_aware,
     )
 
 
@@ -149,8 +156,8 @@ class OperatorBlocks:
     ta: SparseMatrix  # K x M
 
 
-def operator_blocks(graphs: GraphSet) -> OperatorBlocks:
-    """Column-normalize every graph into its block.
+def graph_blocks(graphs: GraphSet) -> dict[str, SparseMatrix]:
+    """The four blocks between papers and authors, each a fresh matrix.
 
     The time-aware blocks pp and aa are divided by their undecayed column
     sums instead of their own: every reference of one citing paper carries
@@ -159,13 +166,27 @@ def operator_blocks(graphs: GraphSet) -> OperatorBlocks:
     vote split across its references while recent votes keep more absolute
     weight; at rho = 0 this is plain column normalization.
     """
-    return OperatorBlocks(
+    return dict(
         pp=divide_columns(graphs.citation.transpose(), graphs.reference_counts),
         pa=column_normalize(graphs.author_paper.transpose()),
-        pt=column_normalize(graphs.paper_feature),
         aa=divide_columns(graphs.coauthor, graphs.coauthor_counts),
         ap=column_normalize(graphs.author_paper),
-        at=column_normalize(graphs.author_feature),
-        tp=column_normalize(graphs.paper_feature.transpose()),
-        ta=column_normalize(graphs.author_feature.transpose()),
     )
+
+
+def _from_dense(dense: np.ndarray) -> SparseMatrix:
+    rows, cols = np.nonzero(dense)
+    return SparseMatrix(dense.shape, rows, cols, dense[rows, cols])
+
+
+def operator_blocks(graphs: GraphSet) -> OperatorBlocks:
+    """All eight blocks materialized, an oracle for small instances: the
+    paper and author tf-idf matrices are built densely from C, L and the
+    idf vectors, then column-normalized like the graph blocks."""
+    counts = graphs.feature_counts.to_dense()
+    paper = _from_dense(counts * graphs.idf_paper)
+    author = _from_dense((graphs.listings.to_dense() @ counts) * graphs.idf_author)
+    return OperatorBlocks(
+        pt=column_normalize(paper), tp=column_normalize(paper.transpose()),
+        at=column_normalize(author), ta=column_normalize(author.transpose()),
+        **graph_blocks(graphs))

@@ -2,12 +2,13 @@
 features, with the dense combined-matrix oracle and ranked-list output.
 
 The combined (N+M+K)^2 block matrix is held as a list of terms, each a
-column-normalized block already scaled by its coefficient and placed at its
-row and column offset.  One step applies every term to the concatenated
-authority vector and renormalizes it by its total sum, which is exactly
-power iteration and therefore converges to the dominant eigenvector of the
-combined matrix.  The per-type vectors are the three sections of that one
-vector, each rescaled to sum 1.
+column-normalized block, or a short chain of sparse factors whose product
+is one, already scaled by its coefficient and placed at its row and column
+offset.  One step applies every term to the concatenated authority vector
+and renormalizes it by its total sum, which is exactly power iteration and
+therefore converges to the dominant eigenvector of the combined matrix.
+The per-type vectors are the three sections of that one vector, each
+rescaled to sum 1.
 
 The innovativeness vector is rescaled to sum 1 before entering the
 matrix, so only the relative burstiness of features matters and a global
@@ -23,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import GraphSet, operator_blocks
-from .sparse import SparseMatrix
+from .graphs import GraphSet, graph_blocks, operator_blocks
+from .sparse import SparseMatrix, reciprocal, scale
 
 MODES = ("full", "no_time", "no_content", "no_time_no_content")
 
@@ -139,40 +140,72 @@ def normalize_innovativeness(e: np.ndarray) -> np.ndarray:
     return e / total if total > 0.0 else e.copy()
 
 
-Operator = list[tuple[int, int, SparseMatrix]]
+# (row offset, col offset, chain): the term adds
+# chain[-1] @ ... @ chain[0] @ x[col:] into the rows from ``row`` on
+Operator = list[tuple[int, int, tuple[SparseMatrix, ...]]]
+
+
+def _feature_chains(graphs: GraphSet, e_norm: np.ndarray,
+                    coef: dict[str, float]) -> dict[str, tuple[SparseMatrix, ...]]:
+    """The four feature blocks as chains of factors over C (paper x feature
+    counts), L (author x paper listing counts) and their transposes.
+
+    Column normalization cancels idf, so
+
+        pt = C diag(1 / colsum C)
+        at = L C diag(1 / colsum(L C))
+        tp = diag(idf_p) C^T diag(1 / (C idf_p))
+        ta = diag(idf_a) C^T L^T diag(1 / (L C idf_a))
+
+    A feature with idf 0 keeps a zero column in pt and at, and a paper or
+    author whose features all have idf 0 a zero column in tp and ta.  Each
+    coefficient and diagonal, the normalized innovativeness of the feature
+    rows included, is folded into one factor's weights; the scaled C and
+    C^T factors share the ``rows`` and ``cols`` of C and C^T.
+    """
+    c, lst = graphs.feature_counts, graphs.listings
+    ct, lt = c.transpose(), lst.transpose()
+    idf_p, idf_a = graphs.idf_paper, graphs.idf_author
+    n, m = c.shape[0], lst.shape[0]
+    colsum_c = ct.matvec(np.ones(n))
+    colsum_lc = ct.matvec(lt.matvec(np.ones(m)))
+    return {
+        "pt": (scale(c, col_weights=np.where(idf_p != 0.0, coef["pt"], 0.0)
+                     * reciprocal(colsum_c)),),
+        "at": (scale(c, col_weights=np.where(idf_a != 0.0, coef["at"], 0.0)
+                     * reciprocal(colsum_lc)), lst),
+        "tp": (scale(ct, row_weights=coef["tp"] * e_norm * idf_p,
+                     col_weights=reciprocal(c.matvec(idf_p))),),
+        "ta": (scale(lt, col_weights=reciprocal(lst.matvec(c.matvec(idf_a)))),
+               scale(ct, row_weights=coef["ta"] * e_norm * idf_a)),
+    }
 
 
 def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Operator:
-    """The combined matrix as (row offset, col offset, block) terms.
+    """The combined matrix as (row offset, col offset, chain) terms.
 
-    Each block comes fresh from ``operator_blocks`` and its weights are
-    scaled in place by its coefficient, and the feature rows also by the
-    normalized innovativeness.  Terms whose coefficient is 0 are left out.
+    The paper and author blocks come fresh from ``graph_blocks`` and their
+    weights are scaled in place by their coefficients; the feature blocks
+    are chains of factors (``_feature_chains``).  Terms whose coefficient
+    is 0 are left out.
     """
     hp = hp.effective()
-    b = operator_blocks(graphs)
     n, m = graphs.index.n, graphs.index.m
     f = n + m
-    terms = [
-        (0, 0, b.pp, hp.alpha_p),
-        (0, n, b.pa, hp.beta_p * (1.0 - hp.alpha_p)),
-        (0, f, b.pt, (1.0 - hp.beta_p) * (1.0 - hp.alpha_p)),
-        (n, n, b.aa, hp.alpha_a),
-        (n, 0, b.ap, hp.beta_a * (1.0 - hp.alpha_a)),
-        (n, f, b.at, (1.0 - hp.beta_a) * (1.0 - hp.alpha_a)),
-        (f, n, b.ta, hp.alpha_f),
-        (f, 0, b.tp, 1.0 - hp.alpha_f),
-    ]
-    e_norm = normalize_innovativeness(e)
-    operator = []
-    for row, col, block, coef in terms:
-        if coef == 0.0:
-            continue
-        block.data *= coef
-        if row == f:
-            block.data *= e_norm[block.rows]
-        operator.append((row, col, block))
-    return operator
+    coef = {
+        "pp": hp.alpha_p, "pa": hp.beta_p * (1.0 - hp.alpha_p),
+        "pt": (1.0 - hp.beta_p) * (1.0 - hp.alpha_p),
+        "aa": hp.alpha_a, "ap": hp.beta_a * (1.0 - hp.alpha_a),
+        "at": (1.0 - hp.beta_a) * (1.0 - hp.alpha_a),
+        "ta": hp.alpha_f, "tp": 1.0 - hp.alpha_f,
+    }
+    chains = _feature_chains(graphs, normalize_innovativeness(e), coef)
+    for name, block in graph_blocks(graphs).items():
+        block.data *= coef[name]
+        chains[name] = (block,)
+    offsets = [("pp", 0, 0), ("pa", 0, n), ("pt", 0, f), ("aa", n, n), ("ap", n, 0),
+               ("at", n, f), ("ta", f, n), ("tp", f, 0)]
+    return [(row, col, chains[name]) for name, row, col in offsets if coef[name] != 0.0]
 
 
 def iterate_once(state: RankState, operator: Operator) -> RankState:
@@ -183,8 +216,11 @@ def iterate_once(state: RankState, operator: Operator) -> RankState:
     """
     x = state.vector
     y = np.zeros_like(x)
-    for row, col, block in operator:
-        y[row:row + block.shape[0]] += block.matvec(x[col:col + block.shape[1]])
+    for row, col, chain in operator:
+        v = x[col:col + chain[0].shape[1]]
+        for factor in chain:
+            v = factor.matvec(v)
+        y[row:row + v.size] += v
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"non-finite value at iteration {state.iteration + 1}")
     total = 0.0

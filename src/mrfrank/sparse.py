@@ -1,5 +1,5 @@
 """Sparse matrices in canonical COO order, and the integer-array helpers
-the graphs and tf-idf blocks are built with."""
+the graphs and feature factors are built with."""
 
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ class SparseMatrix:
         data = np.asarray(data, dtype=np.float64)
         keep = data != 0.0
         rows, cols, data = rows[keep], cols[keep], data[keep]
-        order = np.lexsort((cols, rows))
+        # one stable sort of a key that orders exactly as (row, col)
+        order = np.argsort(rows * shape[1] + cols, kind="stable")
         self.shape = shape
         self.rows = rows[order]
         self.cols = cols[order]
@@ -25,7 +26,8 @@ class SparseMatrix:
     @classmethod
     def canonical(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
                   data: np.ndarray) -> "SparseMatrix":
-        """Wrap arrays that are already in canonical order, without zeros."""
+        """Wrap arrays that are already in canonical order; zeros in
+        ``data`` stay stored."""
         out = cls.__new__(cls)
         out.shape, out.rows, out.cols, out.data = shape, rows, cols, data
         return out
@@ -50,6 +52,24 @@ class SparseMatrix:
         out = np.zeros(self.shape)
         out[self.rows, self.cols] = self.data
         return out
+
+
+def scale(m: SparseMatrix, row_weights: np.ndarray | None = None,
+          col_weights: np.ndarray | None = None) -> SparseMatrix:
+    """``diag(row_weights) @ m @ diag(col_weights)`` with its own ``data``,
+    sharing ``m``'s ``rows`` and ``cols``; a zero weight leaves a stored
+    zero."""
+    data = m.data
+    if row_weights is not None:
+        data = data * row_weights[m.rows]
+    if col_weights is not None:
+        data = data * col_weights[m.cols]
+    return SparseMatrix.canonical(m.shape, m.rows, m.cols, data)
+
+
+def reciprocal(values: np.ndarray) -> np.ndarray:
+    """``1 / values``, with 0 where a value is 0."""
+    return np.divide(1.0, values, out=np.zeros(values.shape), where=values != 0.0)
 
 
 def divide_columns(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:

@@ -1,5 +1,5 @@
 """Word and same-sentence word-pair features, windowed frequency histories,
-burst-based innovativeness scores and tf-idf weights."""
+burst-based innovativeness scores and idf weights."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .corpus import Corpus, PaperRecord
-from .sparse import (SparseMatrix, concat_ranges, distinct, group_sum,
-                     pairs_within_groups, per_distinct)
+from .sparse import concat_ranges, distinct, pairs_within_groups, per_distinct
 
 # Feature keys: ("w", token) for a word, ("p", tok_a, tok_b) for a pair
 # with tok_a < tok_b lexicographically.
@@ -236,28 +235,43 @@ def _idf(total: int, users: np.ndarray) -> np.ndarray:
     return per_distinct(lambda u: math.log(total / u) if u else 0.0, users)
 
 
-def tfidf_paper(corpus: Corpus, table: FeatureTable) -> SparseMatrix:
-    """N x K tf-idf: raw in-paper count times ln(N / df)."""
-    n, k = len(corpus.papers), len(table.features)
-    idf = _idf(n, np.bincount(table.cols, minlength=k))
-    return SparseMatrix((n, k), table.rows, table.cols, table.counts * idf[table.cols])
+def idf_paper(corpus: Corpus, table: FeatureTable) -> np.ndarray:
+    """ln(N / papers using the feature), per column."""
+    return _idf(len(corpus.papers), np.bincount(table.cols, minlength=len(table.features)))
 
 
-def tfidf_author(corpus: Corpus, table: FeatureTable) -> SparseMatrix:
-    """M x K tf-idf over each author's concatenated papers: summed counts
-    times ln(M / authors-using-feature).  A paper that lists an author twice
-    counts twice towards that author."""
+# (author, feature) keys per slice in ``idf_author``: at 1 << 20 the slice's
+# arrays set the peak RSS of a 25k-paper ``rank`` (+20 MB); at 1 << 18 they
+# fit in memory freed earlier, at no measurable cost in time
+AUTHOR_SLICE_KEYS = 1 << 18
+
+
+def idf_author(corpus: Corpus, table: FeatureTable) -> np.ndarray:
+    """ln(M / authors using the feature), per column; an author uses every
+    feature of every paper that lists it.
+
+    The distinct (author, feature) keys are counted in slices of whole
+    authors, each about ``AUTHOR_SLICE_KEYS`` keys before deduplication, so
+    the author x feature expansion never exists whole.
+    """
     n, m, k = len(corpus.papers), len(corpus.authors), len(table.features)
-    paper, author = corpus.listing_papers, corpus.listing_authors
+    order = np.argsort(corpus.listing_authors, kind="stable")
+    author, paper = corpus.listing_authors[order], corpus.listing_papers[order]
     row_start = np.searchsorted(table.rows, np.arange(n + 1))
     starts = row_start[paper]
     lengths = row_start[paper + 1] - starts
-    entries = concat_ranges(starts, lengths)
-    keys, tf = group_sum(np.repeat(author, lengths) * k + table.cols[entries],
-                         table.counts[entries])
-    rows, cols = np.divmod(keys, k)
-    idf = _idf(m, np.bincount(cols, minlength=k))
-    return SparseMatrix((m, k), rows, cols, tf * idf[cols])
+    ends = np.cumsum(lengths)
+    users = np.zeros(k, dtype=np.int64)
+    lo = 0
+    while lo < author.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = min(int(np.searchsorted(ends, base + AUTHOR_SLICE_KEYS)) + 1, author.size)
+        hi = int(np.searchsorted(author, author[hi - 1], side="right"))
+        entries = concat_ranges(starts[lo:hi], lengths[lo:hi])
+        keys = distinct(np.repeat(author[lo:hi], lengths[lo:hi]) * k + table.cols[entries])
+        users += np.bincount(keys % k, minlength=k)
+        lo = hi
+    return _idf(m, users)
 
 
 def feature_key(feature: Feature) -> str:

@@ -19,8 +19,24 @@ def random_sparse(rng, r, c, density=0.5, symmetric=False, nodiag=False):
     return SparseMatrix((r, c), rows, cols, a[rows, cols])
 
 
+def random_counts(rng, r, c, density=0.5, high=3):
+    """Integer counts in [1, high) at about ``density`` of the entries."""
+    a = rng.integers(1, high, (r, c)) * (rng.random((r, c)) < density)
+    rows, cols = np.nonzero(a)
+    return SparseMatrix((r, c), rows, cols, a[rows, cols])
+
+
+def random_idf(rng, k, zero_share=0.2):
+    """Positive idf weights, about ``zero_share`` of them 0."""
+    return np.where(rng.random(k) < zero_share, 0.0, rng.random(k) + 0.1)
+
+
 def random_instance(rng, max_dim=12):
-    """Random small GraphSet + innovativeness vector for oracle tests."""
+    """Random small GraphSet + innovativeness vector for oracle tests.
+
+    The feature terms come from random counts C and L (entries 1 or 2, so
+    some authors are listed twice) and idf vectors with some zeros; a
+    paper or author may be left with no feature."""
     n, m, k = rng.integers(3, max_dim, 3)
     idx = EntityIndex(
         tuple(f"p{i:02d}" for i in range(n)),
@@ -37,8 +53,10 @@ def random_instance(rng, max_dim=12):
         citation=citation,
         coauthor=coauthor,
         author_paper=random_sparse(rng, m, n),
-        paper_feature=random_sparse(rng, n, k),
-        author_feature=random_sparse(rng, m, k),
+        listings=random_counts(rng, m, n),
+        feature_counts=random_counts(rng, n, k),
+        idf_paper=random_idf(rng, k),
+        idf_author=random_idf(rng, k),
         # the weights' own sums, so that pp and aa are column-stochastic
         reference_counts=np.bincount(citation.rows, weights=citation.data,
                                      minlength=n),

@@ -23,6 +23,7 @@ from mrfrank.textfeat import FeatureStats, FeatureTable, innovativeness
 from synthgen import rising_paper_corpus, scale_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @contextlib.contextmanager
@@ -211,8 +212,18 @@ def threads_env(threads: str) -> dict:
     return {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
 
 
-def run_scale_subprocess(corpus, workspace, env_extra):
+def child_env(env_extra: dict) -> dict:
+    """The environment of a ``python -m mrfrank.cli`` child: this
+    checkout's ``src`` first on PYTHONPATH, so the child imports the code
+    under test whether or not mrfrank is installed."""
     env = dict(os.environ, **env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def run_scale_subprocess(corpus, workspace, env_extra):
+    env = child_env(env_extra)
     args = [sys.executable, "-m", "mrfrank.cli", "rank",
             "--corpus", str(corpus), "--workspace", str(workspace),
             "--tolerance", "1e-8", "--max-iterations", "1000"]
@@ -261,7 +272,7 @@ def test_criterion_9_determinism(rising_corpus, scale_corpus_path, scale_run,
         assert workspace_bytes(ws["a"]) == workspace_bytes(ws["b"])
         for threads in ("1", "4", "2"):
             wsx = tmp_path_factory.mktemp(f"det_t{threads}")
-            env = dict(os.environ, **threads_env(threads))
+            env = child_env(threads_env(threads))
             args = [sys.executable, "-m", "mrfrank.cli", "rank",
                     "--corpus", str(rising_corpus), "--workspace", str(wsx),
                     "--tolerance", "1e-8", "--max-iterations", "2000"]

@@ -8,9 +8,9 @@ from conftest import random_sparse
 from feature_oracle import extract_features
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import (SparseMatrix, build_coauthor, build_graphs,
-                            build_index, column_normalize, operator_blocks)
-from mrfrank.textfeat import (build_feature_table, feature_key, tfidf_author,
-                              tfidf_paper)
+                            build_index, column_normalize, decay_weights,
+                            operator_blocks)
+from mrfrank.textfeat import build_feature_table, feature_key
 
 
 def small_corpus():
@@ -30,10 +30,7 @@ def small_setup(rho=0.5, t_current=2004):
     corpus = small_corpus()
     table = build_feature_table(corpus, min_df=2)
     index = build_index(corpus, table.features)
-    pw = tfidf_paper(corpus, table)
-    aw = tfidf_author(corpus, table)
-    gs = build_graphs(corpus, index, pw, aw, t_current=t_current,
-                      rho_edge=rho)
+    gs = build_graphs(corpus, index, table, t_current=t_current, rho_edge=rho)
     return corpus, index, gs
 
 
@@ -136,16 +133,16 @@ class TestBuildGraphs:
         assert d.sum() == 5  # A:2 + B:1 + C:2 authors
 
     def test_rho_zero_equals_time_unaware(self):
-        corpus = small_corpus()
-        table = build_feature_table(corpus, min_df=2)
-        index = build_index(corpus, table.features)
-        pw, aw = tfidf_paper(corpus, table), tfidf_author(corpus, table)
-        a = build_graphs(corpus, index, pw, aw, 2004, rho_edge=0.0)
-        b = build_graphs(corpus, index, pw, aw, 2004, rho_edge=0.5,
-                         time_aware=False)
-        assert np.array_equal(a.citation.data, b.citation.data)
-        assert np.array_equal(a.coauthor.data, b.coauthor.data)
-        assert np.array_equal(a.coauthor_counts, b.coauthor_counts)
+        """At rho_edge = 0 no edge decays: every citation weighs 1 and the
+        graphs' sums are their undecayed counterparts."""
+        corpus, index, gs = small_setup(rho=0.0)
+        assert np.array_equal(decay_weights(corpus.years, 2004, 0.0),
+                              np.ones(index.n))
+        assert np.array_equal(gs.citation.data, np.ones(gs.citation.nnz))
+        assert np.array_equal(np.bincount(gs.citation.rows, weights=gs.citation.data,
+                                          minlength=index.n), gs.reference_counts)
+        assert np.array_equal(np.bincount(gs.coauthor.cols, weights=gs.coauthor.data,
+                                          minlength=index.m), gs.coauthor_counts)
 
     def test_undecayed_counterparts_present(self):
         # A cites nothing, B cites A, C cites A and B; coauthor links:
@@ -157,17 +154,22 @@ class TestBuildGraphs:
         assert links == {"u": 1.0, "v": 2.0, "w": 1.0}
 
     def test_feature_matrices_carry_tfidf(self):
+        """The feature graphs are held as their tf-idf factors: the counts
+        C and L and the two idf vectors."""
         corpus, index, gs = small_setup()
-        table = build_feature_table(corpus, min_df=2)
-        pw = tfidf_paper(corpus, table)
-        aw = tfidf_author(corpus, table)
-        assert gs.paper_feature.shape == (index.n, index.k)
-        assert np.array_equal(gs.paper_feature.to_dense(), pw.to_dense())
-        assert gs.author_feature.shape == (index.m, index.k)
-        assert np.array_equal(gs.author_feature.to_dense(), aw.to_dense())
-        # the pair alpha-beta is in the titles of A and B only
+        assert gs.feature_counts.shape == (index.n, index.k)
+        assert gs.listings.shape == (index.m, index.n)
+        assert gs.idf_paper.shape == gs.idf_author.shape == (index.k,)
+        assert np.array_equal(gs.listings.to_dense(), gs.author_paper.to_dense())
+        # the pair alpha-beta is in the titles of A and B only, whose
+        # authors are u and v
         a, pair = index.paper_pos["A"], index.feature_pos["p|alpha|beta"]
-        assert pw.to_dense()[a, pair] == pytest.approx(math.log(3 / 2))
+        assert gs.feature_counts.to_dense()[a, pair] == 1.0
+        assert gs.idf_paper[pair] == math.log(3 / 2)
+        assert gs.idf_author[pair] == math.log(3 / 2)
+        # alpha is in every paper and used by every author
+        alpha = index.feature_pos["w|alpha"]
+        assert gs.idf_paper[alpha] == 0.0 and gs.idf_author[alpha] == 0.0
 
 
 class TestOperatorBlocks:
@@ -248,8 +250,7 @@ class TestOperatorBlocks:
             corpus, _ = parse_corpus(recs)
             table = build_feature_table(corpus, window_years=window_years, min_df=2)
             index = build_index(corpus, table.features)
-            pw, aw = tfidf_paper(corpus, table), tfidf_author(corpus, table)
-            gs = build_graphs(corpus, index, pw, aw, t_cur, rho)
+            gs = build_graphs(corpus, index, table, t_cur, rho)
             blocks = operator_blocks(gs)
             papers = [corpus.papers[pid] for pid in index.paper_ids]
             apos = index.author_pos
@@ -271,22 +272,27 @@ class TestOperatorBlocks:
                 assert stats.first_seen == min(windows)
                 assert stats.lambda_i == df[f] / (n_windows - min(windows))
 
-            # tf-idf: an author listed twice on a paper counts it twice
+            # tf-idf factors: an author listed twice on a paper counts it
+            # twice in L
             col = {f: j for j, f in enumerate(kept)}
             tf_p = np.zeros((index.n, index.k))
             for i, counts in enumerate(feats):
                 for f, c in counts.items():
                     if f in col:
                         tf_p[i, col[f]] = c
+            listings = np.zeros((index.m, index.n))
             tf_a = np.zeros((index.m, index.k))
             for i, p in enumerate(papers):
                 for a in p.author_ids:
+                    listings[apos[a], i] += 1.0
                     tf_a[apos[a]] += tf_p[i]
             idf_p = np.array([math.log(index.n / df[f]) for f in kept])
             idf_a = np.array([math.log(index.m / u) for u in (tf_a > 0).sum(axis=0)])
+            assert np.array_equal(gs.feature_counts.to_dense(), tf_p)
+            assert np.array_equal(gs.listings.to_dense(), listings)
+            assert np.array_equal(gs.idf_paper, idf_p)
+            assert np.array_equal(gs.idf_author, idf_a)
             P, A = tf_p * idf_p, tf_a * idf_a
-            assert np.array_equal(pw.to_dense(), P)
-            assert np.array_equal(aw.to_dense(), A)
 
             def decay(year):
                 return math.exp(-rho * (t_cur - year))

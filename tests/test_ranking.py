@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperparams, random_instance
-from mrfrank.ranking import (HyperParams, NumericalError, assemble_combined,
+from mrfrank.corpus import parse_corpus
+from mrfrank.graphs import build_graphs, build_index
+from mrfrank.ranking import (MODES, HyperParams, NumericalError, assemble_combined,
                              combined_operator, init_state, iterate_once,
                              normalize_innovativeness, rank_entities, run,
                              write_ranking)
+from mrfrank.textfeat import build_feature_table
 
 
 class TestHyperParams:
@@ -133,10 +136,76 @@ class TestCombinedOperator:
         assert len(offsets) == 6
         size = n + m + gs.index.k
         dense = np.zeros((size, size))
-        for row, col, block in operator:
+        for row, col, chain in operator:
+            block = chain[0].to_dense()
+            for factor in chain[1:]:
+                block = factor.to_dense() @ block
             r, c = block.shape
-            dense[row:row + r, col:col + c] += block.to_dense()
+            dense[row:row + r, col:col + c] += block
         assert np.allclose(dense, assemble_combined(gs, e, hp), rtol=0, atol=1e-15)
+
+
+def zero_weight_graphs(with_featureless_paper):
+    """Graphs of a small corpus built to put zeros in every diagonal of the
+    factored feature terms:
+
+    - "common" is in every paper (idf_p = 0) unless the featureless paper
+      D is added;
+    - "alpha" is used by every author (idf_a = 0) but not in every paper;
+    - author x writes only paper A, whose features all have idf_a 0;
+    - paper B lists author u twice.
+    """
+    recs = [
+        {"id": "A", "title": "common alpha", "abstract": "",
+         "authors": ["u", "v", "x"], "year": 2000, "refs": []},
+        {"id": "B", "title": "common alpha beta", "abstract": "",
+         "authors": ["u", "u"], "year": 2001, "refs": ["A"]},
+        {"id": "C", "title": "common beta gamma", "abstract": "",
+         "authors": ["v"], "year": 2002, "refs": ["A", "B"]},
+    ]
+    if with_featureless_paper:
+        recs.append({"id": "D", "title": "", "abstract": "", "authors": ["v"],
+                     "year": 2002, "refs": ["C"]})
+    corpus, _ = parse_corpus(recs)
+    table = build_feature_table(corpus, min_df=1)
+    index = build_index(corpus, table.features)
+    return build_graphs(corpus, index, table, t_current=2002, rho_edge=0.3)
+
+
+class TestFactoredTerms:
+    @pytest.mark.parametrize("featureless", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_weights_match_dense(self, rng, featureless, mode):
+        """The factored feature terms keep a zero column wherever an idf or
+        a row sum is 0, never inf or nan, and one update equals one
+        multiply by the dense combined matrix."""
+        gs = zero_weight_graphs(featureless)
+        idx = gs.index
+        col = {key: j for j, key in enumerate(idx.feature_ids)}
+        assert gs.idf_author[col["w|alpha"]] == 0.0 < gs.idf_paper[col["w|alpha"]]
+        assert gs.listings.to_dense()[idx.author_pos["u"], idx.paper_pos["B"]] == 2.0
+
+        e = rng.random(idx.k) + 0.05
+        hp = random_hyperparams(rng, mode=mode)
+        operator = combined_operator(gs, e, hp)
+        for _, _, chain in operator:
+            for factor in chain:
+                assert np.all(np.isfinite(factor.data))
+        combined = assemble_combined(gs, e, hp)
+        n, m = idx.n, idx.m
+        # x's features all have idf_a 0: nothing flows from x to features
+        assert np.all(combined[n + m:, n + idx.author_pos["x"]] == 0.0)
+        if featureless:
+            assert gs.feature_counts.to_dense()[idx.paper_pos["D"]].sum() == 0.0
+            assert np.all(combined[n + m:, idx.paper_pos["D"]] == 0.0)
+        else:
+            assert gs.idf_paper[col["w|common"]] == 0.0
+            assert np.all(combined[:n + m, n + m + col["w|common"]] == 0.0)
+        s = init_state(n, m, idx.k)
+        for _ in range(3):
+            raw_next = combined @ s.vector
+            s = iterate_once(s, operator)
+            assert np.allclose(s.vector, raw_next / raw_next.sum(), atol=1e-14)
 
 
 class TestRun:

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import feature_oracle as oracle
 from feature_oracle import extract_features, tokenize
 from mrfrank.corpus import PaperRecord, parse_corpus
-from mrfrank.graphs import build_index
+from mrfrank import textfeat
+from mrfrank.graphs import build_graphs, build_index, build_listings
 from mrfrank.textfeat import (FeatureStats, FeatureTable, build_feature_table,
-                              feature_key, innovativeness, innovativeness_at_window,
-                              load_stopwords, tfidf_author, tfidf_paper)
+                              feature_key, idf_author, idf_paper, innovativeness,
+                              innovativeness_at_window, load_stopwords)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -251,20 +252,28 @@ class TestTfidf:
         corpus, _ = parse_corpus(recs)
         return corpus, build_feature_table(corpus, min_df=2)
 
-    def weight(self, corpus, table, matrix, entity, key):
+    def tfidf(self, corpus, table):
+        """The index and the dense paper and author tf-idf matrices, rebuilt
+        from the factors the graphs hold: C idf_p and (L C) idf_a."""
+        index = build_index(corpus, table.features)
+        gs = build_graphs(corpus, index, table, t_current=2004, rho_edge=0.0)
+        counts = gs.feature_counts.to_dense()
+        return (index, counts * gs.idf_paper,
+                (gs.listings.to_dense() @ counts) * gs.idf_author)
+
+    def weight(self, index, matrix, entity, key):
         """Entry of a tf-idf matrix: a paper row for an upper-case id, an
         author row for a lower-case one."""
-        index = build_index(corpus, table.features)
         pos = index.paper_pos if entity.isupper() else index.author_pos
-        return matrix.to_dense()[pos[entity], index.feature_pos[key]]
+        return matrix[pos[entity], index.feature_pos[key]]
 
     def test_paper_weights(self):
         corpus, table = self.make()
-        w = tfidf_paper(corpus, table)
+        index, w, _ = self.tfidf(corpus, table)
         # alpha: tf 3 in A, df 2 of 4 papers
-        assert self.weight(corpus, table, w, "A", "w|alpha") == pytest.approx(
+        assert self.weight(index, w, "A", "w|alpha") == pytest.approx(
             3 * math.log(4 / 2))
-        assert self.weight(corpus, table, w, "B", "w|beta") == pytest.approx(
+        assert self.weight(index, w, "B", "w|beta") == pytest.approx(
             1 * math.log(4 / 3))
 
     def test_uniform_feature_has_zero_weight(self):
@@ -273,18 +282,19 @@ class TestTfidf:
              "authors": ["u"], "year": 2000, "refs": []} for i in range(3)]
         corpus, _ = parse_corpus(recs)
         table = build_feature_table(corpus, min_df=1)
-        w = tfidf_paper(corpus, table)
+        assert np.array_equal(idf_paper(corpus, table), [0.0])  # ln(3/3)
+        _, w, _ = self.tfidf(corpus, table)
         assert w.shape == (3, 1)
-        assert w.nnz == 0  # ln(3/3) = 0, zero weights omitted
+        assert np.all(w == 0.0)
 
     def test_author_weights_sum_over_papers(self):
         corpus, table = self.make()
-        w = tfidf_author(corpus, table)
+        index, _, w = self.tfidf(corpus, table)
         # u has alpha tf 3 + 1 = 4; alpha used by 2 of 3 authors
-        assert self.weight(corpus, table, w, "u", "w|alpha") == pytest.approx(
+        assert self.weight(index, w, "u", "w|alpha") == pytest.approx(
             4 * math.log(3 / 2))
         # w (the author) has beta tf 1; beta used by all 3 authors -> weight 0
-        assert self.weight(corpus, table, w, "w", "w|beta") == 0.0
+        assert self.weight(index, w, "w", "w|beta") == 0.0
 
     def test_author_listed_twice_counts_twice(self):
         recs = [
@@ -297,9 +307,34 @@ class TestTfidf:
         ]
         corpus, _ = parse_corpus(recs)
         table = build_feature_table(corpus, min_df=1)
-        w = tfidf_author(corpus, table)
-        assert self.weight(corpus, table, w, "u", "w|alpha") == 2 * math.log(3 / 2)
-        assert self.weight(corpus, table, w, "v", "w|alpha") == math.log(3 / 2)
+        index = build_index(corpus, table.features)
+        listings = build_listings(corpus, index).to_dense()
+        assert listings[index.author_pos["u"], index.paper_pos["A"]] == 2.0
+        assert listings[index.author_pos["v"], index.paper_pos["B"]] == 1.0
+        index, _, w = self.tfidf(corpus, table)
+        assert self.weight(index, w, "u", "w|alpha") == 2 * math.log(3 / 2)
+        assert self.weight(index, w, "v", "w|alpha") == math.log(3 / 2)
+
+    def test_author_idf_independent_of_slice_size(self, rng, monkeypatch):
+        """Counting distinct (author, feature) keys in slices of whole
+        authors gives the whole count, whatever the slice size."""
+        for _ in range(10):
+            recs = [{"id": f"P{i}", "authors": [f"a{int(x)}" for x in
+                                                rng.integers(0, 6, 1 + int(rng.integers(3)))],
+                     "title": " ".join(f"t{int(x)}" for x in rng.integers(0, 8, 4)),
+                     "abstract": "", "year": 2000, "refs": []} for i in range(12)]
+            corpus, _ = parse_corpus(recs)
+            table = build_feature_table(corpus, min_df=1)
+            index = build_index(corpus, table.features)
+            papers = [corpus.papers[pid] for pid in index.paper_ids]
+            used = np.zeros((index.m, index.k), dtype=bool)
+            for row, col in zip(table.rows.tolist(), table.cols.tolist()):
+                for a in papers[row].author_ids:
+                    used[index.author_pos[a], col] = True
+            expect = np.array([math.log(index.m / u) for u in used.sum(axis=0)])
+            for size in (1, 2, 3, 7, 1 << 20):
+                monkeypatch.setattr(textfeat, "AUTHOR_SLICE_KEYS", size)
+                assert np.array_equal(idf_author(corpus, table), expect)
 
 
 class TestFeatureKey:
