@@ -14,8 +14,6 @@ import types
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
 from . import graphs as graphs_mod
@@ -284,17 +282,13 @@ def cmd_rank(args) -> int:
             else textfeat.load_stopwords())
     table = textfeat.build_feature_table(sub, window_years=cfg.window_years,
                                          min_df=cfg.min_df, stopwords=stop)
-    hp_eff = hp.effective()
-    e_by_feat = textfeat.innovativeness_at_window(
-        table, table.n_windows - 1, rho=hp_eff.rho_feature, u=hp_eff.u)
-
     index = graphs_mod.build_index(sub, table.features)
     if index.n == 0 or index.m == 0 or index.k == 0:
         raise DataError("pipeline produced an empty entity set "
                         f"(N={index.n}, M={index.m}, K={index.k})")
-    e = np.zeros(index.k)
-    for feat, score in e_by_feat.items():
-        e[index.feature_pos[textfeat.feature_key(feat)]] = score
+    hp_eff = hp.effective()
+    e = textfeat.innovativeness_at_window(
+        table, table.n_windows - 1, rho=hp_eff.rho_feature, u=hp_eff.u)
 
     gs = graphs_mod.build_graphs(sub, index, table, t_current=cfg.cutoff_year,
                                  rho_edge=hp_eff.rho_edge)

@@ -222,10 +222,10 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
 
     records = papers.values()
     author_ids = sorted({a for p in records for a in p.author_ids})
-    author_pos = {a: i for i, a in enumerate(author_ids)}
+    apos = {a: i for i, a in enumerate(author_ids)}
     cited = _positions(pos, chain.from_iterable(p.references for p in records))
     citing = np.repeat(np.arange(len(papers)), [len(p.references) for p in records])
-    listing_authors = _positions(author_pos,
+    listing_authors = _positions(apos,
                                  chain.from_iterable(p.author_ids for p in records))
     listing_papers = np.repeat(np.arange(len(papers)),
                                [len(p.author_ids) for p in records])

@@ -5,14 +5,14 @@ iteration, and the dense-built eight-block oracle."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus
 from .sparse import (SparseMatrix, column_normalize, distinct, divide_columns,
                      group_sum, pairs_within_groups, per_distinct)
-from .textfeat import FeatureTable, feature_key, idf_author, idf_paper
+from .textfeat import FeatureTable, idf_author, idf_paper
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,6 @@ class EntityIndex:
     paper_ids: tuple[str, ...]
     author_ids: tuple[str, ...]
     feature_ids: tuple[str, ...]
-    paper_pos: dict[str, int] = field(repr=False, default_factory=dict)
-    author_pos: dict[str, int] = field(repr=False, default_factory=dict)
-    feature_pos: dict[str, int] = field(repr=False, default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -38,15 +35,9 @@ class EntityIndex:
 
 
 def build_index(corpus: Corpus, features) -> EntityIndex:
-    papers = tuple(sorted(corpus.papers))
-    authors = tuple(sorted(corpus.authors))
-    feats = tuple(sorted(feature_key(f) for f in features))
-    return EntityIndex(
-        paper_ids=papers, author_ids=authors, feature_ids=feats,
-        paper_pos={p: i for i, p in enumerate(papers)},
-        author_pos={a: i for i, a in enumerate(authors)},
-        feature_pos={f: i for i, f in enumerate(feats)},
-    )
+    """Papers, authors and ``features`` (the feature table's keys) in
+    position order; the corpus and the table hold them sorted."""
+    return EntityIndex(tuple(corpus.papers), tuple(corpus.authors), tuple(features))
 
 
 def decay_weights(years: np.ndarray, t_current: int, rho: float) -> np.ndarray:
@@ -129,8 +120,8 @@ def build_graphs(corpus: Corpus, index: EntityIndex, table: FeatureTable,
         coauthor=build_coauthor(corpus, index, t_current, rho_edge),
         author_paper=author_paper,
         listings=listings,
-        feature_counts=SparseMatrix((index.n, index.k), table.rows, table.cols,
-                                    table.counts),
+        feature_counts=SparseMatrix.canonical((index.n, index.k), table.rows,
+                                              table.cols, table.counts),
         idf_paper=idf_paper(corpus, table),
         idf_author=idf_author(corpus, table),
         reference_counts=np.bincount(citation.rows, minlength=index.n).astype(np.float64),

@@ -280,15 +280,11 @@ class RankedEntity(NamedTuple):
     score: float
 
 
-def rank_entities(vector: np.ndarray, ids, cohort=None) -> list[RankedEntity]:
-    """Descending by score, ties broken by ascending id; an optional cohort
-    filter is applied after ranking and ranks renumbered within it."""
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+def rank_entities(vector: np.ndarray, ids) -> list[RankedEntity]:
+    """Descending by score, ties broken by ascending id; ``ids`` must be in
+    ascending order, as ``EntityIndex`` holds them."""
     # a stable sort by score keeps tied entities in id order
-    order = by_id[np.argsort(-vector[by_id], kind="stable")]
-    if cohort is not None:
-        cohort = set(cohort)
-        order = order[np.array([ids[i] in cohort for i in order.tolist()], dtype=bool)]
+    order = np.argsort(-vector, kind="stable")
     return list(map(RankedEntity, count(1), map(ids.__getitem__, order.tolist()),
                     vector[order].tolist()))
 

@@ -15,10 +15,6 @@ import numpy as np
 from .corpus import Corpus, PaperRecord
 from .sparse import concat_ranges, distinct, pairs_within_groups, per_distinct
 
-# Feature keys: ("w", token) for a word, ("p", tok_a, tok_b) for a pair
-# with tok_a < tok_b lexicographically.
-Feature = tuple
-
 # A piece is a run of letters and digits (a token) or a run of sentence
 # terminators; a sentence is the tokens between two terminator runs.
 _PIECE = re.compile(r"[a-z0-9]+|[.!?]+")
@@ -82,67 +78,59 @@ def _occurrences(papers: list[PaperRecord], stopwords: frozenset[str]):
     return words, np.concatenate([word_paper, pair_paper]), np.concatenate([word, pair])
 
 
-@dataclass
-class FeatureStats:
-    feature: Feature
-    window_freqs: dict[int, int]      # window index -> papers containing feature
-    first_seen: int                   # window index of first occurrence
-    doc_freq: int                     # papers containing the feature overall
-    lambda_i: float = 0.0
-
-
-def _no_entries() -> np.ndarray:
+def _ints() -> np.ndarray:
     return np.zeros(0, dtype=np.int64)
+
+
+def _floats() -> np.ndarray:
+    return np.zeros(0)
 
 
 @dataclass
 class FeatureTable:
-    """Per-feature window statistics, plus the paper x feature counts as
-    COO arrays: one entry per (paper, retained feature) pair, ``rows`` in
-    ascending order.  A row is the paper's position in sorted paper-id
-    order, a column the feature's position in ``feature_key`` order; both
-    are the positions ``graphs.build_index`` gives them."""
+    """Per-feature window statistics, one entry per column, plus the paper x
+    feature counts as COO arrays in canonical (row, col) order.  A row is
+    the paper's position in the corpus, a column the feature's position in
+    ``features``; both are the positions ``graphs.build_index`` gives them.
 
-    features: dict[Feature, FeatureStats]
-    global_lambda: float
+    A feature key is ``w|word`` for a word and ``p|a|b`` for the pair of
+    words a < b in one sentence; ``features`` holds the keys in ascending
+    order.  The defaults are those of a table without features."""
+
+    features: tuple[str, ...]
+    global_lambda: float              # mean of ``lam`` (0 without features)
     window_years: int
     origin_year: int                  # window 0 starts at this year
     n_windows: int                    # windows 0..n_windows-1 cover the corpus
-    rows: np.ndarray = field(default_factory=_no_entries)
-    cols: np.ndarray = field(default_factory=_no_entries)
-    counts: np.ndarray = field(default_factory=_no_entries)
-
-    def window_of(self, year: int) -> int:
-        return (year - self.origin_year) // self.window_years
-
-    def freq(self, feature: Feature, j: int) -> int:
-        stats = self.features.get(feature)
-        if stats is None:
-            return 0
-        return stats.window_freqs.get(j, 0)
+    doc_freq: np.ndarray = field(default_factory=_ints)      # papers using it
+    first_seen: np.ndarray = field(default_factory=_ints)    # its first window
+    # Poisson mean: papers per window from the first window on
+    lam: np.ndarray = field(default_factory=_floats)
+    # K x n_windows, papers using the feature in each window
+    window_counts: np.ndarray = field(default_factory=_ints)
+    rows: np.ndarray = field(default_factory=_ints)
+    cols: np.ndarray = field(default_factory=_ints)
+    counts: np.ndarray = field(default_factory=_floats)
 
 
 def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
-                        stopwords: frozenset[str] = _DEFAULT_STOPWORDS,
-                        lambda_lifetime: bool = True) -> FeatureTable:
+                        stopwords: frozenset[str] = _DEFAULT_STOPWORDS) -> FeatureTable:
     """Windowed document frequencies and Poisson mean estimates per feature,
     and the paper x feature counts of the features seen in ``min_df`` papers
     or more.
 
     Each paper is tokenized once, and every word and pair is an int id
-    from then on (``_occurrences``); feature tuples and keys are built only
-    for the retained features.
-    ``lambda_lifetime`` averages each feature's frequencies from its first
-    occurrence window to the latest window; when off, the average runs over
-    all corpus windows.
+    from then on (``_occurrences``); key strings are built only for the
+    retained features.  A feature's mean averages its frequencies from its
+    first window to the latest window.
     """
     if window_years < 1:
         raise ValueError(f"window_years must be at least 1, got {window_years}")
     if min_df < 1:
         raise ValueError(f"min_df must be at least 1, got {min_df}")
-    papers = [corpus.papers[pid] for pid in sorted(corpus.papers)]
+    papers = list(corpus.papers.values())
     if not papers:
-        return FeatureTable({}, 0.0, window_years, 0, 0)
+        return FeatureTable((), 0.0, window_years, 0, 0)
 
     years = corpus.years
     origin = int(years.min())
@@ -155,79 +143,70 @@ def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
     n_ids = raw.size
     pairs, counts = np.unique(paper * n_ids + feature, return_counts=True)
     rows, ids = np.divmod(pairs, n_ids)
-    doc_freq = np.bincount(ids, minlength=n_ids)
+    # the occurrence arrays are the largest here: free them before the
+    # sort below, which sets the peak RSS of a small ``rank``
+    del paper, feature, pairs
+    papers_using = np.bincount(ids, minlength=n_ids)
 
-    # retained features in tuple order: pairs (ids from V on) before words;
-    # they become columns in feature_key order
+    # retained features in the order of (kind, word, word): pairs (ids from
+    # V on) before words; they become columns in key order
     n = len(words)
-    kept = np.flatnonzero(doc_freq >= min_df)
+    kept = np.flatnonzero(papers_using >= min_df)
     kept = np.roll(kept, -int(np.searchsorted(raw[kept], n)))
-    feats = [("w", words[i]) if i < n else ("p", words[i // n - 1], words[i % n])
-             for i in raw[kept].tolist()]
-    keys = [feature_key(f) for f in feats]
+    k = kept.size
+    keys = [f"w|{words[i]}" if i < n else f"p|{words[i // n - 1]}|{words[i % n]}"
+            for i in raw[kept].tolist()]
+    by_key = sorted(range(k), key=keys.__getitem__)
     col_of = np.full(n_ids, -1, dtype=np.int64)
-    col_of[kept[sorted(range(kept.size), key=keys.__getitem__)]] = np.arange(kept.size)
+    col_of[kept[by_key]] = np.arange(k)
     cols = col_of[ids]
-    keep = cols >= 0
-    rows = rows[keep]
-    cols = cols[keep]
-    counts = counts[keep]
+    # the retained entries in canonical (row, col) order
+    keep = np.flatnonzero(cols >= 0)
+    keep = keep[np.argsort(rows[keep] * k + cols[keep])]
+    rows, cols, counts = rows[keep], cols[keep], counts[keep].astype(np.float64)
 
-    # papers per (column, window), grouped by column, windows ascending
+    # papers per (column, window)
     window = (years - origin) // window_years
-    col_windows, in_window = np.unique(cols * n_windows + window[rows],
-                                       return_counts=True)
-    bounds = np.searchsorted(col_windows, np.arange(kept.size + 1) * n_windows).tolist()
-    windows = (col_windows % n_windows).tolist()
-    in_window = in_window.tolist()
-    col_list = col_of.tolist()
-    df_list = doc_freq.tolist()
-
-    features: dict[Feature, FeatureStats] = {}
-    for feat, i in zip(feats, kept.tolist()):
-        lo, hi = bounds[col_list[i]], bounds[col_list[i] + 1]
-        first = windows[lo]
-        span = n_windows - first if lambda_lifetime else n_windows
-        features[feat] = FeatureStats(
-            feature=feat, window_freqs=dict(zip(windows[lo:hi], in_window[lo:hi])),
-            first_seen=first, doc_freq=df_list[i], lambda_i=df_list[i] / span)
-
-    if features:
-        global_lambda = sum(s.lambda_i for s in features.values()) / len(features)
-    else:
-        global_lambda = 0.0
-    return FeatureTable(features=features, global_lambda=global_lambda,
-                        window_years=window_years, origin_year=origin,
-                        n_windows=n_windows, rows=rows, cols=cols, counts=counts)
+    window_counts = np.bincount(cols * n_windows + window[rows],
+                                minlength=k * n_windows).reshape(k, n_windows)
+    first_seen = np.argmax(window_counts > 0, axis=1)
+    doc_freq = window_counts.sum(axis=1)
+    lam = doc_freq / (n_windows - first_seen)
+    # the mean of the means, added in (kind, word, word) order: the order
+    # fixes the bits of the sum, and with them every score
+    global_lambda = sum(lam[col_of[kept]].tolist()) / k if k else 0.0
+    return FeatureTable(
+        features=tuple(keys[i] for i in by_key), global_lambda=global_lambda,
+        window_years=window_years, origin_year=origin, n_windows=n_windows,
+        doc_freq=doc_freq, first_seen=first_seen, lam=lam,
+        window_counts=window_counts, rows=rows, cols=cols, counts=counts)
 
 
-def innovativeness(stats: FeatureStats, table: FeatureTable, j: int,
-                   rho: float, u: int = 3) -> float:
-    """Burst score of a feature at window j: deviation from the Poisson mean,
-    times discounted recent increments, times an age decay; clamped at 0.
-
-    Windows before the feature's first occurrence contribute frequency 0.
-    """
-    lam_i = stats.lambda_i
-    lam = table.global_lambda
-    if lam_i <= 0.0 or lam <= 0.0:
-        return 0.0
-    x_j = stats.window_freqs.get(j, 0)
-    first = abs(x_j - lam_i) / lam
-    lookback = 0.0
-    for s in range(1, u + 1):
-        x_prev = stats.window_freqs.get(j - s, 0) if j - s >= stats.first_seen else 0
-        lookback += ((x_j - x_prev) / lam_i) * (1.0 / s)
-    age_years = (j - stats.first_seen) * table.window_years
-    score = first * lookback * math.exp(-rho * age_years)
-    # not max(score, 0.0): that keeps -0.0 when first is 0 and lookback < 0
-    return score if score > 0.0 else 0.0
+def _window(table: FeatureTable, w: int) -> np.ndarray:
+    """Papers per feature in window w; 0 outside the table's windows."""
+    if 0 <= w < table.n_windows:
+        return table.window_counts[:, w]
+    return np.zeros(len(table.features), dtype=np.int64)
 
 
 def innovativeness_at_window(table: FeatureTable, j: int, rho: float,
-                             u: int = 3) -> dict[Feature, float]:
-    return {feat: innovativeness(stats, table, j, rho, u)
-            for feat, stats in table.features.items()}
+                             u: int = 3) -> np.ndarray:
+    """Burst score of every feature at window j, in column order: deviation
+    from the Poisson mean, times discounted recent increments, times an age
+    decay; clamped at 0.  A feature whose mean, or the global mean, is not
+    positive scores 0.
+    """
+    lam_i, lam = table.lam, table.global_lambda
+    x_j = _window(table, j)
+    decay = per_distinct(lambda age: math.exp(-rho * age),
+                         (j - table.first_seen) * table.window_years)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lookback = np.zeros(len(table.features))
+        for s in range(1, u + 1):
+            lookback += ((x_j - _window(table, j - s)) / lam_i) * (1.0 / s)
+        score = np.abs(x_j - lam_i) / lam * lookback * decay
+    # -0.0 (first factor 0, lookback < 0) and nan both become +0.0
+    return np.where((score > 0.0) & (lam_i > 0.0) & (lam > 0.0), score, 0.0)
 
 
 def _idf(total: int, users: np.ndarray) -> np.ndarray:
@@ -274,11 +253,6 @@ def idf_author(corpus: Corpus, table: FeatureTable) -> np.ndarray:
     return _idf(m, users)
 
 
-def feature_key(feature: Feature) -> str:
-    """Stable text key for a feature, used for indexing and serialization."""
-    return "|".join(feature)
-
-
 def write_feature_table(table: FeatureTable, path, rho: float, u: int = 3) -> None:
     """Snapshot the table as TSV: kind, terms, df, lambda, per-window counts
     and innovativeness at the latest window."""
@@ -286,14 +260,17 @@ def write_feature_table(table: FeatureTable, path, rho: float, u: int = 3) -> No
         raise ValueError(f"u must be at least 1, got {u}")
     if not 0.0 <= rho < math.inf:
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
-    j = table.n_windows - 1
+    e = innovativeness_at_window(table, table.n_windows - 1, rho, u)
+    # rows in (kind, word, word) order, which is not key order where one
+    # word is a prefix of another: "p|ab|c" < "p|a|bc", but "ab" > "a"
+    rows = sorted(zip([key.split("|") for key in table.features],
+                      table.doc_freq.tolist(), table.first_seen.tolist(),
+                      table.lam.tolist(), e.tolist(), table.window_counts.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# origin_year\t{table.origin_year}\twindow_years\t{table.window_years}"
                  f"\tn_windows\t{table.n_windows}\tglobal_lambda\t{table.global_lambda:.10g}\n")
         fh.write("kind\tterms\tdf\tfirst_seen\tlambda\tinnov\twindow_counts\n")
-        for feat in sorted(table.features):
-            s = table.features[feat]
-            counts = ",".join(f"{w}:{c}" for w, c in sorted(s.window_freqs.items()))
-            e = innovativeness(s, table, j, rho, u)
-            fh.write(f"{feat[0]}\t{' '.join(feat[1:])}\t{s.doc_freq}\t{s.first_seen}"
-                     f"\t{s.lambda_i:.10g}\t{e:.10g}\t{counts}\n")
+        for terms, df, first, lam, score, counts in rows:
+            counts = ",".join(f"{w}:{n}" for w, n in enumerate(counts) if n)
+            fh.write(f"{terms[0]}\t{' '.join(terms[1:])}\t{df}\t{first}"
+                     f"\t{lam:.10g}\t{score:.10g}\t{counts}\n")

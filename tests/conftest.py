@@ -42,9 +42,6 @@ def random_instance(rng, max_dim=12):
         tuple(f"p{i:02d}" for i in range(n)),
         tuple(f"a{i:02d}" for i in range(m)),
         tuple(f"f{i:02d}" for i in range(k)),
-        {f"p{i:02d}": i for i in range(n)},
-        {f"a{i:02d}": i for i in range(m)},
-        {f"f{i:02d}": i for i in range(k)},
     )
     citation = random_sparse(rng, n, n, nodiag=True)
     coauthor = random_sparse(rng, m, m, symmetric=True)

@@ -19,7 +19,7 @@ from mrfrank.cli import main as cli_main
 from mrfrank.evaluate import max_ri, ri_item, ri_list
 from mrfrank.ranking import (HyperParams, assemble_combined, combined_operator,
                              init_state, iterate_once, run)
-from mrfrank.textfeat import FeatureStats, FeatureTable, innovativeness
+from mrfrank.textfeat import FeatureTable, innovativeness_at_window
 from synthgen import rising_paper_corpus, scale_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -129,16 +129,18 @@ def test_criterion_5_burst_worked_value(capfd):
             [sys.executable, str(FIXTURES / "burst_oracle.py")],
             capture_output=True, text=True, check=True)
         oracle = float(out.stdout.split()[1])
-        stats = FeatureStats(feature=("w", "f"), window_freqs={2: 2, 3: 8},
-                             first_seen=0, doc_freq=10, lambda_i=2.5)
-        table = FeatureTable(features={("w", "f"): stats}, global_lambda=2.0,
-                             window_years=1, origin_year=2000, n_windows=4)
-        assert abs(innovativeness(stats, table, 3, rho=0.0, u=3) - oracle) <= 1e-9
-        const = FeatureStats(feature=("w", "c"), window_freqs={0: 4, 1: 4, 2: 4, 3: 4},
-                             first_seen=0, doc_freq=16, lambda_i=4.0)
-        ctab = FeatureTable(features={("w", "c"): const}, global_lambda=3.0,
-                            window_years=1, origin_year=2000, n_windows=4)
-        assert innovativeness(const, ctab, 3, rho=0.0, u=3) == 0.0
+        table = FeatureTable(features=("w|f",), global_lambda=2.0, window_years=1,
+                             origin_year=2000, n_windows=4, doc_freq=np.array([10]),
+                             first_seen=np.array([0]), lam=np.array([2.5]),
+                             window_counts=np.array([[0, 0, 2, 8]]))
+        [score] = innovativeness_at_window(table, 3, rho=0.0, u=3).tolist()
+        assert abs(score - oracle) <= 1e-9
+        ctab = FeatureTable(features=("w|c",), global_lambda=3.0, window_years=1,
+                            origin_year=2000, n_windows=4, doc_freq=np.array([16]),
+                            first_seen=np.array([0]), lam=np.array([4.0]),
+                            window_counts=np.array([[4, 4, 4, 4]]))
+        [const] = innovativeness_at_window(ctab, 3, rho=0.0, u=3).tolist()
+        assert const == 0.0
 
 
 def test_criterion_6_ri_metric_exactness(capfd):

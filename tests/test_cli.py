@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from mrfrank.cli import build_parser, main
 from mrfrank.corpus import PreprocessConfig
-from mrfrank.ranking import HyperParams
+from mrfrank.ranking import MODES, HyperParams
 
 VOCAB = ["ranking", "citation", "influence", "burst", "network", "topic"]
 
@@ -42,6 +43,25 @@ def rank_args(corpus_file, workspace, *extra):
     return ["rank", "--corpus", str(corpus_file), "--workspace", str(workspace),
             "--min-year", "1990", "--tolerance", "1e-10",
             "--max-iterations", "3000", *extra]
+
+
+# sha256 of the files ``rank`` (all four modes) and ``features`` write for
+# ``tiny_records()``
+OUTPUT_DIGESTS = {
+    "authors_full.tsv": "394fc54987702d710a5235f347a179b705c7d366d2b67b56704e5f1f2905f67b",
+    "authors_no_content.tsv": "a95985affdba28abb0365c18d5d15e6ec4a91ab10d184b52dba85199792650e0",
+    "authors_no_time.tsv": "19d0f760954912eec085f3488a702a915fdc74c59a4bfa0c2bb960517554eb51",
+    "authors_no_time_no_content.tsv": "9de54a655fd983da5a5360dba822a34292061f985282008c76153b13f784ca23",
+    "features_full.tsv": "d645f1ca42897fd443472a38672a0bf1d87fe518ca5c54db306e9a8662373d1d",
+    "features_no_content.tsv": "dae6bf4d148f7ea9cb76d430c71372ec2ad0ce5da6405a998388b8d86407fd6f",
+    "features_no_time.tsv": "c22dddd343435aa6cc38e9c0a81e64f5cc7a0349981a2bf8aef9db393e1745cf",
+    "features_no_time_no_content.tsv": "31c50fa93d3b78d61a444db79479db631fbb65ed052f806a54f45555fe63975d",
+    "papers_full.tsv": "9dfed134c3bca7f1f1e2f217d00c7af2323a2f36d8587cbc753bafbc0afc913d",
+    "papers_no_content.tsv": "49871c5c8c89a2b64636e6bca5e4a88b18129586e89d364b1a141f7f5f1fe8ef",
+    "papers_no_time.tsv": "161050dd8781068d8a317f8bfcfb3ec02a303e1f10ac3435455cdd36059248fc",
+    "papers_no_time_no_content.tsv": "e2d717d9983f2cb34c697ea6c59621a165cd2ca74c015181de888b228630d4ec",
+    "snapshot.tsv": "1c2d289cb93364e8cc693373a3a1020cda99dff8891771533df81f2879614c57",
+}
 
 
 class TestExitCodes:
@@ -248,6 +268,19 @@ class TestRank:
         assert main(rank_args(corpus_file, ws2)) == 0
         for name in ("papers_full.tsv", "authors_full.tsv", "features_full.tsv"):
             assert (ws1 / name).read_bytes() == (ws2 / name).read_bytes()
+
+    def test_outputs_match_recorded_digests(self, corpus_file, tmp_path, capsys):
+        """Every ranking file of every mode, and a features snapshot, keep
+        the bytes recorded before the feature table became column-ordered
+        arrays: a refactor that moves any byte fails here."""
+        ws = tmp_path / "ws"
+        for mode in MODES:
+            assert main(rank_args(corpus_file, ws, "--mode", mode.replace("_", "-"))) == 0
+        assert main(["features", "--input", str(corpus_file),
+                     "--output", str(ws / "snapshot.tsv")]) == 0
+        digests = {name: hashlib.sha256((ws / name).read_bytes()).hexdigest()
+                   for name in OUTPUT_DIGESTS}
+        assert digests == OUTPUT_DIGESTS
 
     def test_modes_differ(self, corpus_file, tmp_path, capsys):
         ws = tmp_path / "ws"

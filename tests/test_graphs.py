@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse
-from feature_oracle import extract_features
+from feature_oracle import extract_features, feature_key
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import (SparseMatrix, build_coauthor, build_graphs,
                             build_index, column_normalize, decay_weights,
                             operator_blocks)
-from mrfrank.textfeat import build_feature_table, feature_key
+from mrfrank.textfeat import build_feature_table
 
 
 def small_corpus():
@@ -95,7 +95,7 @@ class TestBuildGraphs:
     def test_citation_decay_weight(self):
         corpus, index, gs = small_setup(rho=0.5, t_current=2004)
         dense = gs.citation.to_dense()
-        b, a, c = index.paper_pos["B"], index.paper_pos["A"], index.paper_pos["C"]
+        b, a, c = (index.paper_ids.index(x) for x in "BAC")
         # B (2003) cites A: age 1 year at rho 0.5
         assert dense[b, a] == pytest.approx(math.exp(-0.5))
         # C (2004) cites A and B: age 0
@@ -114,7 +114,7 @@ class TestBuildGraphs:
         index = build_index(corpus, table.features)
         m = build_coauthor(corpus, index, t_current=2004, rho=1.0)
         dense = m.to_dense()
-        u, v = index.author_pos["u"], index.author_pos["v"]
+        u, v = (index.author_ids.index(x) for x in "uv")
         assert dense[u, v] == pytest.approx(1.0 + math.exp(-1.0))
         assert dense[v, u] == dense[u, v]
         assert dense[u, u] == 0.0
@@ -128,8 +128,9 @@ class TestBuildGraphs:
         corpus, index, gs = small_setup()
         d = gs.author_paper.to_dense()
         assert set(np.unique(d)) <= {0.0, 1.0}
-        assert d[index.author_pos["u"], index.paper_pos["A"]] == 1.0
-        assert d[index.author_pos["w"], index.paper_pos["A"]] == 0.0
+        a = index.paper_ids.index("A")
+        assert d[index.author_ids.index("u"), a] == 1.0
+        assert d[index.author_ids.index("w"), a] == 0.0
         assert d.sum() == 5  # A:2 + B:1 + C:2 authors
 
     def test_rho_zero_equals_time_unaware(self):
@@ -163,12 +164,12 @@ class TestBuildGraphs:
         assert np.array_equal(gs.listings.to_dense(), gs.author_paper.to_dense())
         # the pair alpha-beta is in the titles of A and B only, whose
         # authors are u and v
-        a, pair = index.paper_pos["A"], index.feature_pos["p|alpha|beta"]
+        a, pair = index.paper_ids.index("A"), index.feature_ids.index("p|alpha|beta")
         assert gs.feature_counts.to_dense()[a, pair] == 1.0
         assert gs.idf_paper[pair] == math.log(3 / 2)
         assert gs.idf_author[pair] == math.log(3 / 2)
         # alpha is in every paper and used by every author
-        alpha = index.feature_pos["w|alpha"]
+        alpha = index.feature_ids.index("w|alpha")
         assert gs.idf_paper[alpha] == 0.0 and gs.idf_author[alpha] == 0.0
 
 
@@ -191,7 +192,7 @@ class TestOperatorBlocks:
         # B cites only A: full e^{-0.5} (decay survives, count normalizes)
         corpus, index, gs = small_setup(rho=0.5, t_current=2004)
         pp = operator_blocks(gs).pp.to_dense()
-        a, b, c = (index.paper_pos[x] for x in "ABC")
+        a, b, c = (index.paper_ids.index(x) for x in "ABC")
         assert pp[a, c] == pytest.approx(0.5)
         assert pp[b, c] == pytest.approx(0.5)
         assert pp[a, b] == pytest.approx(math.exp(-0.5))
@@ -201,7 +202,7 @@ class TestOperatorBlocks:
         # each of v's coauthors gets its decayed weight over 2
         corpus, index, gs = small_setup(rho=0.5, t_current=2004)
         aa = operator_blocks(gs).aa.to_dense()
-        u, v, w = (index.author_pos[x] for x in "uvw")
+        u, v, w = (index.author_ids.index(x) for x in "uvw")
         assert aa[u, v] == pytest.approx(math.exp(-0.5 * 4) / 2)
         assert aa[w, v] == pytest.approx(1.0 / 2)
         assert aa[v, u] == pytest.approx(math.exp(-0.5 * 4))
@@ -253,24 +254,24 @@ class TestOperatorBlocks:
             gs = build_graphs(corpus, index, table, t_cur, rho)
             blocks = operator_blocks(gs)
             papers = [corpus.papers[pid] for pid in index.paper_ids]
-            apos = index.author_pos
+            apos = {a: i for i, a in enumerate(index.author_ids)}
 
             # feature table: retained features, window counts, lambdas
             feats = [extract_features(p) for p in papers]
             df = Counter(f for counts in feats for f in counts)
             kept = sorted((f for f in df if df[f] >= 2), key=feature_key)
-            assert [feature_key(f) for f in kept] == list(index.feature_ids)
-            assert set(table.features) == set(kept)
+            assert tuple(map(feature_key, kept)) == index.feature_ids == table.features
             origin = min(p.year for p in papers)
             n_windows = (max(p.year for p in papers) - origin) // window_years + 1
-            for f in kept:
+            assert table.n_windows == n_windows
+            for c, f in enumerate(kept):
                 windows = Counter((p.year - origin) // window_years
                                   for p, counts in zip(papers, feats) if f in counts)
-                stats = table.features[f]
-                assert stats.window_freqs == dict(windows)
-                assert stats.doc_freq == df[f]
-                assert stats.first_seen == min(windows)
-                assert stats.lambda_i == df[f] / (n_windows - min(windows))
+                assert (table.window_counts[c].tolist()
+                        == [windows[w] for w in range(n_windows)])
+                assert table.doc_freq[c] == df[f]
+                assert table.first_seen[c] == min(windows)
+                assert table.lam[c] == df[f] / (n_windows - min(windows))
 
             # tf-idf factors: an author listed twice on a paper counts it
             # twice in L

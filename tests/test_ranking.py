@@ -183,7 +183,8 @@ class TestFactoredTerms:
         idx = gs.index
         col = {key: j for j, key in enumerate(idx.feature_ids)}
         assert gs.idf_author[col["w|alpha"]] == 0.0 < gs.idf_paper[col["w|alpha"]]
-        assert gs.listings.to_dense()[idx.author_pos["u"], idx.paper_pos["B"]] == 2.0
+        pos = {x: i for ids in (idx.paper_ids, idx.author_ids) for i, x in enumerate(ids)}
+        assert gs.listings.to_dense()[pos["u"], pos["B"]] == 2.0
 
         e = rng.random(idx.k) + 0.05
         hp = random_hyperparams(rng, mode=mode)
@@ -194,10 +195,10 @@ class TestFactoredTerms:
         combined = assemble_combined(gs, e, hp)
         n, m = idx.n, idx.m
         # x's features all have idf_a 0: nothing flows from x to features
-        assert np.all(combined[n + m:, n + idx.author_pos["x"]] == 0.0)
+        assert np.all(combined[n + m:, n + pos["x"]] == 0.0)
         if featureless:
-            assert gs.feature_counts.to_dense()[idx.paper_pos["D"]].sum() == 0.0
-            assert np.all(combined[n + m:, idx.paper_pos["D"]] == 0.0)
+            assert gs.feature_counts.to_dense()[pos["D"]].sum() == 0.0
+            assert np.all(combined[n + m:, pos["D"]] == 0.0)
         else:
             assert gs.idf_paper[col["w|common"]] == 0.0
             assert np.all(combined[:n + m, n + m + col["w|common"]] == 0.0)
@@ -311,14 +312,9 @@ class TestAssembleCombined:
 
 class TestRankEntities:
     def test_descending_with_id_tiebreak(self):
-        ranked = rank_entities(np.array([0.2, 0.5, 0.2]), ["c", "b", "a"])
+        ranked = rank_entities(np.array([0.2, 0.5, 0.2, 0.2]), ["a", "b", "c", "d"])
         assert [(r.rank, r.entity_id) for r in ranked] == [
-            (1, "b"), (2, "a"), (3, "c")]
-
-    def test_cohort_filter_renumbers(self):
-        ranked = rank_entities(np.array([0.4, 0.3, 0.2, 0.1]),
-                               ["p1", "p2", "p3", "p4"], cohort={"p2", "p4"})
-        assert [(r.rank, r.entity_id) for r in ranked] == [(1, "p2"), (2, "p4")]
+            (1, "b"), (2, "a"), (3, "c"), (4, "d")]
 
     def test_write_ranking(self, tmp_path):
         ranked = rank_entities(np.array([0.75, 0.25]), ["x", "y"])

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -10,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feature_oracle as oracle
-from feature_oracle import extract_features, tokenize
+from feature_oracle import extract_features, feature_key, tokenize
 from mrfrank.corpus import PaperRecord, parse_corpus
 from mrfrank import textfeat
 from mrfrank.graphs import build_graphs, build_index, build_listings
-from mrfrank.textfeat import (FeatureStats, FeatureTable, build_feature_table,
-                              feature_key, idf_author, idf_paper, innovativeness,
-                              innovativeness_at_window, load_stopwords)
+from mrfrank.textfeat import (FeatureTable, build_feature_table, idf_author,
+                              idf_paper, innovativeness_at_window, load_stopwords,
+                              write_feature_table)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -84,46 +85,42 @@ class TestFeatureTable:
 
     def test_min_df_filter(self):
         table = build_feature_table(self.make_corpus(), min_df=3)
-        assert ("w", "alpha") in table.features
-        assert ("w", "rare") not in table.features
-        assert ("w", "beta") not in table.features  # df == 2
+        assert "w|alpha" in table.features
+        assert "w|rare" not in table.features
+        assert "w|beta" not in table.features  # df == 2
 
     def test_window_freqs_count_papers(self):
         table = build_feature_table(self.make_corpus(), min_df=1)
-        s = table.features[("w", "alpha")]
-        assert s.window_freqs == {0: 1, 1: 1, 2: 1}
-        assert s.doc_freq == 3
-        b = table.features[("w", "beta")]
-        assert b.window_freqs == {1: 1, 2: 1}
-        assert b.first_seen == 1
+        alpha = table.features.index("w|alpha")
+        assert table.window_counts[alpha].tolist() == [1, 1, 1]
+        assert table.doc_freq[alpha] == 3
+        beta = table.features.index("w|beta")
+        assert table.window_counts[beta].tolist() == [0, 1, 1]
+        assert table.first_seen[beta] == 1
 
     def test_lambda_lifetime_vs_full(self):
-        table = build_feature_table(self.make_corpus(), min_df=1,
-                                    lambda_lifetime=True)
+        """A feature's mean runs over its lifetime, not over every window."""
+        table = build_feature_table(self.make_corpus(), min_df=1)
         # beta: first seen window 1 of 3 windows -> span 2, sum 2
-        assert table.features[("w", "beta")].lambda_i == pytest.approx(1.0)
-        full = build_feature_table(self.make_corpus(), min_df=1,
-                                   lambda_lifetime=False)
-        assert full.features[("w", "beta")].lambda_i == pytest.approx(2 / 3)
+        assert table.lam[table.features.index("w|beta")] == pytest.approx(1.0)
 
     def test_global_lambda_is_mean_of_means(self):
         table = build_feature_table(self.make_corpus(), min_df=1)
-        lams = [s.lambda_i for s in table.features.values()]
-        assert table.global_lambda == pytest.approx(sum(lams) / len(lams))
+        assert table.global_lambda == pytest.approx(table.lam.mean())
 
     def test_paper_features_filtered_to_retained(self):
         table = build_feature_table(self.make_corpus(), min_df=3)
-        assert list(table.features) == [("w", "alpha")]
+        assert table.features == ("w|alpha",)
         # alpha is column 0; A holds it twice, B and C once
         assert table.rows.tolist() == [0, 1, 2]
         assert table.cols.tolist() == [0, 0, 0]
-        assert table.counts.tolist() == [2, 1, 1]
+        assert table.counts.tolist() == [2.0, 1.0, 1.0]
 
     def test_columns_in_feature_key_order(self):
         corpus = self.make_corpus()
         table = build_feature_table(corpus, min_df=1)
         index = build_index(corpus, table.features)
-        assert list(table.features) == sorted(table.features)
+        assert index.feature_ids == table.features == tuple(sorted(table.features))
         for row, col, count in zip(table.rows, table.cols, table.counts):
             pid = index.paper_ids[row]
             feat = tuple(index.feature_ids[col].split("|"))
@@ -139,26 +136,35 @@ class TestFeatureTable:
     def test_window_years(self):
         table = build_feature_table(self.make_corpus(), window_years=2, min_df=1)
         assert table.n_windows == 2
-        assert table.window_of(2001) == 0
-        assert table.window_of(2002) == 1
+        # 2000 and 2001 share window 0, 2002 is window 1
+        assert table.window_counts[table.features.index("w|alpha")].tolist() == [2, 1]
 
     def test_empty_corpus(self):
         corpus, _ = parse_corpus([])
         table = build_feature_table(corpus)
-        assert table.features == {}
+        assert table.features == ()
         assert table.global_lambda == 0.0
         assert table.rows.size == table.cols.size == table.counts.size == 0
 
 
 def make_table(window_freqs, lam_i, lam_global, first_seen=0, n_windows=None):
+    """A table of the one feature ``w|f``, with the papers per window given
+    as {window: count}."""
     if n_windows is None:
         n_windows = max(window_freqs) + 1
-    stats = FeatureStats(feature=("w", "f"), window_freqs=dict(window_freqs),
-                         first_seen=first_seen, doc_freq=sum(window_freqs.values()),
-                         lambda_i=lam_i)
-    table = FeatureTable(features={("w", "f"): stats}, global_lambda=lam_global,
-                         window_years=1, origin_year=2000, n_windows=n_windows)
-    return stats, table
+    counts = np.zeros((1, n_windows), dtype=np.int64)
+    for w, c in window_freqs.items():
+        counts[0, w] = c
+    return FeatureTable(features=("w|f",), global_lambda=lam_global, window_years=1,
+                        origin_year=2000, n_windows=n_windows,
+                        doc_freq=counts.sum(axis=1), first_seen=np.array([first_seen]),
+                        lam=np.array([lam_i]), window_counts=counts)
+
+
+def innovativeness(table, j, rho, u=3):
+    """The one feature's score at window j."""
+    [score] = innovativeness_at_window(table, j, rho, u).tolist()
+    return score
 
 
 class TestInnovativeness:
@@ -166,8 +172,8 @@ class TestInnovativeness:
         # frequencies [0, 0, 2, 8], lambda_i = 2.5, global lambda = 2,
         # u = 3, no decay; independently recomputed with exact fractions
         # by fixtures/burst_oracle.py: 209/15
-        stats, table = make_table({2: 2, 3: 8}, 2.5, 2.0)
-        score = innovativeness(stats, table, 3, rho=0.0, u=3)
+        table = make_table({2: 2, 3: 8}, 2.5, 2.0)
+        score = innovativeness(table, 3, rho=0.0, u=3)
         assert score == pytest.approx(209 / 15, abs=1e-12)
 
     def test_oracle_fixture_agrees(self):
@@ -177,41 +183,41 @@ class TestInnovativeness:
         assert out.stdout.split() == ["209/15", "13.933333333333334"]
 
     def test_decay_scales_exponentially(self):
-        stats, table = make_table({2: 2, 3: 8}, 2.5, 2.0)
-        base = innovativeness(stats, table, 3, rho=0.0)
-        decayed = innovativeness(stats, table, 3, rho=0.5)
+        table = make_table({2: 2, 3: 8}, 2.5, 2.0)
+        base = innovativeness(table, 3, rho=0.0)
+        decayed = innovativeness(table, 3, rho=0.5)
         assert decayed == pytest.approx(base * math.exp(-0.5 * 3), rel=1e-12)
 
     def test_constant_series_scores_zero(self):
-        stats, table = make_table({0: 4, 1: 4, 2: 4, 3: 4}, 4.0, 3.0)
-        assert innovativeness(stats, table, 3, rho=0.0) == 0.0
+        table = make_table({0: 4, 1: 4, 2: 4, 3: 4}, 4.0, 3.0)
+        assert innovativeness(table, 3, rho=0.0) == 0.0
 
     def test_declining_series_clamped_to_zero(self):
-        stats, table = make_table({0: 9, 1: 6, 2: 3, 3: 1}, 4.75, 3.0)
-        assert innovativeness(stats, table, 3, rho=0.2) == 0.0
+        table = make_table({0: 9, 1: 6, 2: 3, 3: 1}, 4.75, 3.0)
+        assert innovativeness(table, 3, rho=0.2) == 0.0
         # latest count at its mean (zero deviation) after a decline: the
         # product is -0.0, and the clamp must return +0.0
-        stats, table = make_table({0: 8, 1: 6, 2: 4, 3: 4}, 4.0, 3.0)
-        score = innovativeness(stats, table, 3, rho=0.2)
+        table = make_table({0: 8, 1: 6, 2: 4, 3: 4}, 4.0, 3.0)
+        score = innovativeness(table, 3, rho=0.2)
         assert score == 0.0 and math.copysign(1.0, score) == 1.0
 
     def test_pre_first_seen_windows_read_zero(self):
         # first seen at window 2: lookback to windows 0, 1 uses frequency 0
-        stats, table = make_table({2: 2, 3: 8}, 5.0, 2.0, first_seen=2)
-        score = innovativeness(stats, table, 3, rho=0.0, u=3)
+        table = make_table({2: 2, 3: 8}, 5.0, 2.0, first_seen=2)
+        score = innovativeness(table, 3, rho=0.0, u=3)
         # s=1: (8-2)/5, s=2: 8/5 * 1/2, s=3: 8/5 * 1/3
         expected = (abs(8 - 5.0) / 2.0) * (6 / 5 + 8 / 5 / 2 + 8 / 5 / 3)
         assert score == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_lambdas_give_zero(self):
-        stats, table = make_table({3: 8}, 0.0, 2.0)
-        assert innovativeness(stats, table, 3, rho=0.0) == 0.0
-        stats2, table2 = make_table({3: 8}, 2.0, 0.0)
-        assert innovativeness(stats2, table2, 3, rho=0.0) == 0.0
+        table = make_table({3: 8}, 0.0, 2.0)
+        assert innovativeness(table, 3, rho=0.0) == 0.0
+        table2 = make_table({3: 8}, 2.0, 0.0)
+        assert innovativeness(table2, 3, rho=0.0) == 0.0
 
     def test_window_before_first_occurrence_zero(self):
-        stats, table = make_table({2: 2, 3: 8}, 2.5, 2.0, first_seen=2)
-        assert innovativeness(stats, table, 1, rho=0.0) == 0.0
+        table = make_table({2: 2, 3: 8}, 2.5, 2.0, first_seen=2)
+        assert innovativeness(table, 1, rho=0.0) == 0.0
 
     def test_at_window_covers_all_features(self):
         corpus, _ = parse_corpus([
@@ -219,8 +225,8 @@ class TestInnovativeness:
              "authors": ["u"], "year": 2000 + i, "refs": []} for i in range(4)])
         table = build_feature_table(corpus, min_df=3)
         e = innovativeness_at_window(table, 3, rho=0.2)
-        assert set(e) == set(table.features)
-        assert all(v >= 0.0 for v in e.values())
+        assert e.shape == (len(table.features),) and len(table.features) > 0
+        assert np.all(e >= 0.0)
 
     @given(st.lists(st.integers(0, 20), min_size=4, max_size=8),
            st.floats(0.0, 1.0))
@@ -231,9 +237,9 @@ class TestInnovativeness:
             return
         first = min(window_freqs)
         lam_i = sum(freqs) / (len(freqs) - first)
-        stats, table = make_table(window_freqs, lam_i, 2.0, first_seen=first,
-                                  n_windows=len(freqs))
-        score = innovativeness(stats, table, len(freqs) - 1, rho=rho)
+        table = make_table(window_freqs, lam_i, 2.0, first_seen=first,
+                           n_windows=len(freqs))
+        score = innovativeness(table, len(freqs) - 1, rho=rho)
         assert score >= 0.0 and math.isfinite(score)
 
 
@@ -264,8 +270,8 @@ class TestTfidf:
     def weight(self, index, matrix, entity, key):
         """Entry of a tf-idf matrix: a paper row for an upper-case id, an
         author row for a lower-case one."""
-        pos = index.paper_pos if entity.isupper() else index.author_pos
-        return matrix[pos[entity], index.feature_pos[key]]
+        ids = index.paper_ids if entity.isupper() else index.author_ids
+        return matrix[ids.index(entity), index.feature_ids.index(key)]
 
     def test_paper_weights(self):
         corpus, table = self.make()
@@ -309,8 +315,8 @@ class TestTfidf:
         table = build_feature_table(corpus, min_df=1)
         index = build_index(corpus, table.features)
         listings = build_listings(corpus, index).to_dense()
-        assert listings[index.author_pos["u"], index.paper_pos["A"]] == 2.0
-        assert listings[index.author_pos["v"], index.paper_pos["B"]] == 1.0
+        assert listings[index.author_ids.index("u"), index.paper_ids.index("A")] == 2.0
+        assert listings[index.author_ids.index("v"), index.paper_ids.index("B")] == 1.0
         index, _, w = self.tfidf(corpus, table)
         assert self.weight(index, w, "u", "w|alpha") == 2 * math.log(3 / 2)
         assert self.weight(index, w, "v", "w|alpha") == math.log(3 / 2)
@@ -330,7 +336,7 @@ class TestTfidf:
             used = np.zeros((index.m, index.k), dtype=bool)
             for row, col in zip(table.rows.tolist(), table.cols.tolist()):
                 for a in papers[row].author_ids:
-                    used[index.author_pos[a], col] = True
+                    used[index.author_ids.index(a), col] = True
             expect = np.array([math.log(index.m / u) for u in used.sum(axis=0)])
             for size in (1, 2, 3, 7, 1 << 20):
                 monkeypatch.setattr(textfeat, "AUTHOR_SLICE_KEYS", size)
@@ -368,13 +374,15 @@ def test_brute_force_window_recount(rng):
         for f in feats:
             expected.setdefault(f, Counter())[j] += 1
             doc_freq[f] += 1
-    for feat, stats in table.features.items():
+    for c, key in enumerate(table.features):
+        feat = tuple(key.split("|"))
         assert doc_freq[feat] >= 3
-        assert stats.window_freqs == dict(expected[feat])
-        span = table.n_windows - stats.first_seen
-        assert stats.lambda_i == pytest.approx(sum(expected[feat].values()) / span)
+        assert ({w: n for w, n in enumerate(table.window_counts[c].tolist()) if n}
+                == dict(expected[feat]))
+        span = table.n_windows - table.first_seen[c]
+        assert table.lam[c] == pytest.approx(sum(expected[feat].values()) / span)
     for feat, df in doc_freq.items():
-        assert (feat in table.features) == (df >= 3)
+        assert (feature_key(feat) in table.features) == (df >= 3)
 
 
 # "ab" is a prefix of "abc" and "abd", so their pair keys sort differently
@@ -406,35 +414,99 @@ def feature_case(draw):
                for i in range(draw(st.integers(0, 8)))]
     stopwords = load_stopwords() if draw(st.booleans()) else frozenset(_STOPWORDS)
     return records, dict(window_years=draw(st.integers(1, 3)),
-                         min_df=draw(st.integers(1, 3)), stopwords=stopwords,
-                         lambda_lifetime=draw(st.booleans()))
+                         min_df=draw(st.integers(1, 3)), stopwords=stopwords)
+
+
+def oracle_stats(table, expected):
+    """The oracle's statistics of each of ``table``'s columns."""
+    return [expected.features[tuple(key.split("|"))] for key in table.features]
 
 
 def assert_same_table(table, expected):
-    assert list(table.features) == list(expected.features)
-    for feat, stats in expected.features.items():
-        assert table.features[feat] == stats
+    """The array table holds the oracle's statistics, column by column, and
+    its entries in canonical (row, col) order."""
+    assert list(table.features) == sorted(map(feature_key, expected.features))
+    for c, s in enumerate(oracle_stats(table, expected)):
+        assert (table.window_counts[c].tolist()
+                == [s.window_freqs.get(w, 0) for w in range(table.n_windows)])
+        assert ((table.doc_freq[c], table.first_seen[c], table.lam[c])
+                == (s.doc_freq, s.first_seen, s.lambda_i))
     assert table.global_lambda == expected.global_lambda
     assert ((table.window_years, table.origin_year, table.n_windows)
             == (expected.window_years, expected.origin_year, expected.n_windows))
-    for t in (table, expected):
-        assert (t.rows.dtype, t.cols.dtype, t.counts.dtype) == (np.int64,) * 3
-        assert np.all(np.diff(t.rows) >= 0)
-    assert (set(zip(table.rows.tolist(), table.cols.tolist(), table.counts.tolist()))
-            == set(zip(expected.rows.tolist(), expected.cols.tolist(),
-                       expected.counts.tolist())))
-    assert table.rows.size == expected.rows.size
+    assert ((table.rows.dtype, table.cols.dtype, table.counts.dtype)
+            == (np.int64, np.int64, np.float64))
+    assert np.all(np.diff(table.rows) >= 0)
+    assert (list(zip(table.rows.tolist(), table.cols.tolist(), table.counts.tolist()))
+            == sorted(zip(expected.rows.tolist(), expected.cols.tolist(),
+                          expected.counts.tolist())))
 
 
 @given(feature_case())
 @settings(max_examples=200, deadline=None)
 def test_table_matches_oracle(case):
     """The token-id feature table equals the tuple-keyed oracle's, field by
-    field; the COO entries may be in another order within a row."""
+    field."""
     records, kwargs = case
     corpus, _ = parse_corpus(records)
     assert_same_table(build_feature_table(corpus, **kwargs),
                       oracle.build_feature_table(corpus, **kwargs))
+
+
+def bits(values) -> list[int]:
+    """The float64 bit patterns of ``values``, so that -0.0 != 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@given(feature_case(), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_innovativeness_matches_oracle(case, rho):
+    """The vectorised burst scores equal the oracle's per-feature scalar
+    scores bit for bit, at every window and for u from 1 to 4."""
+    records, kwargs = case
+    corpus, _ = parse_corpus(records)
+    table = build_feature_table(corpus, **kwargs)
+    expected = oracle.build_feature_table(corpus, **kwargs)
+    stats = oracle_stats(table, expected)
+    for j in range(table.n_windows):
+        for u in range(1, 5):
+            assert (bits(innovativeness_at_window(table, j, rho, u))
+                    == bits([oracle.innovativeness(s, expected, j, rho, u)
+                             for s in stats]))
+
+
+def snapshot_bytes(write, table, rho, u) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "features.tsv")
+        write(table, path, rho, u)
+        return path.read_bytes()
+
+
+@given(feature_case(), st.floats(0.0, 1.0), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_snapshot_matches_oracle(case, rho, u):
+    """The ``features`` snapshot has the oracle writer's bytes: its rows in
+    tuple order, which differs from the table's key order where one word
+    is a prefix of another ("ab", "abc", "abd")."""
+    records, kwargs = case
+    corpus, _ = parse_corpus(records)
+    assert (snapshot_bytes(write_feature_table, build_feature_table(corpus, **kwargs),
+                           rho, u)
+            == snapshot_bytes(oracle.write_feature_table,
+                              oracle.build_feature_table(corpus, **kwargs), rho, u))
+
+
+def test_snapshot_rows_in_tuple_order():
+    corpus, _ = parse_corpus([
+        {"id": f"P{i}", "title": "ab abc abd", "abstract": "",
+         "authors": ["u"], "year": 2000 + i, "refs": []} for i in range(3)])
+    table = build_feature_table(corpus, min_df=1)
+    # key order puts "p|abc|abd" first, tuple order "p|ab|abc"
+    assert table.features[0] == "p|abc|abd"
+    expected = oracle.build_feature_table(corpus, min_df=1)
+    snapshot = snapshot_bytes(write_feature_table, table, 0.2, 3)
+    assert snapshot == snapshot_bytes(oracle.write_feature_table, expected, 0.2, 3)
+    assert snapshot.decode().splitlines()[2].startswith("p\tab abc\t")
 
 
 def test_all_stopwords_corpus_has_no_features():
@@ -443,4 +515,4 @@ def test_all_stopwords_corpus_has_no_features():
          "authors": ["u"], "year": 2000 + i, "refs": []} for i in range(3)])
     table = build_feature_table(corpus, min_df=1)
     assert_same_table(table, oracle.build_feature_table(corpus, min_df=1))
-    assert table.features == {} and table.n_windows == 3
+    assert table.features == () and table.n_windows == 3
