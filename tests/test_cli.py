@@ -45,8 +45,8 @@ def rank_args(corpus_file, workspace, *extra):
             "--max-iterations", "3000", *extra]
 
 
-# sha256 of the files ``rank`` (all four modes) and ``features`` write for
-# ``tiny_records()``
+# sha256 of the files ``rank`` (all four modes), ``features`` and ``eval``
+# (``EVAL_PROTOCOL`` over those rankings) write for ``tiny_records()``
 OUTPUT_DIGESTS = {
     "authors_full.tsv": "394fc54987702d710a5235f347a179b705c7d366d2b67b56704e5f1f2905f67b",
     "authors_no_content.tsv": "a95985affdba28abb0365c18d5d15e6ec4a91ab10d184b52dba85199792650e0",
@@ -61,7 +61,13 @@ OUTPUT_DIGESTS = {
     "papers_no_time.tsv": "161050dd8781068d8a317f8bfcfb3ec02a303e1f10ac3435455cdd36059248fc",
     "papers_no_time_no_content.tsv": "e2d717d9983f2cb34c697ea6c59621a165cd2ca74c015181de888b228630d4ec",
     "snapshot.tsv": "1c2d289cb93364e8cc693373a3a1020cda99dff8891771533df81f2879614c57",
+    "eval.tsv": "fe560dc98d6c2d2566d3989f1424a61e698cdbe3c717d506f1868650cf6d809c",
 }
+# a cutoff before the ranking's, so ranked papers outside the sub-corpus are
+# skipped; paper and author cohorts with non-zero RI, an author cohort smaller
+# than k = 3 and an empty cohort (2004)
+EVAL_PROTOCOL = {"cutoff_year": 2002, "horizon_year": 2005,
+                 "cohort_years": [1996, 1997, 1999, 2000, 2004], "ks": [1, 2, 3]}
 
 
 class TestExitCodes:
@@ -270,14 +276,20 @@ class TestRank:
             assert (ws1 / name).read_bytes() == (ws2 / name).read_bytes()
 
     def test_outputs_match_recorded_digests(self, corpus_file, tmp_path, capsys):
-        """Every ranking file of every mode, and a features snapshot, keep
-        the bytes recorded before the feature table became column-ordered
-        arrays: a refactor that moves any byte fails here."""
+        """Every ranking file of every mode, a features snapshot and the
+        evaluation of all four modes keep the bytes recorded before the
+        feature table and the evaluation became arrays: a refactor that
+        moves any byte fails here."""
         ws = tmp_path / "ws"
         for mode in MODES:
             assert main(rank_args(corpus_file, ws, "--mode", mode.replace("_", "-"))) == 0
         assert main(["features", "--input", str(corpus_file),
                      "--output", str(ws / "snapshot.tsv")]) == 0
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps({
+            "corpus": str(corpus_file), "workspace": str(ws),
+            "preprocess": {"min_year": 1990}, "protocol": EVAL_PROTOCOL}))
+        assert main(["eval", "--config", str(cfg)]) == 0
         digests = {name: hashlib.sha256((ws / name).read_bytes()).hexdigest()
                    for name in OUTPUT_DIGESTS}
         assert digests == OUTPUT_DIGESTS
