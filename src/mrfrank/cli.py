@@ -14,6 +14,8 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
 from . import graphs as graphs_mod
@@ -296,15 +298,11 @@ def cmd_rank(args) -> int:
 
     mode = hp.mode
     ws = cfg.workspace
-    ranking_mod.write_ranking(
-        ranking_mod.rank_entities(state.a_paper, index.paper_ids),
-        ws / f"papers_{mode}.tsv", conv.converged)
-    ranking_mod.write_ranking(
-        ranking_mod.rank_entities(state.a_author, index.author_ids),
-        ws / f"authors_{mode}.tsv", conv.converged)
-    ranking_mod.write_ranking(
-        ranking_mod.rank_entities(state.a_feature, index.feature_ids),
-        ws / f"features_{mode}.tsv", conv.converged)
+    for kind, ids, scores in (("papers", index.paper_ids, state.a_paper),
+                              ("authors", index.author_ids, state.a_author),
+                              ("features", index.feature_ids, state.a_feature)):
+        ranking_mod.write_ranking(ws / f"{kind}_{mode}.tsv", ids, scores,
+                                  conv.converged)
     ranking_mod.write_convergence(conv, ws / f"convergence_{mode}.tsv")
 
     if not conv.converged:
@@ -315,52 +313,68 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _read_ranking(path) -> list[str]:
-    ids = []
+def _read_ranking(path, positions: dict[str, int]) -> np.ndarray:
+    """The positions of a ranking file's ids, in file order.  Ids not in
+    ``positions`` are skipped: they are in no cohort."""
+    ranked, seen = [], set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("#") or line.startswith("rank\t"):
                 continue
-            ids.append(line.split("\t")[1])
-    return ids
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) < 2 or not fields[1]:
+                raise DataError(f"{path} line {lineno}: no id column")
+            eid = fields[1]
+            if eid in seen:
+                raise DataError(f"{path} line {lineno}: id {eid!r} listed twice")
+            seen.add(eid)
+            if eid in positions:
+                ranked.append(positions[eid])
+    return np.array(ranked, dtype=np.int64)
+
+
+# per cohort kind: its eval.tsv letter, its ranking file prefix, and the
+# ``evaluate`` function that finds its members, also its name in warnings
+_COHORTS = (("P", "papers", "papers_of_year"), ("A", "authors", "authors_starting_year"))
 
 
 def cmd_eval(args) -> int:
     cfg = load_config(args)
     sub, gt, _ = _pipeline(cfg)
     ws = cfg.workspace
+    years = f"{sub.years.min()}-{sub.years.max()}" if len(sub) else "none"
+    log.info("ranked sub-corpus: %d papers, years %s", len(sub), years)
+    cohorts = [(year, kind, getattr(eval_mod, name)(sub, year))
+               for year in cfg.cohort_years for kind, (_, _, name) in enumerate(_COHORTS)]
+    if not any(cohort.size for _, _, cohort in cohorts):
+        raise DataError(f"protocol.cohort_years {list(cfg.cohort_years)} give no paper "
+                        f"or author cohort in the ranked sub-corpus (years {years})")
 
-    methods: dict[str, tuple[list[str] | None, list[str] | None]] = {}
+    positions = [{eid: i for i, eid in enumerate(ids)}
+                 for ids in (sub.papers, sub.authors)]
+    rankings: dict[str, list[np.ndarray | None]] = {}
     for mode in MODES:
-        ppath = ws / f"papers_{mode}.tsv"
-        apath = ws / f"authors_{mode}.tsv"
-        if ppath.exists() or apath.exists():
-            methods[mode] = (
-                _read_ranking(ppath) if ppath.exists() else None,
-                _read_ranking(apath) if apath.exists() else None,
-            )
-    if not methods:
+        paths = [ws / f"{prefix}_{mode}.tsv" for _, prefix, _ in _COHORTS]
+        if any(p.exists() for p in paths):
+            rankings[mode] = [_read_ranking(p, pos) if p.exists() else None
+                              for p, pos in zip(paths, positions)]
+    if not rankings:
         raise DataError(f"no ranking files found in workspace {ws}")
 
     counts = eval_mod.citation_counts(sub)
+    future = (gt.papers, gt.authors)
     rows = []
-    for year in cfg.cohort_years:
-        cohorts = {"P": eval_mod.papers_of_year(sub, year),
-                   "A": eval_mod.authors_starting_year(sub, year)}
-        for kind, cohort in cohorts.items():
-            if not cohort.member_ids:
-                log.warning("empty %s cohort for year %d, omitted",
-                            cohort.kind, year)
-                continue
-            for method in sorted(methods):
-                ranked = methods[method][0 if kind == "P" else 1]
-                if ranked is None:
-                    continue
-                for res in eval_mod.evaluate_run(ranked, gt, cohort, list(cfg.ks)):
-                    rows.append((year, method, kind, res.k, res.total_ri))
-            cc = eval_mod.citation_count_baseline(counts, cohort)
-            for res in eval_mod.evaluate_run(cc, gt, cohort, list(cfg.ks)):
-                rows.append((year, "cc", kind, res.k, res.total_ri))
+    for year, kind, cohort in cohorts:
+        letter, _, name = _COHORTS[kind]
+        if not cohort.size:
+            log.warning("empty %s cohort for year %d, omitted", name, year)
+            continue
+        runs = [(m, rankings[m][kind]) for m in sorted(rankings)
+                if rankings[m][kind] is not None]
+        runs.append(("cc", cohort[ranking_mod.rank_entities(counts[kind][cohort])]))
+        for method, ranked in runs:
+            for k, ri in eval_mod.evaluate_run(ranked, future[kind], cohort, cfg.ks):
+                rows.append((year, method, letter, k, ri))
 
     out = ws / "eval.tsv"
     with open(out, "w", encoding="utf-8") as fh:
@@ -375,10 +389,14 @@ def render_report(eval_path) -> str:
     """Aligned per-year table: method rows, (k, P/A) columns."""
     rows = []
     with open(eval_path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            year, method, kind, k, ri = line.rstrip("\n").split("\t")
-            rows.append((int(year), method, kind, int(k), float(ri)))
+        if next(fh, None) is None:
+            raise DataError(f"{eval_path} line 1: no header line")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                year, method, kind, k, ri = line.rstrip("\n").split("\t")
+                rows.append((int(year), method, kind, int(k), float(ri)))
+            except ValueError as exc:
+                raise DataError(f"{eval_path} line {lineno}: {exc}") from None
     if not rows:
         return "(no evaluation rows)\n"
     years = sorted({r[0] for r in rows})

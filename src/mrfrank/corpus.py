@@ -37,25 +37,19 @@ class PaperRecord:
     references: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AuthorRecord:
-    author_id: str
-    name: str
-    first_pub_year: int
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Papers and authors keyed by id, in sorted id order.  A paper's or an
-    author's position is its index in that order; the arrays refer to
-    papers and authors by position."""
+    """Papers keyed by id and author ids, both in sorted id order.  A
+    paper's or an author's position is its index in that order; the arrays
+    refer to papers and authors by position."""
 
     papers: dict[str, PaperRecord]
-    authors: dict[str, AuthorRecord]
+    authors: tuple[str, ...]
     # E x 2 (citing, cited) positions, deduplicated, grouped by citing
     # paper in the order of its references
     citation_edges: np.ndarray
     years: np.ndarray            # N publication years
+    first_year: np.ndarray       # M first publication years of the authors
     # one (paper, author) pair per listing, grouped by paper in the order of
     # its author list; an author listed twice on a paper gives two listings
     listing_papers: np.ndarray
@@ -75,7 +69,7 @@ class Corpus:
         listed = keep[self.listing_papers]
         return _corpus(papers, self.years[keep], new_pos[edges],
                        new_pos[self.listing_papers[listed]],
-                       self.listing_authors[listed], list(self.authors))
+                       self.listing_authors[listed], self.authors)
 
     def sum_over_authors(self, per_paper: np.ndarray) -> np.ndarray:
         """Per author, the sum of ``per_paper`` over the author's listings."""
@@ -85,7 +79,7 @@ class Corpus:
 
 def _corpus(papers: dict[str, PaperRecord], years: np.ndarray, edges: np.ndarray,
             listing_papers: np.ndarray, listing_authors: np.ndarray,
-            author_ids: list[str]) -> Corpus:
+            author_ids: list[str] | tuple[str, ...]) -> Corpus:
     """A Corpus over ``papers`` (sorted by id), keeping the authors of
     ``author_ids`` (sorted) that some listing names, renumbered in order."""
     listed = np.zeros(len(author_ids), dtype=bool)
@@ -93,10 +87,10 @@ def _corpus(papers: dict[str, PaperRecord], years: np.ndarray, edges: np.ndarray
     listing_authors = (np.cumsum(listed) - 1)[listing_authors]
     first = np.full(int(listed.sum()), np.iinfo(np.int64).max)
     np.minimum.at(first, listing_authors, years[listing_papers])
-    kept = [author_ids[i] for i in np.flatnonzero(listed).tolist()]
-    authors = {a: AuthorRecord(a, a, y) for a, y in zip(kept, first.tolist())}
+    authors = tuple(author_ids[i] for i in np.flatnonzero(listed).tolist())
     return Corpus(papers=papers, authors=authors, citation_edges=edges, years=years,
-                  listing_papers=listing_papers, listing_authors=listing_authors)
+                  first_year=first, listing_papers=listing_papers,
+                  listing_authors=listing_authors)
 
 
 @dataclass
@@ -143,12 +137,14 @@ class FilterReport:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    cutoff_year: int
-    horizon_year: int
-    paper_future_citations: dict[str, int]
-    author_future_citations: dict[str, int]
+    """Citations from papers in (cutoff, horizon], by position in the
+    ranked sub-corpus: per paper, and per author summed over the author's
+    listings."""
+
+    papers: np.ndarray
+    authors: np.ndarray
 
 
 def malformed_reason(rec) -> str | None:
@@ -288,12 +284,7 @@ def split_ground_truth(corpus: Corpus, cutoff_year: int,
     paper_future = np.bincount(cited[future], minlength=len(corpus))[pre]
     sub = corpus.subset(pre)
     author_future = sub.sum_over_authors(paper_future).astype(np.int64)
-
-    gt = GroundTruth(cutoff_year=cutoff_year, horizon_year=horizon_year,
-                     paper_future_citations=dict(zip(sub.papers, paper_future.tolist())),
-                     author_future_citations=dict(zip(sub.authors,
-                                                      author_future.tolist())))
-    return sub, gt
+    return sub, GroundTruth(papers=paper_future, authors=author_future)
 
 
 def read_native(path) -> list[dict | None]:

@@ -37,7 +37,7 @@ class EntityIndex:
 def build_index(corpus: Corpus, features) -> EntityIndex:
     """Papers, authors and ``features`` (the feature table's keys) in
     position order; the corpus and the table hold them sorted."""
-    return EntityIndex(tuple(corpus.papers), tuple(corpus.authors), tuple(features))
+    return EntityIndex(tuple(corpus.papers), corpus.authors, tuple(features))
 
 
 def decay_weights(years: np.ndarray, t_current: int, rho: float) -> np.ndarray:

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import count
-from typing import NamedTuple
 
 import numpy as np
 
@@ -274,28 +272,24 @@ def assemble_combined(graphs: GraphSet, e: np.ndarray, hp: HyperParams,
     return out
 
 
-class RankedEntity(NamedTuple):
-    rank: int
-    entity_id: str
-    score: float
+def rank_entities(values: np.ndarray) -> np.ndarray:
+    """Positions by descending value, ties by ascending position; where
+    positions follow sorted ids, as in ``Corpus`` and ``EntityIndex``, that
+    is ascending id."""
+    # a stable sort by value keeps tied positions in order
+    return np.argsort(-values, kind="stable")
 
 
-def rank_entities(vector: np.ndarray, ids) -> list[RankedEntity]:
-    """Descending by score, ties broken by ascending id; ``ids`` must be in
-    ascending order, as ``EntityIndex`` holds them."""
-    # a stable sort by score keeps tied entities in id order
-    order = np.argsort(-vector, kind="stable")
-    return list(map(RankedEntity, count(1), map(ids.__getitem__, order.tolist()),
-                    vector[order].tolist()))
-
-
-def write_ranking(ranked: list[RankedEntity], path, converged: bool = True) -> None:
+def write_ranking(path, ids, scores: np.ndarray, converged: bool = True) -> None:
+    """Rank, id and score of every entity, in ``rank_entities`` order;
+    ``ids[i]`` is the id of the entity at position i."""
+    order = rank_entities(scores)
     with open(path, "w", encoding="utf-8") as fh:
         if not converged:
             fh.write("# WARNING: NOT CONVERGED\n")
         fh.write("rank\tid\tscore\n")
-        for r in ranked:
-            fh.write(f"{r.rank}\t{r.entity_id}\t{r.score:.10g}\n")
+        fh.writelines(f"{rank}\t{ids[i]}\t{score:.10g}\n" for rank, (i, score) in
+                      enumerate(zip(order.tolist(), scores[order].tolist()), start=1))
 
 
 def write_convergence(log: ConvergenceLog, path) -> None:

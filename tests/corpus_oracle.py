@@ -5,34 +5,40 @@ module keeps the straightforward version built on dicts and tuples of
 ``(citing_id, cited_id, citing_year)`` string edges, so tests can check
 that the array path computes exactly the same corpora, reports, ground
 truth and citation counts.  It applies the same record rules as
-``parse_corpus`` (``malformed_reason``) but none of its array code.
+``parse_corpus`` (``malformed_reason``) but none of its array code.  Its
+evaluation half works on id sets and id lists, with a key sort for every
+order, where ``mrfrank.evaluate`` works on position arrays.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
-from mrfrank.corpus import (AuthorRecord, DataError, FilterReport, PaperRecord,
-                            ParseReport, PreprocessConfig, malformed_reason)
+from mrfrank.corpus import (DataError, FilterReport, PaperRecord, ParseReport,
+                            PreprocessConfig, malformed_reason)
+from mrfrank.evaluate import ri_item
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class OracleCorpus:
     papers: dict[str, PaperRecord]
-    authors: dict[str, AuthorRecord]
+    authors: dict[str, int]      # author id -> first publication year
     # (citing_id, cited_id, citing_year), in citing id order, then in the
     # citing paper's reference order
     citation_edges: tuple[tuple[str, str, int], ...]
 
 
-def _derive_authors(papers: dict[str, PaperRecord]) -> dict[str, AuthorRecord]:
+def _derive_authors(papers: dict[str, PaperRecord]) -> dict[str, int]:
     first: dict[str, int] = {}
     for p in papers.values():
         for a in p.author_ids:
             y = first.get(a)
             if y is None or p.year < y:
                 first[a] = p.year
-    return {a: AuthorRecord(a, a, y) for a, y in sorted(first.items())}
+    return dict(sorted(first.items()))
 
 
 def assemble(papers: dict[str, PaperRecord]) -> OracleCorpus:
@@ -159,7 +165,42 @@ def citation_counts(corpus: OracleCorpus) -> tuple[dict[str, int], dict[str, int
     return paper_counts, author_counts
 
 
+def papers_of_year(corpus: OracleCorpus, year: int) -> frozenset[str]:
+    return frozenset(pid for pid, p in corpus.papers.items() if p.year == year)
+
+
+def authors_starting_year(corpus: OracleCorpus, year: int) -> frozenset[str]:
+    return frozenset(a for a, first in corpus.authors.items() if first == year)
+
+
+def _sorted_by_count(counts: dict[str, int], members) -> list[str]:
+    return sorted(members, key=lambda x: (-counts.get(x, 0), x))
+
+
+def ground_truth_ranking(future: dict[str, int], members) -> list[str]:
+    """Cohort ids by descending future citations, ties by ascending id."""
+    return _sorted_by_count(future, members)
+
+
 def citation_count_baseline(corpus: OracleCorpus, kind: str, members) -> list[str]:
     paper_counts, author_counts = citation_counts(corpus)
     counts = paper_counts if kind == "papers_of_year" else author_counts
-    return sorted(members, key=lambda x: (-counts.get(x, 0), x))
+    return _sorted_by_count(counts, members)
+
+
+def evaluate_run(ranked_ids: list[str], future: dict[str, int], members,
+                 ks) -> list[tuple[int, float]]:
+    """(k, RI@k) per cutoff k; the ground-truth membership list L is the
+    top-k of the cohort's ground-truth ranking for that same k."""
+    cohort_ranked = [eid for eid in ranked_ids if eid in members]
+    gt_ranking = ground_truth_ranking(future, members)
+    results = []
+    for k in ks:
+        if k > len(members):
+            log.warning("k=%d exceeds cohort size %d, skipped", k, len(members))
+            continue
+        gt_set = set(gt_ranking[:k])
+        per_item = {pid: ri_item(o_r, k, pid in gt_set)
+                    for o_r, pid in enumerate(cohort_ranked[:k], start=1)}
+        results.append((k, sum(per_item.values())))
+    return results

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,13 @@ def corpus_file(tmp_path):
     with open(path, "w") as fh:
         for r in tiny_records():
             fh.write(json.dumps(r) + "\n")
+    return path
+
+
+def eval_config(path, corpus_file, workspace, protocol):
+    path.write_text(json.dumps({
+        "corpus": str(corpus_file), "workspace": str(workspace),
+        "preprocess": {"min_year": 1990}, "protocol": protocol}))
     return path
 
 
@@ -192,6 +200,55 @@ class TestExitCodes:
             assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("lines, message", [
+        (["rank\tid\tscore", "1\tp05\t0.5", "2"], "papers_full.tsv line 3: no id column"),
+        (["rank\tid\tscore", "1\t\t0.5"], "papers_full.tsv line 2: no id column"),
+        (["rank\tid\tscore", "1\tp05\t0.5", "2\tp07\t0.4", "3\tp05\t0.3"],
+         "papers_full.tsv line 4: id 'p05' listed twice"),
+        # an id outside the ranked sub-corpus counts too
+        (["rank\tid\tscore", "1\tzz\t0.5", "2\tzz\t0.4"],
+         "papers_full.tsv line 3: id 'zz' listed twice"),
+    ])
+    def test_data_error_malformed_ranking_file(self, corpus_file, tmp_path, capsys,
+                                               lines, message):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / "papers_full.tsv").write_text("\n".join(lines) + "\n")
+        cfg = eval_config(tmp_path / "cfg.json", corpus_file, ws,
+                          {"cohort_years": [1998], "ks": [2]})
+        assert main(["eval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "eval.tsv line 1: no header line"),
+        ("year\tmethod\tkind\tk\tri\n2000\tfull\tP\t2\t1.5\n2000\tfull\tP\n",
+         "eval.tsv line 3: not enough values to unpack (expected 5, got 3)"),
+        ("year\tmethod\tkind\tk\tri\n2000\tfull\tP\ttwo\t1.5\n",
+         "eval.tsv line 2: invalid literal for int()"),
+    ])
+    def test_data_error_malformed_eval_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "eval.tsv"
+        path.write_text(text)
+        assert main(["report", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cohort_years", [[1800, 2100], []])
+    def test_data_error_no_cohort(self, corpus_file, tmp_path, capsys, cohort_years):
+        ws = tmp_path / "ws"
+        assert main(rank_args(corpus_file, ws)) == 0
+        cfg = eval_config(tmp_path / "cfg.json", corpus_file, ws,
+                          {"cohort_years": cohort_years})
+        assert main(["eval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert (f"protocol.cohort_years {cohort_years} give no paper or author "
+                "cohort in the ranked sub-corpus (years 1996-2005)") in err
+        assert not (ws / "eval.tsv").exists()
+
+
 class TestIngest:
     def test_native_roundtrip(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "native.jsonl"
@@ -285,10 +342,7 @@ class TestRank:
             assert main(rank_args(corpus_file, ws, "--mode", mode.replace("_", "-"))) == 0
         assert main(["features", "--input", str(corpus_file),
                      "--output", str(ws / "snapshot.tsv")]) == 0
-        cfg = tmp_path / "eval.json"
-        cfg.write_text(json.dumps({
-            "corpus": str(corpus_file), "workspace": str(ws),
-            "preprocess": {"min_year": 1990}, "protocol": EVAL_PROTOCOL}))
+        cfg = eval_config(tmp_path / "eval.json", corpus_file, ws, EVAL_PROTOCOL)
         assert main(["eval", "--config", str(cfg)]) == 0
         digests = {name: hashlib.sha256((ws / name).read_bytes()).hexdigest()
                    for name in OUTPUT_DIGESTS}
@@ -342,10 +396,15 @@ class TestEvalAndReport:
         }))
         return cfg
 
-    def test_eval_then_report(self, corpus_file, tmp_path, capsys):
+    def test_eval_then_report(self, corpus_file, tmp_path, capsys, caplog):
         cfg = self.make_config(corpus_file, tmp_path)
         assert main(["rank", "--config", str(cfg)]) == 0
+        caplog.set_level(logging.INFO, logger="mrfrank")
         assert main(["eval", "--config", str(cfg)]) == 0
+        # papers after the 2003 cutoff are not in the ranked sub-corpus
+        assert [r.getMessage() for r in caplog.records
+                if "sub-corpus" in r.getMessage()] == [
+            "ranked sub-corpus: 24 papers, years 1996-2003"]
         eval_path = tmp_path / "ws" / "eval.tsv"
         lines = eval_path.read_text().splitlines()
         assert lines[0] == "year\tmethod\tkind\tk\tri"

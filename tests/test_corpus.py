@@ -9,8 +9,9 @@ import corpus_oracle as oracle
 from mrfrank.corpus import (DataError, PreprocessConfig, convert_arnetminer,
                             parse_corpus, preprocess, read_native,
                             split_ground_truth, write_native)
-from mrfrank.evaluate import (authors_starting_year, citation_count_baseline,
-                              citation_counts, papers_of_year)
+from mrfrank.evaluate import (authors_starting_year, citation_counts, evaluate_run,
+                              papers_of_year)
+from mrfrank.ranking import rank_entities
 
 
 def rec(pid, year, refs=(), title="t", authors=("x",), abstract="a"):
@@ -86,8 +87,8 @@ class TestParse:
         corpus, _ = parse_corpus([
             rec("A", 2000, authors=["x"]), rec("B", 1995, authors=["x", "y"]),
         ])
-        assert corpus.authors["x"].first_pub_year == 1995
-        assert corpus.authors["y"].first_pub_year == 1995
+        assert corpus.authors == ("x", "y")
+        assert corpus.first_year.tolist() == [1995, 1995]
 
 
 class TestPreprocess:
@@ -164,19 +165,25 @@ def test_preprocess_idempotent_and_conserving(records):
     assert removed + report.remaining == report.input_papers
 
 
+def future_by_id(sub, gt):
+    """The ground truth as (per paper id, per author id) dicts."""
+    return (dict(zip(sub.papers, gt.papers.tolist())),
+            dict(zip(sub.authors, gt.authors.tolist())))
+
+
 class TestSplit:
     def test_future_count_excludes_pre_cutoff_citation(self):
         corpus, _ = parse_corpus([
             rec("A", 2003), rec("B", 2004, refs=["A"]), rec("C", 2007, refs=["A"]),
         ])
         sub, gt = split_ground_truth(corpus, 2004, 2011)
-        assert gt.paper_future_citations["A"] == 1
+        assert future_by_id(sub, gt)[0]["A"] == 1
         assert set(sub.papers) == {"A", "B"}
 
     def test_all_pre_cutoff_gives_zero_counts(self):
         corpus, _ = parse_corpus([rec("A", 2000), rec("B", 2001, refs=["A"])])
         _, gt = split_ground_truth(corpus, 2004, 2011)
-        assert all(v == 0 for v in gt.paper_future_citations.values())
+        assert gt.papers.tolist() == [0, 0]
 
     def test_author_future_sums_papers(self):
         corpus, _ = parse_corpus([
@@ -184,17 +191,17 @@ class TestSplit:
             rec("C1", 2006, refs=["A", "B"]), rec("C2", 2007, refs=["A", "B"]),
             rec("C3", 2008, refs=["A"]),
         ])
-        _, gt = split_ground_truth(corpus, 2004, 2011)
-        assert gt.paper_future_citations["A"] == 3
-        assert gt.paper_future_citations["B"] == 2
-        assert gt.author_future_citations["w"] == 5
+        papers, authors = future_by_id(*split_ground_truth(corpus, 2004, 2011))
+        assert papers["A"] == 3
+        assert papers["B"] == 2
+        assert authors["w"] == 5
 
     def test_horizon_bound_respected(self):
         corpus, _ = parse_corpus([
             rec("A", 2000), rec("B", 2012, refs=["A"]), rec("C", 2006, refs=["A"]),
         ])
-        _, gt = split_ground_truth(corpus, 2004, 2011)
-        assert gt.paper_future_citations["A"] == 1
+        papers, _ = future_by_id(*split_ground_truth(corpus, 2004, 2011))
+        assert papers["A"] == 1
 
     def test_cutoff_ge_horizon_rejected(self):
         corpus, _ = parse_corpus([rec("A", 2000)])
@@ -208,7 +215,7 @@ def test_split_edge_partition(records, cutoff):
     corpus, _ = parse_corpus(records)
     sub, gt = split_ground_truth(corpus, cutoff, 2011)
     kept = len(sub.citation_edges)
-    counted = sum(gt.paper_future_citations.values())
+    counted = int(gt.papers.sum())
     years = corpus.years.tolist()
     discarded = sum(
         1 for citing, cited in corpus.citation_edges.tolist()
@@ -226,8 +233,8 @@ def edge_tuples(corpus):
 def assert_matches_oracle(corpus, expected):
     assert corpus.papers == expected.papers
     assert list(corpus.papers) == list(expected.papers)
-    assert corpus.authors == expected.authors
-    assert list(corpus.authors) == list(expected.authors)
+    assert corpus.authors == tuple(expected.authors)
+    assert corpus.first_year.tolist() == list(expected.authors.values())
     assert edge_tuples(corpus) == expected.citation_edges
     assert corpus.citation_edges.dtype == np.int64
     assert corpus.years.tolist() == [p.year for p in expected.papers.values()]
@@ -264,9 +271,16 @@ def oracle_case(draw):
     return [records[i] for i in order], cfg, cutoff, horizon
 
 
-@given(oracle_case())
+def drawn_ranking(data, size):
+    """A shuffled ranking of ``size`` positions with some dropped."""
+    order = data.draw(st.permutations(range(size)))
+    kept = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return np.array([i for i, keep in zip(order, kept) if keep], dtype=np.int64)
+
+
+@given(oracle_case(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_array_path_matches_oracle(case):
+def test_array_path_matches_oracle(case, data):
     records, cfg, cutoff, horizon = case
     corpus, report = parse_corpus(records)
     expected, expected_report = oracle.parse_corpus(records)
@@ -282,18 +296,35 @@ def test_array_path_matches_oracle(case):
     expected_sub, paper_future, author_future = oracle.split_ground_truth(
         expected_pre, cutoff, horizon)
     assert_matches_oracle(sub, expected_sub)
-    assert gt.paper_future_citations == paper_future
-    assert gt.author_future_citations == author_future
-    assert list(gt.paper_future_citations) == list(paper_future)
-    assert list(gt.author_future_citations) == list(author_future)
+    assert list(zip(sub.papers, gt.papers.tolist())) == list(paper_future.items())
+    assert list(zip(sub.authors, gt.authors.tolist())) == list(author_future.items())
 
+    # the evaluation: cohorts, both orders and RI@k of drawn rankings (ties
+    # among the small counts are common), ks up to above the cohort size
     counts = citation_counts(sub)
-    assert (counts.papers, counts.authors) == oracle.citation_counts(expected_sub)
-    for year in range(1986, cutoff + 1):
-        for cohort in (papers_of_year(sub, year), authors_starting_year(sub, year)):
-            assert citation_count_baseline(counts, cohort) == \
-                oracle.citation_count_baseline(expected_sub, cohort.kind,
-                                               cohort.member_ids)
+    expected_counts = oracle.citation_counts(expected_sub)
+    kinds = [("papers_of_year", list(sub.papers), papers_of_year,
+              oracle.papers_of_year, paper_future),
+             ("authors_starting_year", list(sub.authors), authors_starting_year,
+              oracle.authors_starting_year, author_future)]
+    ks = data.draw(st.lists(st.integers(1, 8), max_size=4))
+    for kind, (name, ids, cohort_of, oracle_cohort_of, future) in enumerate(kinds):
+        assert dict(zip(ids, counts[kind].tolist())) == expected_counts[kind]
+        ranked = drawn_ranking(data, len(ids))
+        ranked_ids = [ids[i] for i in ranked.tolist()]
+        truth = (gt.papers, gt.authors)[kind]
+        for year in range(1986, cutoff + 1):
+            cohort = cohort_of(sub, year)
+            members = oracle_cohort_of(expected_sub, year)
+            assert [ids[i] for i in cohort.tolist()] == sorted(members)
+            by_count = cohort[rank_entities(counts[kind][cohort])]
+            assert [ids[i] for i in by_count.tolist()] == oracle.citation_count_baseline(
+                expected_sub, name, members)
+            by_future = cohort[rank_entities(truth[cohort])]
+            assert [ids[i] for i in by_future.tolist()] == \
+                oracle.ground_truth_ranking(future, members)
+            assert evaluate_run(ranked, truth, cohort, ks) == \
+                oracle.evaluate_run(ranked_ids, future, members, ks)
 
 
 class TestReadNative:

@@ -1,13 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrfrank.corpus import parse_corpus, split_ground_truth
-from mrfrank.evaluate import (authors_starting_year, citation_count_baseline,
-                              citation_counts, evaluate_run, ground_truth_ranking,
+from mrfrank.evaluate import (authors_starting_year, citation_counts, evaluate_run,
                               max_ri, papers_of_year, ri_item, ri_list)
+from mrfrank.ranking import rank_entities
 
 
 def make_corpus():
@@ -29,15 +30,24 @@ def make_corpus():
     return corpus
 
 
+def ids_at(ids, positions) -> list[str]:
+    return [list(ids)[i] for i in positions.tolist()]
+
+
+def by_count(cohort, counts):
+    """The cohort ordered by descending count, ties by ascending position."""
+    return cohort[rank_entities(counts[cohort])]
+
+
 class TestCohorts:
     def test_papers_of_year(self):
-        cohort = papers_of_year(make_corpus(), 2003)
-        assert cohort.member_ids == {"A", "B", "C"}
+        corpus = make_corpus()
+        assert ids_at(corpus.papers, papers_of_year(corpus, 2003)) == ["A", "B", "C"]
 
     def test_authors_starting_year(self):
-        cohort = authors_starting_year(make_corpus(), 2003)
-        assert cohort.member_ids == {"u", "v"}
-        assert authors_starting_year(make_corpus(), 2004).member_ids == {"w"}
+        corpus = make_corpus()
+        assert ids_at(corpus.authors, authors_starting_year(corpus, 2003)) == ["u", "v"]
+        assert ids_at(corpus.authors, authors_starting_year(corpus, 2004)) == ["w"]
 
 
 class TestGroundTruthRanking:
@@ -46,14 +56,14 @@ class TestGroundTruthRanking:
         sub, gt = split_ground_truth(corpus, 2004, 2011)
         # future (post-2004): E1 cites B, C; E2 cites C -> C:2, B:1, A:0
         cohort = papers_of_year(sub, 2003)
-        assert ground_truth_ranking(gt, cohort) == ["C", "B", "A"]
+        assert ids_at(sub.papers, by_count(cohort, gt.papers)) == ["C", "B", "A"]
 
     def test_author_counts(self):
         corpus = make_corpus()
         sub, gt = split_ground_truth(corpus, 2004, 2011)
         # u: papers A, B -> 0 + 1; v: papers B, C -> 1 + 2
         cohort = authors_starting_year(sub, 2003)
-        assert ground_truth_ranking(gt, cohort) == ["v", "u"]
+        assert ids_at(sub.authors, by_count(cohort, gt.authors)) == ["v", "u"]
 
 
 class TestRIItem:
@@ -109,14 +119,20 @@ class TestBaseline:
         sub, _ = split_ground_truth(corpus, 2004, 2011)
         cohort = papers_of_year(sub, 2003)
         # counts at cutoff (<= 2004): A: B,C,D -> 3; B: C -> 1; C: 0
-        assert citation_count_baseline(citation_counts(sub), cohort) == ["A", "B", "C"]
+        papers, _ = citation_counts(sub)
+        assert ids_at(sub.papers, by_count(cohort, papers)) == ["A", "B", "C"]
 
     def test_author_sums(self):
         corpus = make_corpus()
         sub, _ = split_ground_truth(corpus, 2004, 2011)
         cohort = authors_starting_year(sub, 2003)
         # u: A(3) + B(1) = 4; v: B(1) + C(0) = 1
-        assert citation_count_baseline(citation_counts(sub), cohort) == ["u", "v"]
+        _, authors = citation_counts(sub)
+        assert ids_at(sub.authors, by_count(cohort, authors)) == ["u", "v"]
+
+
+def positions_of(ids, wanted) -> np.ndarray:
+    return np.array([list(ids).index(w) for w in wanted], dtype=np.int64)
 
 
 class TestEvaluateRun:
@@ -124,22 +140,47 @@ class TestEvaluateRun:
         corpus = make_corpus()
         sub, gt = split_ground_truth(corpus, 2004, 2011)
         cohort = papers_of_year(sub, 2003)
-        ranked = ["C", "A", "B", "D"]  # D outside cohort, filtered
-        results = evaluate_run(ranked, gt, cohort, ks=[2, 3])
-        by_k = {r.k: r for r in results}
-        assert by_k[2].returned_topk == ["C", "A"]
-        assert by_k[2].ground_truth_topk == ["C", "B"]
-        # C at rank 1 of 2 in gt -> 1.5; A not in gt top-2 -> 0
-        assert by_k[2].total_ri == pytest.approx(1.5)
+        ranked = positions_of(sub.papers, ["C", "A", "B", "D"])  # D outside cohort
+        by_k = dict(evaluate_run(ranked, gt.papers, cohort, ks=[2, 3]))
+        # returned top-2 C, A; ground-truth top-2 C, B: C at rank 1 of 2 in
+        # gt -> 1.5; A not in gt top-2 -> 0
+        assert by_k[2] == pytest.approx(1.5)
         # k=3: whole cohort; all three in gt top-3
-        assert by_k[3].total_ri == pytest.approx(max_ri(3))
+        assert by_k[3] == pytest.approx(max_ri(3))
 
     def test_oversized_k_skipped(self):
         corpus = make_corpus()
         sub, gt = split_ground_truth(corpus, 2004, 2011)
         cohort = papers_of_year(sub, 2003)
-        results = evaluate_run(["A", "B", "C"], gt, cohort, ks=[2, 99])
-        assert [r.k for r in results] == [2]
+        results = evaluate_run(cohort, gt.papers, cohort, ks=[2, 99])
+        assert [k for k, _ in results] == [2]
+
+    def test_short_ranking_keeps_requested_k(self):
+        """A ranking that holds fewer than k cohort members scores its items
+        with the requested k, not with the length of the returned list."""
+        corpus = make_corpus()
+        sub, gt = split_ground_truth(corpus, 2004, 2011)
+        cohort = papers_of_year(sub, 2003)
+        ranked = positions_of(sub.papers, ["B", "D"])
+        # B at rank 1 of k=3, in the gt top-3: 1 + (3 - 1) / 3
+        assert evaluate_run(ranked, gt.papers, cohort, ks=[3]) == [(3, 1 + 2 / 3)]
+
+    def test_sums_in_rank_order(self):
+        """RI@k is the per-item values summed one by one in rank order; for
+        these hits numpy's pairwise sum gives a different last bit."""
+        k = 12
+        future = np.array([k - i for i in range(k)] + [0] * k)   # top-k: 0..11
+        cohort = np.arange(2 * k)
+        hit_ranks = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12]
+        hits, misses = iter(range(k)), iter(range(k, 2 * k))
+        ranked = np.array([next(hits) if o_r in hit_ranks else next(misses)
+                           for o_r in range(1, k + 1)])
+        values = [1 + (k - o_r) / k for o_r in hit_ranks]
+        expected = 0.0
+        for v in values:
+            expected += v
+        assert expected != float(np.sum(values))
+        assert evaluate_run(ranked, future, cohort, ks=[k]) == [(k, expected)]
 
     def test_gt_list_matches_perfect_score(self):
         """Feeding the ground-truth ranking back as the prediction attains
@@ -147,6 +188,6 @@ class TestEvaluateRun:
         corpus = make_corpus()
         sub, gt = split_ground_truth(corpus, 2004, 2011)
         cohort = papers_of_year(sub, 2003)
-        ranked = ground_truth_ranking(gt, cohort)
-        for r in evaluate_run(ranked, gt, cohort, ks=[1, 2, 3]):
-            assert r.total_ri == pytest.approx(max_ri(r.k))
+        ranked = by_count(cohort, gt.papers)
+        for k, ri in evaluate_run(ranked, gt.papers, cohort, ks=[1, 2, 3]):
+            assert ri == pytest.approx(max_ri(k))

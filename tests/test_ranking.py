@@ -312,16 +312,15 @@ class TestAssembleCombined:
 
 class TestRankEntities:
     def test_descending_with_id_tiebreak(self):
-        ranked = rank_entities(np.array([0.2, 0.5, 0.2, 0.2]), ["a", "b", "c", "d"])
-        assert [(r.rank, r.entity_id) for r in ranked] == [
-            (1, "b"), (2, "a"), (3, "c"), (4, "d")]
+        order = rank_entities(np.array([0.2, 0.5, 0.2, 0.2]))
+        assert order.tolist() == [1, 0, 2, 3]
+        assert rank_entities(np.array([0, 3, 1, 3])).tolist() == [1, 3, 2, 0]
 
     def test_write_ranking(self, tmp_path):
-        ranked = rank_entities(np.array([0.75, 0.25]), ["x", "y"])
         path = tmp_path / "r.tsv"
-        write_ranking(ranked, path)
+        write_ranking(path, ("x", "y", "z"), np.array([0.25, 0.5, 0.25]))
         lines = path.read_text().splitlines()
-        assert lines[0] == "rank\tid\tscore"
-        assert lines[1] == "1\tx\t0.75"
-        write_ranking(ranked, path, converged=False)
+        assert lines == ["rank\tid\tscore", "1\ty\t0.5", "2\tx\t0.25", "3\tz\t0.25"]
+        write_ranking(path, ("x", "y", "z"), np.array([0.25, 0.5, 0.25]),
+                      converged=False)
         assert path.read_text().startswith("# WARNING: NOT CONVERGED\n")
