@@ -77,6 +77,35 @@ OUTPUT_DIGESTS = {
 EVAL_PROTOCOL = {"cutoff_year": 2002, "horizon_year": 2005,
                  "cohort_years": [1996, 1997, 1999, 2000, 2004], "ks": [1, 2, 3]}
 
+# a corpus in shuffled file order: repeated, self and dangling references
+# (one to a malformed record's id, one to a paper whose record comes
+# later), an author listed twice, null refs, authors and other fields, a
+# malformed record and an undecodable line; ``preprocess --min-year 1990``
+# removes a survey, an early and an isolated paper
+NATIVE_LINES = [json.dumps(r) for r in [
+    {"id": "p07", "title": "Ranking über alles", "abstract": "citation bursts.",
+     "authors": ["ann", "bob", "ann"], "year": 2001, "venue": "kdd",
+     "refs": ["p03", "p03", "p07", "gone", "p11", "p09"]},
+    {"id": "p03", "title": "Graphs", "abstract": None, "authors": None,
+     "year": 1995, "venue": None, "refs": ["p01"]},
+    {"id": "p05", "year": "1999", "refs": ["p03"]},
+    {"id": "p11", "title": "A Survey of ranking", "abstract": "",
+     "authors": ["cy"], "year": 2003, "refs": None},
+    {"id": "p01", "title": "Early work", "abstract": "old", "authors": ["bob"],
+     "year": 1985, "venue": "v", "refs": []},
+    {"id": "p09", "title": "Trees", "abstract": "a. b.", "authors": ["dee", "ann"],
+     "year": 1999, "venue": "v", "refs": ["p05", "p07", "p03", "p05"]},
+    {"id": "p02", "title": "Isolated", "abstract": "x", "authors": ["eve"],
+     "year": 2000, "refs": ["nowhere"]},
+]]
+NATIVE_LINES.insert(5, "{not json")
+# sha256 of what ``ingest`` and ``preprocess --min-year 1990`` write for
+# ``NATIVE_LINES``
+NATIVE_DIGESTS = {
+    "ingest.jsonl": "3b1ef9dc6ee5b78aa5d071572de01e8bb7aa2fe5086ac1e0bd86aa9044d826f6",
+    "preprocess.jsonl": "137972a71df2584b7884fcdd94d8695a3f6d02fce0196e03d494f32ee7014687",
+}
+
 
 class TestExitCodes:
     def test_usage_error_missing_arg(self, capsys):
@@ -279,6 +308,19 @@ class TestIngest:
         assert "parsed_papers\t30" in captured.out
         assert "skipped_malformed\t1" in captured.out
         assert warning in caplog.text
+
+    def test_native_outputs_match_recorded_digests(self, tmp_path, capsys):
+        """The bytes ``write_native`` writes after ``ingest`` and after
+        ``preprocess`` keep the recorded sha256."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(NATIVE_LINES) + "\n")
+        assert main(["ingest", "--input", str(corpus),
+                     "--output", str(tmp_path / "ingest.jsonl")]) == 0
+        assert main(["preprocess", "--input", str(corpus), "--min-year", "1990",
+                     "--output", str(tmp_path / "preprocess.jsonl")]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in NATIVE_DIGESTS}
+        assert digests == NATIVE_DIGESTS
 
     def test_arnetminer(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
