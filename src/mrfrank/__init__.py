@@ -4,15 +4,15 @@ mutual-reinforcement eigenvector iteration."""
 
 __version__ = "0.1.0"
 
-from .corpus import (Corpus, GroundTruth, PaperRecord, PreprocessConfig,
-                     parse_corpus, preprocess, split_ground_truth)
+from .corpus import (Corpus, GroundTruth, PreprocessConfig, parse_corpus,
+                     preprocess, split_ground_truth)
 from .ranking import (ConvergenceLog, HyperParams, RankState,
                       assemble_combined, combined_operator, init_state,
                       iterate_once, rank_entities, run)
 
 __all__ = [
-    "Corpus", "GroundTruth", "PaperRecord",
-    "PreprocessConfig", "parse_corpus", "preprocess", "split_ground_truth",
+    "Corpus", "GroundTruth", "PreprocessConfig", "parse_corpus", "preprocess",
+    "split_ground_truth",
     "ConvergenceLog", "HyperParams", "RankState", "assemble_combined",
     "combined_operator", "init_state", "iterate_once", "rank_entities", "run",
 ]

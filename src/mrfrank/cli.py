@@ -186,6 +186,11 @@ def load_config(args) -> RunConfig:
     for k in proto.get("ks", ()):
         if k < 1:
             raise DataError(f"protocol.ks must be at least 1, got {k}")
+    for name in ("ks", "cohort_years"):
+        values = proto.get(name, ())
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise DataError(f"protocol.{name} lists {v} more than once")
     cutoff = proto.get("cutoff_year", 2005)
     horizon = proto.get("horizon_year", 2011)
     if cutoff >= horizon:

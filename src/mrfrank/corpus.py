@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import json
 import logging
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
+
+from .sparse import concat_ranges, interner
 
 log = logging.getLogger(__name__)
 
@@ -26,30 +28,22 @@ _YEAR_MIN, _YEAR_MAX = -(2**31), 2**31 - 1
 _STR = frozenset({str})
 
 
-@dataclass(frozen=True)
-class PaperRecord:
-    paper_id: str
-    title: str
-    abstract: str
-    author_ids: tuple[str, ...]
-    year: int
-    venue: str
-    references: tuple[str, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Papers keyed by id and author ids, both in sorted id order.  A
-    paper's or an author's position is its index in that order; the arrays
-    refer to papers and authors by position."""
+    """Per-paper columns in sorted paper id order, and the author ids,
+    sorted.  A paper's or an author's position is its index in that order;
+    the arrays refer to papers and authors by position."""
 
-    papers: dict[str, PaperRecord]
+    papers: np.ndarray           # N paper ids (objects), sorted
+    titles: np.ndarray           # N titles (objects)
+    abstracts: np.ndarray        # N abstracts (objects)
+    venues: np.ndarray           # N venues (objects)
+    years: np.ndarray            # N publication years
     authors: tuple[str, ...]
+    first_year: np.ndarray       # M first publication years of the authors
     # E x 2 (citing, cited) positions, deduplicated, grouped by citing
     # paper in the order of its references
     citation_edges: np.ndarray
-    years: np.ndarray            # N publication years
-    first_year: np.ndarray       # M first publication years of the authors
     # one (paper, author) pair per listing, grouped by paper in the order of
     # its author list; an author listed twice on a paper gives two listings
     listing_papers: np.ndarray
@@ -63,11 +57,9 @@ class Corpus:
         citations and listings among them.  Authors and their first
         publication years are derived again from the kept listings."""
         new_pos = np.cumsum(keep) - 1
-        ids = list(self.papers)
-        papers = {ids[i]: self.papers[ids[i]] for i in np.flatnonzero(keep).tolist()}
         edges = self.citation_edges[keep[self.citation_edges].all(axis=1)]
         listed = keep[self.listing_papers]
-        return _corpus(papers, self.years[keep], new_pos[edges],
+        return _corpus({c: getattr(self, c)[keep] for c in _COLUMNS}, new_pos[edges],
                        new_pos[self.listing_papers[listed]],
                        self.listing_authors[listed], self.authors)
 
@@ -77,20 +69,24 @@ class Corpus:
                            minlength=len(self.authors))
 
 
-def _corpus(papers: dict[str, PaperRecord], years: np.ndarray, edges: np.ndarray,
+# the per-paper columns of a Corpus
+_COLUMNS = ("papers", "titles", "abstracts", "venues", "years")
+
+
+def _corpus(columns: dict[str, np.ndarray], edges: np.ndarray,
             listing_papers: np.ndarray, listing_authors: np.ndarray,
             author_ids: list[str] | tuple[str, ...]) -> Corpus:
-    """A Corpus over ``papers`` (sorted by id), keeping the authors of
-    ``author_ids`` (sorted) that some listing names, renumbered in order."""
+    """A Corpus over the paper ``columns`` (sorted by id), keeping the
+    authors of ``author_ids`` (sorted) that some listing names, renumbered
+    in order."""
     listed = np.zeros(len(author_ids), dtype=bool)
     listed[listing_authors] = True
     listing_authors = (np.cumsum(listed) - 1)[listing_authors]
     first = np.full(int(listed.sum()), np.iinfo(np.int64).max)
-    np.minimum.at(first, listing_authors, years[listing_papers])
+    np.minimum.at(first, listing_authors, columns["years"][listing_papers])
     authors = tuple(author_ids[i] for i in np.flatnonzero(listed).tolist())
-    return Corpus(papers=papers, authors=authors, citation_edges=edges, years=years,
-                  first_year=first, listing_papers=listing_papers,
-                  listing_authors=listing_authors)
+    return Corpus(**columns, authors=authors, first_year=first, citation_edges=edges,
+                  listing_papers=listing_papers, listing_authors=listing_authors)
 
 
 @dataclass
@@ -175,84 +171,112 @@ def malformed_reason(rec) -> str | None:
 
 
 def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
-    """Parse an iterable of raw record dicts into a Corpus.
+    """Parse an iterable of raw record dicts into a Corpus, in one pass
+    that keeps no record.
 
     A record ``malformed_reason`` rejects is skipped, counted and logged
     with its position; a None record (a line ``read_native`` could not
     decode, and reported) is skipped and counted.  A duplicate paper id is
     a hard error.  Self-references and repeated references are dropped;
     references to unknown ids are dropped and counted as dangling.
+
+    Paper ids and references are interned to int keys in one dict, author
+    ids in another, and each record leaves only its fields in flat columns
+    in file order.  After the pass, the keys are mapped once to positions
+    in sorted id order, -1 for an id no paper has.
     """
     report = ParseReport()
-    raw: dict[str, dict] = {}
-    for lineno, rec in enumerate(record_stream, start=1):
+    key, author_key = interner(), interner()
+    parsed: set[int] = set()     # the keys of the papers so far
+    own, years = array("q"), array("q")
+    ref_keys, ref_ends, author_keys, author_ends = (array("q") for _ in range(4))
+    titles, abstracts, venues = [], [], []
+    lineno = 0   # not enumerate: its reused result tuple would keep the last record
+    for rec in record_stream:
+        lineno += 1
         reason = "" if rec is None else malformed_reason(rec)
         if reason is not None:
             report.skipped_malformed += 1
             if reason:   # None records were reported by read_native
                 log.warning("record %d skipped: %s", lineno, reason)
-            continue
-        pid = rec["id"]
-        if pid in raw:
-            raise DataError(f"duplicate paper id {pid!r} at record {lineno}")
-        raw[pid] = rec
-        report.parsed += 1
+        else:
+            pid = rec["id"]
+            k = key[pid]
+            if k in parsed:
+                raise DataError(f"duplicate paper id {pid!r} at record {lineno}")
+            parsed.add(k)
+            own.append(k)
+            refs = dict.fromkeys(rec.get("refs") or ())
+            refs.pop(pid, None)
+            ref_keys.extend(map(key.__getitem__, refs))
+            ref_ends.append(len(ref_keys))
+            author_keys.extend(map(author_key.__getitem__, rec.get("authors") or ()))
+            author_ends.append(len(author_keys))
+            years.append(rec["year"])
+            titles.append(rec.get("title") or "")
+            abstracts.append(rec.get("abstract") or "")
+            venues.append(rec.get("venue") or "")
+        del rec   # a record dies before the next one is read
+    report.parsed = len(own)
 
-    pos = {pid: i for i, pid in enumerate(sorted(raw))}
-    papers: dict[str, PaperRecord] = {}
-    for pid in pos:
-        rec = raw[pid]
-        refs = dict.fromkeys(rec.get("refs") or ())
-        refs.pop(pid, None)
-        kept = tuple(filter(pos.__contains__, refs))
-        report.dangling_references += len(refs) - len(kept)
-        papers[pid] = PaperRecord(
-            paper_id=pid,
-            title=rec.get("title") or "",
-            abstract=rec.get("abstract") or "",
-            author_ids=tuple(rec.get("authors") or ()),
-            year=rec["year"],
-            venue=rec.get("venue") or "",
-            references=kept,
-        )
+    key.default_factory = author_key.default_factory = None   # frees the dicts
+    strings, names = list(key), list(author_key)              # in key order
 
-    records = papers.values()
-    author_ids = sorted({a for p in records for a in p.author_ids})
-    apos = {a: i for i, a in enumerate(author_ids)}
-    cited = _positions(pos, chain.from_iterable(p.references for p in records))
-    citing = np.repeat(np.arange(len(papers)), [len(p.references) for p in records])
-    listing_authors = _positions(apos,
-                                 chain.from_iterable(p.author_ids for p in records))
-    listing_papers = np.repeat(np.arange(len(papers)),
-                               [len(p.author_ids) for p in records])
-    years = np.array([p.year for p in records], dtype=np.int64)
-    return _corpus(papers, years, np.stack([citing, cited], axis=1),
-                   listing_papers, listing_authors, author_ids), report
+    # order[i]: the file index of the paper at position i
+    pids = [strings[k] for k in own]
+    order = np.array(sorted(range(len(pids)), key=pids.__getitem__), dtype=np.int64)
+    pos = np.full(len(strings), -1, dtype=np.int64)
+    pos[np.frombuffer(own, dtype=np.int64)[order]] = np.arange(order.size)
+    citing, cited = _regroup(ref_keys, ref_ends, order)
+    cited = pos[cited]
+    resolved = cited >= 0
+    report.dangling_references = int(resolved.size - np.count_nonzero(resolved))
+
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    author_pos = np.empty(len(names), dtype=np.int64)
+    author_pos[by_name] = np.arange(len(names))
+    listing_papers, listing_authors = _regroup(author_keys, author_ends, order)
+
+    columns = {c: np.array(v, dtype=object)[order] for c, v in
+               (("papers", pids), ("titles", titles), ("abstracts", abstracts),
+                ("venues", venues))}
+    columns["years"] = np.frombuffer(years, dtype=np.int64)[order]
+    return _corpus(columns, np.stack([citing[resolved], cited[resolved]], axis=1),
+                   listing_papers, author_pos[listing_authors],
+                   [names[i] for i in by_name]), report
 
 
-def _positions(pos: dict[str, int], ids) -> np.ndarray:
-    return np.fromiter(map(pos.__getitem__, ids), dtype=np.int64)
+def _regroup(keys: array, ends: array, order: np.ndarray):
+    """The runs of ``keys`` that end at ``ends``, one per record in file
+    order, taken in the record order ``order``: the position in ``order``
+    of each entry's record, and the entry's key."""
+    ends = np.frombuffer(ends, dtype=np.int64)
+    lengths = np.diff(ends, prepend=0)[order]
+    runs = concat_ranges(ends[order] - lengths, lengths)
+    return (np.repeat(np.arange(order.size), lengths),
+            np.frombuffer(keys, dtype=np.int64)[runs])
 
 
-def _title_matches(title: str, cfg: PreprocessConfig) -> bool:
-    t = title.lower()
-    if any(s in t for s in cfg.survey_substrings):
-        return True
-    return any(t.startswith(p) for p in cfg.proceedings_prefixes)
+def _title_matches(titles: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+    """Per title, whether it holds a survey substring or starts with a
+    proceedings prefix, ignoring case."""
+    substrings, prefixes = cfg.survey_substrings, tuple(cfg.proceedings_prefixes)
+    return np.fromiter((any(s in t for s in substrings) or t.startswith(prefixes)
+                        for t in map(str.lower, titles)), dtype=bool, count=len(titles))
 
 
 def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> tuple[Corpus, FilterReport]:
     """Apply the corpus filters: survey titles, year floor, missing abstract,
     then citation isolation."""
     report = FilterReport(input_papers=len(corpus))
-    records = corpus.papers.values()
-    survey = np.array([_title_matches(p.title, cfg) for p in records], dtype=bool)
+    survey = _title_matches(corpus.titles, cfg)
     early = ~survey & (corpus.years < cfg.min_year)
     keep = ~survey & ~early
     report.removed_survey = int(survey.sum())
     report.removed_year = int(early.sum())
     if cfg.require_abstract:
-        blank = keep & np.array([not p.abstract.strip() for p in records], dtype=bool)
+        blank = keep & np.fromiter((not a.strip() for a in corpus.abstracts),
+                                   dtype=bool, count=len(corpus))
         keep &= ~blank
         report.removed_no_abstract = int(blank.sum())
 
@@ -287,38 +311,52 @@ def split_ground_truth(corpus: Corpus, cutoff_year: int,
     return sub, GroundTruth(papers=paper_future, authors=author_future)
 
 
-def read_native(path) -> list[dict | None]:
-    """Read native JSON-lines corpus records.  A line that is not UTF-8
-    JSON is logged with its line number and read as None, which
-    ``parse_corpus`` counts as malformed."""
-    records = []
+def read_native(path):
+    """Yield the records of a native JSON-lines corpus one at a time.  A
+    line that is not UTF-8 JSON is logged with its line number and yielded
+    as None, which ``parse_corpus`` counts as malformed."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-                continue
-            except UnicodeDecodeError as exc:
-                reason = f"not UTF-8 ({exc.reason} at byte {exc.start + 1})"
-            except json.JSONDecodeError as exc:
-                reason = f"not JSON ({exc.msg} at column {exc.colno})"
-            log.warning("%s line %d skipped: %s", path, lineno, reason)
-            records.append(None)
-    return records
+            if line:
+                yield _decode(line, path, lineno)
+
+
+def _decode(line: bytes, path, lineno: int) -> dict | None:
+    try:
+        return json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+    except json.JSONDecodeError as exc:
+        reason = f"not JSON ({exc.msg} at column {exc.colno})"
+    log.warning("%s line %d skipped: %s", path, lineno, reason)
+    return None
 
 
 def write_native(corpus: Corpus, path) -> None:
-    """Write a corpus back out as sorted JSON lines (stable bytes)."""
+    """Write a corpus back out as JSON lines in id order (stable bytes).  A
+    paper's refs are the papers its citation edges reach and its authors
+    those of its listings, both in their order in the corpus."""
+    ids = corpus.papers.tolist()
+    citing, cited = corpus.citation_edges.T
+    refs = _runs([ids[j] for j in cited.tolist()], citing, len(ids))
+    authors = _runs([corpus.authors[a] for a in corpus.listing_authors.tolist()],
+                    corpus.listing_papers, len(ids))
     with open(path, "w", encoding="utf-8") as fh:
-        for pid in sorted(corpus.papers):
-            p = corpus.papers[pid]
+        for pid, title, abstract, venue, year, r, a in zip(
+                ids, corpus.titles, corpus.abstracts, corpus.venues,
+                corpus.years.tolist(), refs, authors):
             fh.write(json.dumps({
-                "id": p.paper_id, "title": p.title, "abstract": p.abstract,
-                "authors": list(p.author_ids), "year": p.year, "venue": p.venue,
-                "refs": list(p.references),
+                "id": pid, "title": title, "abstract": abstract, "authors": a,
+                "year": year, "venue": venue, "refs": r,
             }, sort_keys=True, ensure_ascii=False) + "\n")
+
+
+def _runs(values: list, groups: np.ndarray, n: int) -> list[list]:
+    """``values`` cut into ``n`` runs, the run of each value given by
+    ``groups`` (ascending)."""
+    ends = np.cumsum(np.bincount(groups, minlength=n)).tolist()
+    return [values[s:e] for s, e in zip([0] + ends, ends)]
 
 
 def convert_arnetminer(lines) -> list[dict]:

@@ -1,7 +1,10 @@
-"""Sparse matrices in canonical COO order, and the integer-array helpers
-the graphs and feature factors are built with."""
+"""Sparse matrices in canonical COO order, and the integer-id and
+integer-array helpers the corpus, graphs and feature factors are built
+with."""
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import numpy as np
 
@@ -83,6 +86,15 @@ def column_normalize(m: SparseMatrix) -> SparseMatrix:
     """Scale every nonzero column to sum 1; zero columns stay zero."""
     return divide_columns(m, np.bincount(m.cols, weights=m.data,
                                          minlength=m.shape[1]))
+
+
+def interner() -> defaultdict:
+    """A dict that gives each new key the next int id.  Setting its
+    ``default_factory`` to None when done frees it without the cycle
+    collector."""
+    interned: defaultdict = defaultdict()
+    interned.default_factory = interned.__len__
+    return interned
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

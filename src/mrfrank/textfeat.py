@@ -6,14 +6,14 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .corpus import Corpus, PaperRecord
-from .sparse import concat_ranges, distinct, pairs_within_groups, per_distinct
+from .corpus import Corpus
+from .sparse import (concat_ranges, distinct, interner, pairs_within_groups,
+                     per_distinct)
 
 # A piece is a run of letters and digits (a token) or a run of sentence
 # terminators; a sentence is the tokens between two terminator runs.
@@ -32,7 +32,7 @@ def load_stopwords(path=None) -> frozenset[str]:
 _DEFAULT_STOPWORDS = load_stopwords()
 
 
-def _occurrences(papers: list[PaperRecord], stopwords: frozenset[str]):
+def _occurrences(titles, abstracts, stopwords: frozenset[str]):
     """The kept words in lexicographic order, then one (paper, feature id)
     entry per word occurrence and per same-sentence pair of distinct words
     (a pair once per sentence).
@@ -44,11 +44,10 @@ def _occurrences(papers: list[PaperRecord], stopwords: frozenset[str]):
     terminator, 2 characters or more, not a stopword) run once per distinct
     piece.
     """
-    interned: defaultdict = defaultdict()
-    interned.default_factory = interned.__len__   # a new piece gets the next id
+    interned = interner()   # a new piece gets the next id
     ids, lengths = array("q"), []
-    for p in papers:
-        pieces = _PIECE.findall((p.title + ". " + p.abstract).lower())
+    for title, abstract in zip(titles, abstracts):
+        pieces = _PIECE.findall((title + ". " + abstract).lower())
         ids.extend(map(interned.__getitem__, pieces))
         lengths.append(len(pieces))
     interned.default_factory = None   # frees the dict without the cycle collector
@@ -60,7 +59,7 @@ def _occurrences(papers: list[PaperRecord], stopwords: frozenset[str]):
     code = np.array([word_id.get(s, -1 if s[0] in _TERMINATORS else -2)
                      for s in strings], dtype=np.int64)
     piece = code[np.frombuffer(ids, dtype=np.int64)]
-    paper = np.repeat(np.arange(len(papers)), lengths)
+    paper = np.repeat(np.arange(len(lengths)), lengths)
     # a sentence ends at a terminator run and at the end of a paper
     sentence = np.cumsum(piece == -1) + paper
     paper_of = np.zeros(sentence[-1] + 1, dtype=np.int64)
@@ -128,15 +127,14 @@ def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
         raise ValueError(f"window_years must be at least 1, got {window_years}")
     if min_df < 1:
         raise ValueError(f"min_df must be at least 1, got {min_df}")
-    papers = list(corpus.papers.values())
-    if not papers:
+    if not len(corpus):
         return FeatureTable((), 0.0, window_years, 0, 0)
 
     years = corpus.years
     origin = int(years.min())
     n_windows = (int(years.max()) - origin) // window_years + 1
 
-    words, paper, feature = _occurrences(papers, stopwords)
+    words, paper, feature = _occurrences(corpus.titles, corpus.abstracts, stopwords)
     # compact ids keep the (paper, feature) keys below N * F; then one
     # entry per (paper, feature) pair, counting its occurrences
     raw, feature = np.unique(feature, return_inverse=True)

@@ -13,13 +13,42 @@ order, where ``mrfrank.evaluate`` works on position arrays.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from mrfrank.corpus import (DataError, FilterReport, PaperRecord, ParseReport,
-                            PreprocessConfig, malformed_reason)
+from mrfrank.corpus import (DataError, FilterReport, ParseReport, PreprocessConfig,
+                            malformed_reason)
 from mrfrank.evaluate import ri_item
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class PaperRecord:
+    paper_id: str
+    title: str
+    abstract: str
+    author_ids: tuple[str, ...]
+    year: int
+    venue: str
+    references: tuple[str, ...]
+
+
+def records(corpus) -> dict[str, PaperRecord]:
+    """The papers of an array ``Corpus`` as records keyed by id, in position
+    order: the references from its citation edges, the authors from its
+    listings."""
+    ids = corpus.papers.tolist()
+    refs: list[list[str]] = [[] for _ in ids]
+    authors: list[list[str]] = [[] for _ in ids]
+    for citing, cited in corpus.citation_edges.tolist():
+        refs[citing].append(ids[cited])
+    for paper, author in zip(corpus.listing_papers.tolist(),
+                             corpus.listing_authors.tolist()):
+        authors[paper].append(corpus.authors[author])
+    return {pid: PaperRecord(pid, title, abstract, tuple(a), year, venue, tuple(r))
+            for pid, title, abstract, a, year, venue, r in zip(
+                ids, corpus.titles, corpus.abstracts, authors, corpus.years.tolist(),
+                corpus.venues, refs)}
 
 
 @dataclass(frozen=True)
@@ -42,13 +71,16 @@ def _derive_authors(papers: dict[str, PaperRecord]) -> dict[str, int]:
 
 
 def assemble(papers: dict[str, PaperRecord]) -> OracleCorpus:
+    """The corpus of ``papers``; a paper keeps the references to papers
+    among them."""
     edges = []
+    kept = {}
     for pid in sorted(papers):
         p = papers[pid]
-        for ref in p.references:
-            if ref in papers:
-                edges.append((pid, ref, p.year))
-    return OracleCorpus(papers=dict(sorted(papers.items())),
+        refs = tuple(ref for ref in p.references if ref in papers)
+        edges += [(pid, ref, p.year) for ref in refs]
+        kept[pid] = replace(p, references=refs)
+    return OracleCorpus(papers=kept,
                         authors=_derive_authors(papers),
                         citation_edges=tuple(edges))
 

@@ -21,7 +21,8 @@ from itertools import combinations, repeat
 
 import numpy as np
 
-from mrfrank.corpus import Corpus, PaperRecord
+from corpus_oracle import PaperRecord, records
+from mrfrank.corpus import Corpus
 from mrfrank.textfeat import load_stopwords
 
 # ("w", token) for a word, ("p", tok_a, tok_b) for a pair with tok_a < tok_b
@@ -103,7 +104,7 @@ def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
                         stopwords: frozenset[str] = _DEFAULT_STOPWORDS) -> FeatureTable:
     """The feature table, with every feature occurrence interned as a tuple;
     a feature's mean runs from its first window to the latest window."""
-    papers = [corpus.papers[pid] for pid in sorted(corpus.papers)]
+    papers = list(records(corpus).values())
     if not papers:
         return FeatureTable({}, 0.0, window_years, 0, 0)
 

@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import logging
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrfrank.cli import build_parser, main
 from mrfrank.corpus import PreprocessConfig
@@ -100,10 +105,11 @@ NATIVE_LINES = [json.dumps(r) for r in [
 ]]
 NATIVE_LINES.insert(5, "{not json")
 # sha256 of what ``ingest`` and ``preprocess --min-year 1990`` write for
-# ``NATIVE_LINES``
+# ``NATIVE_LINES``; a written paper lists only the references to papers of
+# its own file
 NATIVE_DIGESTS = {
     "ingest.jsonl": "3b1ef9dc6ee5b78aa5d071572de01e8bb7aa2fe5086ac1e0bd86aa9044d826f6",
-    "preprocess.jsonl": "137972a71df2584b7884fcdd94d8695a3f6d02fce0196e03d494f32ee7014687",
+    "preprocess.jsonl": "5e4c607b9c10ed3d793f9816334cb670a3ede68823dc95a01ddcb51094c7e03b",
 }
 
 
@@ -193,6 +199,9 @@ class TestExitCodes:
          "protocol.horizon_year must be integer, got 2011.0"),
         ("protocol", [2003], "config section protocol must be an object"),
         ("protocl", {}, "unknown config setting protocl"),
+        ("protocol", {"ks": [2, 5, 2]}, "protocol.ks lists 2 more than once"),
+        ("protocol", {"cohort_years": [1999, 2000, 1999, 2000]},
+         "protocol.cohort_years lists 1999 more than once"),
     ])
     def test_data_error_config_setting(self, corpus_file, tmp_path, capsys,
                                        section, settings, message):
@@ -311,7 +320,8 @@ class TestIngest:
 
     def test_native_outputs_match_recorded_digests(self, tmp_path, capsys):
         """The bytes ``write_native`` writes after ``ingest`` and after
-        ``preprocess`` keep the recorded sha256."""
+        ``preprocess`` keep the recorded sha256, and the filtered file
+        references no paper the filters removed."""
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("\n".join(NATIVE_LINES) + "\n")
         assert main(["ingest", "--input", str(corpus),
@@ -321,6 +331,10 @@ class TestIngest:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in NATIVE_DIGESTS}
         assert digests == NATIVE_DIGESTS
+        capsys.readouterr()
+        assert main(["ingest", "--input", str(tmp_path / "preprocess.jsonl"),
+                     "--output", str(tmp_path / "again.jsonl")]) == 0
+        assert "dangling_references\t0" in capsys.readouterr().out
 
     def test_arnetminer(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
@@ -478,3 +492,68 @@ def test_rank_flags_cover_all_config_fields():
         assert "--" + f.name.replace("_", "-") in opts, f.name
     for f in dataclasses.fields(PreprocessConfig):
         assert "--" + f.name.replace("_", "-") in opts, f.name
+
+
+# per numeric ``rank`` and ``eval`` flag, values it must reject: text that
+# is no number of its type, and the numbers outside its range
+_NOT_AN_INT = st.sampled_from(["x", "", "1,5", "2.5", "nan", "0x10"])
+_NOT_A_FLOAT = st.sampled_from(["x", "", "1,5", "0x10"])
+
+
+def _ints_below_one():
+    return _NOT_AN_INT | st.integers(max_value=0).map(str)
+
+
+def _floats_outside(valid):
+    return _NOT_A_FLOAT | st.floats().filter(lambda v: not valid(v)).map(repr)
+
+
+INVALID_FLAG_VALUES = {
+    ("rank", "--min-year"): _NOT_AN_INT,
+    ("eval", "--min-year"): _NOT_AN_INT,
+    ("rank", "--window-years"): _ints_below_one(),
+    ("rank", "--min-df"): _ints_below_one(),
+    ("rank", "--u"): _ints_below_one(),
+    ("rank", "--max-iterations"): _ints_below_one(),
+    **{("rank", flag): _floats_outside(lambda v: 0 <= v <= 1)
+       for flag in ("--alpha-p", "--beta-p", "--alpha-a", "--beta-a", "--alpha-f")},
+    ("rank", "--tolerance"): _floats_outside(lambda v: 0 < v < math.inf),
+    ("rank", "--rho-edge"): _floats_outside(lambda v: 0 <= v < math.inf),
+    ("rank", "--rho-feature"): _floats_outside(lambda v: 0 <= v < math.inf),
+}
+
+
+@pytest.fixture(scope="module")
+def module_corpus_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in tiny_records()))
+    return path
+
+
+def test_numeric_flags_all_checked():
+    """``INVALID_FLAG_VALUES`` covers every numeric flag of rank and eval."""
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    numeric = {(command, action.option_strings[0])
+               for command in ("rank", "eval")
+               for action in commands[command]._actions
+               if action.type in (int, float)}
+    assert numeric == set(INVALID_FLAG_VALUES)
+
+
+@pytest.mark.parametrize("command, flag", sorted(INVALID_FLAG_VALUES))
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_invalid_numeric_flag_named_on_exit(module_corpus_file, tmp_path_factory,
+                                            command, flag, data):
+    """An invalid value of a numeric flag ends the command with exit 1
+    (usage) or 2 (data), naming the flag on stderr, with no traceback."""
+    value = data.draw(INVALID_FLAG_VALUES[command, flag], label="value")
+    ws = tmp_path_factory.mktemp("ws")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--corpus", str(module_corpus_file),
+                     "--workspace", str(ws), f"{flag}={value}"])
+    assert code in (1, 2)
+    assert flag in err.getvalue() or flag[2:].replace("-", "_") in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,6 @@
 import json
+import weakref
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -70,7 +72,7 @@ class TestParse:
         corpus, report = parse_corpus([
             {"id": "A", "year": 2000, "title": None, "abstract": None,
              "venue": None, "authors": None, "refs": None}])
-        p = corpus.papers["A"]
+        p = oracle.records(corpus)["A"]
         assert (p.title, p.abstract, p.venue, p.author_ids, p.references) == \
             ("", "", "", (), ())
         assert report.skipped_malformed == 0
@@ -158,7 +160,7 @@ def test_preprocess_idempotent_and_conserving(records):
     cfg = PreprocessConfig()
     once, report = preprocess(corpus, cfg)
     twice, report2 = preprocess(once, cfg)
-    assert twice.papers == once.papers
+    assert oracle.records(twice) == oracle.records(once)
     assert np.array_equal(twice.citation_edges, once.citation_edges)
     removed = (report.removed_survey + report.removed_year +
                report.removed_no_abstract + report.removed_isolated)
@@ -231,8 +233,8 @@ def edge_tuples(corpus):
 
 
 def assert_matches_oracle(corpus, expected):
-    assert corpus.papers == expected.papers
-    assert list(corpus.papers) == list(expected.papers)
+    assert oracle.records(corpus) == expected.papers
+    assert list(oracle.records(corpus)) == list(expected.papers)
     assert corpus.authors == tuple(expected.authors)
     assert corpus.first_year.tolist() == list(expected.authors.values())
     assert edge_tuples(corpus) == expected.citation_edges
@@ -249,26 +251,38 @@ def assert_matches_oracle(corpus, expected):
 def oracle_case(draw):
     """Records in shuffled order with dangling, self and repeated references,
     citation chains the filters break, survey and proceedings titles, blank
-    abstracts and authors listed twice; plus a filter config and a split."""
+    abstracts, authors listed twice and null refs and authors; malformed
+    records between them, whose ids some references name (so those
+    dangle); the first record cites the last; plus a filter config and a
+    split."""
     n = draw(st.integers(0, 20))
     ids = [f"P{i:02d}" for i in range(n)]
     records = []
     for i in range(n):
-        targets = ids[max(0, i - 3):i + 1] + ["X1", "X2"]   # chains, self, dangling
+        # chains, self, dangling, malformed
+        targets = ids[max(0, i - 3):i + 1] + ["X1", "X2", "M1"]
         refs = draw(st.lists(st.sampled_from(targets), max_size=5))
-        records.append(rec(
-            ids[i], draw(st.integers(1986, 2010)), refs=refs,
-            title=draw(st.sampled_from(["t"] * 8 + [
-                "A Survey of t", "Proceedings of t", "t: a review of u",
-                "Workshop on t"])),
-            authors=draw(st.lists(st.sampled_from("uvwxy"), max_size=4)),
-            abstract=draw(st.sampled_from(["a"] * 4 + ["", " "]))))
-    order = draw(st.permutations(range(n)))
+        r = rec(ids[i], draw(st.integers(1986, 2010)), refs=refs,
+                title=draw(st.sampled_from(["t"] * 8 + [
+                    "A Survey of t", "Proceedings of t", "t: a review of u",
+                    "Workshop on t"])),
+                authors=draw(st.lists(st.sampled_from("uvwxy"), max_size=4)),
+                abstract=draw(st.sampled_from(["a"] * 4 + ["", " "])))
+        for key in ("refs", "authors"):
+            if draw(st.integers(0, 5)) == 0:
+                r[key] = None
+        records.append(r)
+    records = [records[i] for i in draw(st.permutations(range(n)))]
+    if n > 1:
+        records[0]["refs"] = (records[0]["refs"] or []) + [records[-1]["id"]]
+    for bad in ({"id": "M1", "year": "2001", "refs": ["P00"]}, None,
+                {"id": "M2", "year": 2001, "authors": "u"}):
+        records.insert(draw(st.integers(0, len(records))), bad)
     cfg = PreprocessConfig(min_year=draw(st.integers(1985, 1992)),
                            require_abstract=draw(st.booleans()))
     cutoff = draw(st.integers(1990, 2008))
     horizon = draw(st.integers(cutoff + 1, 2012))
-    return [records[i] for i in order], cfg, cutoff, horizon
+    return records, cfg, cutoff, horizon
 
 
 def drawn_ranking(data, size):
@@ -341,6 +355,57 @@ class TestReadNative:
         assert f"{path} line 4 skipped" in caplog.text
 
 
+    def test_undecodable_line_counts_as_record(self, tmp_path, caplog):
+        """Record numbers count the lines ``read_native`` could not decode
+        (not blank lines), and its warnings and ``parse_corpus``'s come in
+        line order."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join([
+            json.dumps(rec("A", 2000)).encode(), b"{not json", b"",
+            json.dumps({"id": "B", "year": True}).encode(),
+            json.dumps(rec("A", 2001)).encode()]) + b"\n")
+        with pytest.raises(DataError, match="duplicate paper id 'A' at record 4"):
+            parse_corpus(read_native(path))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path} line 2 skipped: not JSON (Expecting property name enclosed "
+            "in double quotes at column 2)",
+            "record 3 skipped: year is not an integer in [-2147483648, 2147483647]"]
+
+    def test_read_native_is_lazy(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(rec("A", 2000)) + "\n")
+        records = read_native(path)
+        assert isinstance(records, Iterator)
+        assert next(records)["id"] == "A"
+
+
+class Record(dict):
+    """A record dict a weak reference can watch."""
+
+
+def test_parse_keeps_no_consumed_record():
+    """Each record, valid or malformed, is dead by the time ``parse_corpus``
+    asks for the next one."""
+    watched = []
+
+    def stream():
+        for r in [rec("B", 2000, refs=["A", "C"], authors=["u", "v"]),
+                  {"id": "M", "year": "2000"}, rec("A", 1999, refs=["B"]),
+                  None, {**rec("C", 2001, refs=["A", "A"]), "authors": None}]:
+            assert all(w() is None for w in watched), \
+                [i for i, w in enumerate(watched) if w() is not None]
+            if r is not None:
+                r = Record(r)
+                watched.append(weakref.ref(r))
+            yield r
+            del r
+        assert all(w() is None for w in watched)
+
+    corpus, report = parse_corpus(stream())
+    assert (len(watched), report.parsed, report.skipped_malformed) == (4, 3, 2)
+    assert corpus.citation_edges.tolist() == [[0, 1], [1, 0], [1, 2], [2, 0]]
+
+
 @given(oracle_case())
 @settings(max_examples=40, deadline=None)
 def test_native_roundtrip(tmp_path_factory, case):
@@ -350,7 +415,7 @@ def test_native_roundtrip(tmp_path_factory, case):
     corpus, _ = parse_corpus(case[0])
     write_native(corpus, path)
     again, report = parse_corpus(read_native(path))
-    assert again.papers == corpus.papers
+    assert oracle.records(again) == oracle.records(corpus)
     assert np.array_equal(again.citation_edges, corpus.citation_edges)
     assert (report.parsed, report.dangling_references) == (len(corpus), 0)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse
+from corpus_oracle import records
 from feature_oracle import extract_features, feature_key
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import (SparseMatrix, build_coauthor, build_graphs,
@@ -253,7 +254,7 @@ class TestOperatorBlocks:
             index = build_index(corpus, table.features)
             gs = build_graphs(corpus, index, table, t_cur, rho)
             blocks = operator_blocks(gs)
-            papers = [corpus.papers[pid] for pid in index.paper_ids]
+            papers = list(records(corpus).values())
             apos = {a: i for i, a in enumerate(index.author_ids)}
 
             # feature table: retained features, window counts, lambdas

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feature_oracle as oracle
+from corpus_oracle import PaperRecord, records
 from feature_oracle import extract_features, feature_key, tokenize
-from mrfrank.corpus import PaperRecord, parse_corpus
+from mrfrank.corpus import parse_corpus
 from mrfrank import textfeat
 from mrfrank.graphs import build_graphs, build_index, build_listings
 from mrfrank.textfeat import (FeatureTable, build_feature_table, idf_author,
@@ -121,12 +122,13 @@ class TestFeatureTable:
         table = build_feature_table(corpus, min_df=1)
         index = build_index(corpus, table.features)
         assert index.feature_ids == table.features == tuple(sorted(table.features))
+        papers = records(corpus)
         for row, col, count in zip(table.rows, table.cols, table.counts):
             pid = index.paper_ids[row]
             feat = tuple(index.feature_ids[col].split("|"))
-            assert extract_features(corpus.papers[pid])[feat] == count
+            assert extract_features(papers[pid])[feat] == count
         assert table.rows.size == sum(len(extract_features(p))
-                                      for p in corpus.papers.values())
+                                      for p in papers.values())
 
     @pytest.mark.parametrize("setting", ["window_years", "min_df"])
     def test_setting_below_one_rejected(self, setting):
@@ -332,7 +334,7 @@ class TestTfidf:
             corpus, _ = parse_corpus(recs)
             table = build_feature_table(corpus, min_df=1)
             index = build_index(corpus, table.features)
-            papers = [corpus.papers[pid] for pid in index.paper_ids]
+            papers = list(records(corpus).values())
             used = np.zeros((index.m, index.k), dtype=bool)
             for row, col in zip(table.rows.tolist(), table.cols.tolist()):
                 for a in papers[row].author_ids:
@@ -368,7 +370,7 @@ def test_brute_force_window_recount(rng):
 
     expected: dict = {}
     doc_freq: Counter = Counter()
-    for pid, p in corpus.papers.items():
+    for p in records(corpus).values():
         feats = set(extract_features(p))
         j = p.year - 2000
         for f in feats:
