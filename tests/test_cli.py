@@ -36,13 +36,28 @@ def tiny_records(n=30):
     return recs
 
 
-@pytest.fixture
-def corpus_file(tmp_path):
-    path = tmp_path / "corpus.jsonl"
+def coauthor_records(n=24):
+    """``tiny_records`` with 3 to 6 authors per paper from a pool of 11,
+    listed out of order; one paper lists an author twice and one has a
+    single author."""
+    recs = tiny_records(n)
+    for i, r in enumerate(recs):
+        r["authors"] = [f"auth{(5 * i + 2 * j) % 11}" for j in range(3 + i % 4)]
+    recs[5]["authors"].append(recs[5]["authors"][1])
+    recs[9]["authors"] = ["auth4"]
+    return recs
+
+
+def write_corpus(path, recs):
     with open(path, "w") as fh:
-        for r in tiny_records():
+        for r in recs:
             fh.write(json.dumps(r) + "\n")
     return path
+
+
+@pytest.fixture
+def corpus_file(tmp_path):
+    return write_corpus(tmp_path / "corpus.jsonl", tiny_records())
 
 
 def eval_config(path, corpus_file, workspace, protocol):
@@ -75,6 +90,27 @@ OUTPUT_DIGESTS = {
     "papers_no_time_no_content.tsv": "e2d717d9983f2cb34c697ea6c59621a165cd2ca74c015181de888b228630d4ec",
     "snapshot.tsv": "1c2d289cb93364e8cc693373a3a1020cda99dff8891771533df81f2879614c57",
     "eval.tsv": "fe560dc98d6c2d2566d3989f1424a61e698cdbe3c717d506f1868650cf6d809c",
+}
+# sha256 of the ranking and convergence files ``rank`` writes in all four
+# modes for ``coauthor_records()``, whose coauthor graph has many entries
+# per row
+COAUTHOR_DIGESTS = {
+    "authors_full.tsv": "e64567ca63907c158efd4d72616a8699290de993f1e836fb7ed5a3c66e365d93",
+    "authors_no_content.tsv": "c90e44def53e89cc611163ee0c27e6e1ef824e1d60662f2ab76b902e52800e50",
+    "authors_no_time.tsv": "a4683910be78df14accc1bf6aed75714b4d57d9930bd5948d45b2a67e315fc60",
+    "authors_no_time_no_content.tsv": "8bfa1aeccd565a51dd1f16dd11b116c0b96c60973b79657c5ca234433b9c90d6",
+    "convergence_full.tsv": "f0c5c1bf61dff7a9cb0b4a008ecffd0ed340b3ad92e7026bc2e6ff5f2ecb05d9",
+    "convergence_no_content.tsv": "12286344153e2321860866591d15af42f873220eb92c542c64d49cea24715e23",
+    "convergence_no_time.tsv": "912cf5047c349cd5533399c8ba12deb08326ec18450e1ee6b4804c38c7fe398e",
+    "convergence_no_time_no_content.tsv": "9e2c8a69e5f3c8a2d30b692adb504b7bcc6ba940d6240eaf41d4870a922022e5",
+    "features_full.tsv": "b49439cf04991f8cd8ad069ea2a23e0bc88c1f41922f8440357f9d69184f3938",
+    "features_no_content.tsv": "f11e591bdfcabe8f360c35f1be2dd349390ecaf73dee4b604f721c0146349847",
+    "features_no_time.tsv": "ea935b13692c7cc550e56636980c04d56c308d3d50c07fb28811a6bb32def09c",
+    "features_no_time_no_content.tsv": "70ebe77ccb6642f748e972a879dc65f842571ee2b5d8c96f328e92ed16fbb318",
+    "papers_full.tsv": "8f1891df56bb481586154866b18ac0e2484bf4124a0b809b4a27a50d9932e25f",
+    "papers_no_content.tsv": "b02acdae60dbfc1f40b1ee418cf216d38c4e5bcf4d442259fd3f391152103c9e",
+    "papers_no_time.tsv": "927faf5c00798dd453c81c98b3d17f948b2585ca6ce5c5469517ee6383e6bc42",
+    "papers_no_time_no_content.tsv": "4c46df3c41c86ea3a3294b8388453926db2b0979ca66cf909d5f39cf6c8183ea",
 }
 # a cutoff before the ranking's, so ranked papers outside the sub-corpus are
 # skipped; paper and author cohorts with non-zero RI, an author cohort smaller
@@ -403,6 +439,18 @@ class TestRank:
         digests = {name: hashlib.sha256((ws / name).read_bytes()).hexdigest()
                    for name in OUTPUT_DIGESTS}
         assert digests == OUTPUT_DIGESTS
+
+    def test_coauthor_dense_outputs_match_recorded_digests(self, tmp_path, capsys):
+        """With 3 to 6 authors per paper every author row of the coauthor
+        graph holds entries on both sides of the diagonal, so a misplaced or
+        mis-summed entry moves the recorded bytes."""
+        corpus = write_corpus(tmp_path / "corpus.jsonl", coauthor_records())
+        ws = tmp_path / "ws"
+        for mode in MODES:
+            assert main(rank_args(corpus, ws, "--mode", mode.replace("_", "-"))) == 0
+        digests = {name: hashlib.sha256((ws / name).read_bytes()).hexdigest()
+                   for name in COAUTHOR_DIGESTS}
+        assert digests == COAUTHOR_DIGESTS
 
     def test_modes_differ(self, corpus_file, tmp_path, capsys):
         ws = tmp_path / "ws"
