@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .sparse import (SparseMatrix, column_normalize, distinct, divide_columns,
-                     group_sum, pairs_within_groups, per_distinct)
+                     divide_rows, group_sum, pairs_within_groups, per_distinct)
 from .textfeat import FeatureTable, idf_author, idf_paper
 
 
@@ -66,16 +66,17 @@ def _authorship(corpus: Corpus, index: EntityIndex) -> tuple[np.ndarray, np.ndar
 def build_coauthor(corpus: Corpus, index: EntityIndex, t_current: int,
                    rho: float) -> SparseMatrix:
     """Symmetric M x M matrix summing decayed weights over coauthored
-    papers; each author pair's weights are added in paper order."""
+    papers; each author pair's weights are added once, in paper order, and
+    the sum is stored on both sides of the diagonal."""
     paper, author = _authorship(corpus, index)
-    # every listing pairs with the later listings of its paper
+    # every listing pairs with the later listings of its paper, whose
+    # author is greater: the upper triangle, a < b
     first, second = pairs_within_groups(paper)
-    w = decay_weights(corpus.years, t_current, rho)[paper[first]]
-    a, b = author[first], author[second]
-    keys, sums = group_sum(np.concatenate([a * index.m + b, b * index.m + a]),
-                           np.concatenate([w, w]))
-    rows, cols = np.divmod(keys, index.m)
-    return SparseMatrix((index.m, index.m), rows, cols, sums)
+    keys, sums = group_sum(author[first] * index.m + author[second],
+                           decay_weights(corpus.years, t_current, rho)[paper[first]])
+    # a sum that underflowed to 0 is not stored, as in the citation graph
+    keep = sums != 0.0
+    return SparseMatrix.symmetric(index.m, *np.divmod(keys[keep], index.m), sums[keep])
 
 
 def build_listings(corpus: Corpus, index: EntityIndex) -> SparseMatrix:
@@ -148,7 +149,9 @@ class OperatorBlocks:
 
 
 def graph_blocks(graphs: GraphSet) -> dict[str, SparseMatrix]:
-    """The four blocks between papers and authors, each a fresh matrix.
+    """The four blocks between papers and authors, each with fresh ``data``.
+    pp and pa are returned as their transposes, over the ``rows`` and
+    ``cols`` of ``citation`` and ``author_paper``, to be applied transposed.
 
     The time-aware blocks pp and aa are divided by their undecayed column
     sums instead of their own: every reference of one citing paper carries
@@ -157,11 +160,12 @@ def graph_blocks(graphs: GraphSet) -> dict[str, SparseMatrix]:
     vote split across its references while recent votes keep more absolute
     weight; at rho = 0 this is plain column normalization.
     """
+    ap = graphs.author_paper
     return dict(
-        pp=divide_columns(graphs.citation.transpose(), graphs.reference_counts),
-        pa=column_normalize(graphs.author_paper.transpose()),
+        pp=divide_rows(graphs.citation, graphs.reference_counts),
+        pa=divide_rows(ap, np.bincount(ap.rows, weights=ap.data, minlength=ap.shape[0])),
         aa=divide_columns(graphs.coauthor, graphs.coauthor_counts),
-        ap=column_normalize(graphs.author_paper),
+        ap=column_normalize(ap),
     )
 
 
@@ -177,7 +181,9 @@ def operator_blocks(graphs: GraphSet) -> OperatorBlocks:
     counts = graphs.feature_counts.to_dense()
     paper = _from_dense(counts * graphs.idf_paper)
     author = _from_dense((graphs.listings.to_dense() @ counts) * graphs.idf_author)
+    blocks = graph_blocks(graphs)
     return OperatorBlocks(
         pt=column_normalize(paper), tp=column_normalize(paper.transpose()),
         at=column_normalize(author), ta=column_normalize(author.transpose()),
-        **graph_blocks(graphs))
+        pp=blocks["pp"].transpose(), pa=blocks["pa"].transpose(),
+        aa=blocks["aa"], ap=blocks["ap"])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graphs import GraphSet, graph_blocks, operator_blocks
-from .sparse import SparseMatrix, reciprocal, scale
+from .sparse import SparseMatrix, Transposed, reciprocal, scale
 
 MODES = ("full", "no_time", "no_content", "no_time_no_content")
 
@@ -88,26 +88,24 @@ class RankState:
     sizes: tuple[int, int, int]
     iteration: int = 0
     last_delta: float = float("inf")
+    # the three sections of ``vector``, each rescaled to sum 1, concatenated
+    per_type: np.ndarray = field(init=False)
 
-    def _section(self, i: int) -> np.ndarray:
-        sec = _split(self.vector, self.sizes)[i]
-        return sec / sec.sum()
+    def __post_init__(self):
+        self.per_type = np.concatenate([sec / sec.sum()
+                                        for sec in _split(self.vector, self.sizes)])
 
     @property
     def a_paper(self) -> np.ndarray:
-        return self._section(0)
+        return _split(self.per_type, self.sizes)[0]
 
     @property
     def a_author(self) -> np.ndarray:
-        return self._section(1)
+        return _split(self.per_type, self.sizes)[1]
 
     @property
     def a_feature(self) -> np.ndarray:
-        return self._section(2)
-
-    def per_type(self) -> np.ndarray:
-        """The three sections, each rescaled to sum 1, concatenated."""
-        return np.concatenate([self.a_paper, self.a_author, self.a_feature])
+        return _split(self.per_type, self.sizes)[2]
 
 
 @dataclass
@@ -139,14 +137,16 @@ def normalize_innovativeness(e: np.ndarray) -> np.ndarray:
 
 
 # (row offset, col offset, chain): the term adds
-# chain[-1] @ ... @ chain[0] @ x[col:] into the rows from ``row`` on
-Operator = list[tuple[int, int, tuple[SparseMatrix, ...]]]
+# chain[-1] @ ... @ chain[0] @ x[col:] into the rows from ``row`` on; a
+# factor is a SparseMatrix or one applied ``Transposed``
+Operator = list[tuple[int, int, tuple[SparseMatrix | Transposed, ...]]]
 
 
 def _feature_chains(graphs: GraphSet, e_norm: np.ndarray,
-                    coef: dict[str, float]) -> dict[str, tuple[SparseMatrix, ...]]:
+                    coef: dict[str, float]) -> dict[str, tuple]:
     """The four feature blocks as chains of factors over C (paper x feature
-    counts), L (author x paper listing counts) and their transposes.
+    counts) and L (author x paper listing counts), the transposed ones
+    applied in place.
 
     Column normalization cancels idf, so
 
@@ -158,24 +158,23 @@ def _feature_chains(graphs: GraphSet, e_norm: np.ndarray,
     A feature with idf 0 keeps a zero column in pt and at, and a paper or
     author whose features all have idf 0 a zero column in tp and ta.  Each
     coefficient and diagonal, the normalized innovativeness of the feature
-    rows included, is folded into one factor's weights; the scaled C and
-    C^T factors share the ``rows`` and ``cols`` of C and C^T.
+    rows included, is folded into one factor's weights; every scaled factor
+    shares the ``rows`` and ``cols`` of C or L.
     """
     c, lst = graphs.feature_counts, graphs.listings
-    ct, lt = c.transpose(), lst.transpose()
     idf_p, idf_a = graphs.idf_paper, graphs.idf_author
     n, m = c.shape[0], lst.shape[0]
-    colsum_c = ct.matvec(np.ones(n))
-    colsum_lc = ct.matvec(lt.matvec(np.ones(m)))
+    colsum_c = c.rmatvec(np.ones(n))
+    colsum_lc = c.rmatvec(lst.rmatvec(np.ones(m)))
     return {
         "pt": (scale(c, col_weights=np.where(idf_p != 0.0, coef["pt"], 0.0)
                      * reciprocal(colsum_c)),),
         "at": (scale(c, col_weights=np.where(idf_a != 0.0, coef["at"], 0.0)
                      * reciprocal(colsum_lc)), lst),
-        "tp": (scale(ct, row_weights=coef["tp"] * e_norm * idf_p,
-                     col_weights=reciprocal(c.matvec(idf_p))),),
-        "ta": (scale(lt, col_weights=reciprocal(lst.matvec(c.matvec(idf_a)))),
-               scale(ct, row_weights=coef["ta"] * e_norm * idf_a)),
+        "tp": (Transposed(scale(c, row_weights=reciprocal(c.matvec(idf_p)),
+                                col_weights=coef["tp"] * e_norm * idf_p)),),
+        "ta": (Transposed(scale(lst, row_weights=reciprocal(lst.matvec(c.matvec(idf_a))))),
+               Transposed(scale(c, col_weights=coef["ta"] * e_norm * idf_a))),
     }
 
 
@@ -183,9 +182,10 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
     """The combined matrix as (row offset, col offset, chain) terms.
 
     The paper and author blocks come fresh from ``graph_blocks`` and their
-    weights are scaled in place by their coefficients; the feature blocks
-    are chains of factors (``_feature_chains``).  Terms whose coefficient
-    is 0 are left out.
+    weights are scaled in place by their coefficients; pp and pa come as
+    their transposes and are applied transposed.  The feature blocks are
+    chains of factors (``_feature_chains``).  Terms whose coefficient is 0
+    are left out.
     """
     hp = hp.effective()
     n, m = graphs.index.n, graphs.index.m
@@ -198,9 +198,11 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
         "ta": hp.alpha_f, "tp": 1.0 - hp.alpha_f,
     }
     chains = _feature_chains(graphs, normalize_innovativeness(e), coef)
-    for name, block in graph_blocks(graphs).items():
+    blocks = graph_blocks(graphs)
+    for name, block in blocks.items():
         block.data *= coef[name]
-        chains[name] = (block,)
+    chains.update(pp=(Transposed(blocks["pp"]),), pa=(Transposed(blocks["pa"]),),
+                  aa=(blocks["aa"],), ap=(blocks["ap"],))
     offsets = [("pp", 0, 0), ("pa", 0, n), ("pt", 0, f), ("aa", n, n), ("ap", n, 0),
                ("at", n, f), ("ta", f, n), ("tp", f, 0)]
     return [(row, col, chains[name]) for name, row, col in offsets if coef[name] != 0.0]
@@ -228,7 +230,7 @@ def iterate_once(state: RankState, operator: Operator) -> RankState:
         total += sec.sum()
     out = RankState(vector=y / total, sizes=state.sizes,
                     iteration=state.iteration + 1)
-    out.last_delta = float(np.abs(out.per_type() - state.per_type()).sum())
+    out.last_delta = float(np.abs(out.per_type - state.per_type).sum())
     return out
 
 

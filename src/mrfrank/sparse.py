@@ -35,6 +35,26 @@ class SparseMatrix:
         out.shape, out.rows, out.cols, out.data = shape, rows, cols, data
         return out
 
+    @classmethod
+    def symmetric(cls, n: int, rows: np.ndarray, cols: np.ndarray,
+                  data: np.ndarray) -> "SparseMatrix":
+        """The n x n matrix holding each entry of an upper triangle (rows <
+        cols, in canonical order) at (row, col) and at (col, row), placed
+        straight into canonical order: row r holds the mirrors (r, a) of the
+        entries (a, r), then its own entries."""
+        lower, upper = np.bincount(cols, minlength=n), np.bincount(rows, minlength=n)
+        starts = np.cumsum(lower + upper) - upper - lower
+        out_cols, out_data = np.empty(2 * data.size, dtype=np.int64), np.empty(2 * data.size)
+        # entries sharing a column are in ascending row order, so a stable
+        # sort by column puts the mirrors in canonical order
+        order = np.argsort(cols, kind="stable")
+        at = concat_ranges(starts, lower)
+        out_cols[at], out_data[at] = rows[order], data[order]
+        at = concat_ranges(starts + lower, upper)
+        out_cols[at], out_data[at] = cols, data
+        return cls.canonical((n, n), np.repeat(np.arange(n), lower + upper),
+                             out_cols, out_data)
+
     @property
     def nnz(self) -> int:
         return self.data.size
@@ -43,6 +63,13 @@ class SparseMatrix:
         """A @ x; each row adds its products in ascending column order."""
         return np.bincount(self.rows, weights=self.data * x[self.cols],
                            minlength=self.shape[0]).astype(np.float64, copy=False)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """A^T @ x, bit for bit ``transpose().matvec(x)``: each column adds
+        its products in storage order, which is ascending row, the order of
+        the transpose's own rows."""
+        return np.bincount(self.cols, weights=self.data * x[self.rows],
+                           minlength=self.shape[1]).astype(np.float64, copy=False)
 
     def transpose(self) -> "SparseMatrix":
         # entries sharing a column are in ascending row order, so a stable
@@ -57,16 +84,27 @@ class SparseMatrix:
         return out
 
 
+class Transposed:
+    """``m`` applied transposed, over its own arrays: no re-sorted copy."""
+
+    def __init__(self, m: SparseMatrix):
+        self.m = m
+        self.shape = m.shape[1], m.shape[0]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.m.rmatvec(x)
+
+
 def scale(m: SparseMatrix, row_weights: np.ndarray | None = None,
           col_weights: np.ndarray | None = None) -> SparseMatrix:
     """``diag(row_weights) @ m @ diag(col_weights)`` with its own ``data``,
-    sharing ``m``'s ``rows`` and ``cols``; a zero weight leaves a stored
-    zero."""
+    the column weight multiplied in first, sharing ``m``'s ``rows`` and
+    ``cols``; a zero weight leaves a stored zero."""
     data = m.data
-    if row_weights is not None:
-        data = data * row_weights[m.rows]
     if col_weights is not None:
         data = data * col_weights[m.cols]
+    if row_weights is not None:
+        data = data * row_weights[m.rows]
     return SparseMatrix.canonical(m.shape, m.rows, m.cols, data)
 
 
@@ -80,6 +118,12 @@ def divide_columns(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
     if m.nnz == 0:
         return m
     return SparseMatrix.canonical(m.shape, m.rows, m.cols, m.data / sums[m.cols])
+
+
+def divide_rows(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
+    """Divide every stored entry by the value ``sums`` gives its row: the
+    transpose of ``divide_columns(m.transpose(), sums)``, in m's order."""
+    return SparseMatrix.canonical(m.shape, m.rows, m.cols, m.data / sums[m.rows])
 
 
 def column_normalize(m: SparseMatrix) -> SparseMatrix:

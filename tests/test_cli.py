@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrfrank import graphs
 from mrfrank.cli import build_parser, main
 from mrfrank.corpus import PreprocessConfig
 from mrfrank.ranking import MODES, HyperParams
+from mrfrank.sparse import SparseMatrix
 
 VOCAB = ["ranking", "citation", "influence", "burst", "network", "topic"]
 
@@ -439,6 +441,32 @@ class TestRank:
         digests = {name: hashlib.sha256((ws / name).read_bytes()).hexdigest()
                    for name in OUTPUT_DIGESTS}
         assert digests == OUTPUT_DIGESTS
+
+    def test_rank_makes_no_resorted_copy(self, corpus_file, tmp_path, capsys,
+                                         monkeypatch):
+        """``rank`` applies the transposed factors over the stored matrices
+        and builds the coauthor graph without the sorting constructor, and
+        its ranking files keep the recorded bytes."""
+        def refuse(*args):
+            raise AssertionError("re-sorted copy made during rank")
+
+        build_coauthor = graphs.build_coauthor
+
+        def build_coauthor_unsorted(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(SparseMatrix, "__init__", refuse)
+                return build_coauthor(*args)
+
+        monkeypatch.setattr(SparseMatrix, "transpose", refuse)
+        monkeypatch.setattr(graphs, "build_coauthor", build_coauthor_unsorted)
+        ws = tmp_path / "ws"
+        for mode in MODES:
+            assert main(rank_args(corpus_file, ws, "--mode", mode.replace("_", "-"))) == 0
+        for kind in ("papers", "authors", "features"):
+            for mode in MODES:
+                name = f"{kind}_{mode}.tsv"
+                digest = hashlib.sha256((ws / name).read_bytes()).hexdigest()
+                assert digest == OUTPUT_DIGESTS[name], name
 
     def test_coauthor_dense_outputs_match_recorded_digests(self, tmp_path, capsys):
         """With 3 to 6 authors per paper every author row of the coauthor

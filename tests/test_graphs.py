@@ -11,6 +11,7 @@ from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import (SparseMatrix, build_coauthor, build_graphs,
                             build_index, column_normalize, decay_weights,
                             operator_blocks)
+from mrfrank.sparse import scale
 from mrfrank.textfeat import build_feature_table
 
 
@@ -67,6 +68,15 @@ class TestSparseMatrix:
                 assert np.array_equal(getattr(fast, name), getattr(lexsorted, name))
                 assert getattr(fast, name).dtype == getattr(lexsorted, name).dtype
 
+    def test_scale_multiplies_column_weight_first(self, rng):
+        """The column weight goes in first: on a C factor applied transposed
+        that is the feature weight, which tp multiplies in before the paper
+        weight."""
+        m = random_sparse(rng, 30, 20, density=0.8)
+        row_w, col_w = rng.random(30) * 3.0, rng.random(20) * 3.0
+        scaled = scale(m, row_weights=row_w, col_weights=col_w)
+        assert np.array_equal(scaled.data, m.data * col_w[m.cols] * row_w[m.rows])
+
     def test_canonical_order(self):
         m = SparseMatrix((3, 3), [2, 0, 2], [0, 1, 2], [1.0, 2.0, 3.0])
         assert list(m.rows) == [0, 2, 2]
@@ -109,6 +119,8 @@ class TestBuildGraphs:
              "year": 2003, "refs": []},
             {"id": "B", "title": "t", "abstract": "a", "authors": ["u", "v"],
              "year": 2004, "refs": ["A"]},
+            {"id": "C", "title": "t", "abstract": "a", "authors": ["w", "v"],
+             "year": 2003, "refs": []},
         ]
         corpus, _ = parse_corpus(recs)
         table = build_feature_table(corpus, min_df=1)
@@ -119,6 +131,10 @@ class TestBuildGraphs:
         assert dense[u, v] == pytest.approx(1.0 + math.exp(-1.0))
         assert dense[v, u] == dense[u, v]
         assert dense[u, u] == 0.0
+        # at rho 1000 the 2003 papers weigh exp(-1000), which underflows to
+        # 0: v-w is not stored, like a citation whose weight underflows
+        m = build_coauthor(corpus, index, t_current=2004, rho=1000.0)
+        assert m.nnz == 2 and m.to_dense()[u, v] == m.to_dense()[v, u] == 1.0
 
     def test_coauthor_symmetric(self, rng):
         corpus, index, gs = small_setup()
@@ -228,21 +244,24 @@ class TestOperatorBlocks:
 
     def test_brute_force_dense_oracle(self, rng):
         """Recount every graph, tf-idf matrix and block densely from the
-        corpus and ``extract_features`` for random small corpora (authors
-        listed twice, rho 0 and > 0, one- and two-year windows) and compare
-        against the array pipeline.  The recount adds in the pipeline's
-        order, so every value must match exactly."""
+        corpus and ``extract_features`` for random small corpora (1 to 6
+        authors from a pool of 8, authors listed twice, rho 0 and > 0, one-
+        and two-year windows, and one corpus of single-author papers, whose
+        coauthor graph is empty) and compare against the array pipeline.
+        The recount adds in the pipeline's order, so every value must match
+        exactly."""
         t_cur = 2005
-        for trial in range(12):
+        for trial in range(13):
             rho = 0.0 if trial % 3 == 0 else 0.3
             window_years = 1 + trial % 2
+            max_authors = 1 if trial == 12 else 6
             n = int(rng.integers(4, 12))
             recs = []
             for i in range(n):
                 year = 1995 + int(rng.integers(10))
                 refs = [f"P{j}" for j in range(i) if rng.random() < 0.3]
-                authors = [f"a{int(rng.integers(5))}"
-                           for _ in range(1 + int(rng.integers(3)))]
+                authors = [f"a{int(rng.integers(8))}"
+                           for _ in range(1 + int(rng.integers(max_authors)))]
                 if rng.random() < 0.3:
                     authors.append(authors[0])
                 recs.append({
@@ -317,6 +336,14 @@ class TestOperatorBlocks:
                             co[apos[x], apos[y]] += decay(p.year)
                             links[apos[x], apos[y]] += 1.0
             assert np.array_equal(gs.coauthor.to_dense(), co)
+            # canonical order, no repeated entry, each pair's one sum on both
+            # sides of the diagonal
+            co_m = gs.coauthor
+            assert np.all(np.diff(co_m.rows * index.m + co_m.cols) > 0)
+            dense_co = co_m.to_dense()
+            assert np.array_equal(dense_co.view(np.int64), dense_co.T.view(np.int64))
+            if trial == 12:
+                assert co_m.nnz == 0
             assert np.array_equal(gs.author_paper.to_dense(), ap)
 
             def colnorm(dense, sums=None):
