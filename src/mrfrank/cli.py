@@ -22,7 +22,9 @@ from . import graphs as graphs_mod
 from . import ranking as ranking_mod
 from . import textfeat
 from .corpus import DataError, PreprocessConfig
+from .evaluate import ProtocolConfig
 from .ranking import MODES, HyperParams
+from .textfeat import FeatureConfig
 
 log = logging.getLogger("mrfrank")
 
@@ -39,78 +41,43 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def add_preprocess_flags(parser):
-    g = parser.add_argument_group("preprocess")
-    g.add_argument("--min-year", type=int, default=None)
-    g.add_argument("--require-abstract", action="store_true", default=None)
-    g.add_argument("--survey-substrings", type=str, default=None,
-                   help="comma-separated title substrings")
-    g.add_argument("--proceedings-prefixes", type=str, default=None,
-                   help="comma-separated title prefixes")
-
-
-def add_feature_flags(parser):
-    g = parser.add_argument_group("features")
-    g.add_argument("--window-years", type=int, default=None)
-    g.add_argument("--min-df", type=int, default=None)
-    g.add_argument("--stopwords", type=str, default=None,
-                   help="path to a stopword list overriding the built-in one")
-
-
-def add_hyperparam_flags(parser):
-    g = parser.add_argument_group("hyperparams")
-    g.add_argument("--alpha-p", type=float, default=None)
-    g.add_argument("--beta-p", type=float, default=None)
-    g.add_argument("--alpha-a", type=float, default=None)
-    g.add_argument("--beta-a", type=float, default=None)
-    g.add_argument("--alpha-f", type=float, default=None)
-    g.add_argument("--rho-edge", type=float, default=None)
-    g.add_argument("--rho-feature", type=float, default=None)
-    g.add_argument("--u", type=int, default=None)
-    g.add_argument("--tolerance", type=float, default=None)
-    g.add_argument("--max-iterations", type=int, default=None)
-    g.add_argument("--mode", choices=[m.replace("_", "-") for m in MODES],
-                   default=None)
-
-
 @dataclasses.dataclass
 class RunConfig:
     corpus: Path
     workspace: Path
     preprocess: PreprocessConfig
-    window_years: int = 1
-    min_df: int = 3
-    stopwords: str | None = None
-    hyperparams: HyperParams = dataclasses.field(default_factory=HyperParams)
-    cutoff_year: int = 2005
-    horizon_year: int = 2011
-    cohort_years: tuple[int, ...] = ()
-    ks: tuple[int, ...] = (10, 20, 50)
+    hyperparams: HyperParams
+    features: FeatureConfig
+    protocol: ProtocolConfig
 
 
-def _merge(cls, file_section: dict, args, fields):
-    kwargs = dict(file_section)
-    for f in fields:
-        v = getattr(args, f, None)
-        if v is not None:
-            kwargs[f] = v
-    return cls(**kwargs)
-
-
-# config file section -> the dataclass whose fields it sets (all of them
-# when no names are given)
-_SECTIONS = {
-    "preprocess": (PreprocessConfig, None),
-    "hyperparams": (HyperParams, None),
-    "features": (RunConfig, ("window_years", "min_df", "stopwords")),
-    "protocol": (RunConfig, ("cutoff_year", "horizon_year", "cohort_years", "ks")),
-}
+# config file section -> the dataclass whose fields it sets, in the order
+# the sections are checked
+_SECTIONS = {"preprocess": PreprocessConfig, "hyperparams": HyperParams,
+             "features": FeatureConfig, "protocol": ProtocolConfig}
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string",
                type(None): "null"}
+
+
+# help for the flags whose name is not enough
+_HELP = {"survey_substrings": "comma-separated title substrings",
+         "proceedings_prefixes": "comma-separated title prefixes",
+         "stopwords": "path to a stopword list overriding the built-in one"}
+
+
+def add_flags(parser, section: str) -> None:
+    """One flag per field of a config section, ``--`` and the field name
+    with hyphens, left None when not given."""
+    g = parser.add_argument_group(section)
+    for name, hint in typing.get_type_hints(_SECTIONS[section]).items():
+        kwargs = {"default": None, "help": _HELP.get(name)}
+        if hint is bool:
+            kwargs["action"] = "store_true"
+        elif name == "mode":
+            kwargs["choices"] = [m.replace("_", "-") for m in MODES]
+        else:
+            kwargs["type"] = hint if hint in (int, float) else str
+        g.add_argument("--" + name.replace("_", "-"), **kwargs)
 
 
 def _json_type(hint) -> str:
@@ -141,15 +108,33 @@ def _section(raw: dict, name: str) -> dict:
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise DataError(f"config section {name} must be an object")
-    cls, names = _SECTIONS[name]
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(_SECTIONS[name])
     for key, value in section.items():
-        if key not in (names or hints):
+        if key not in hints:
             raise DataError(f"unknown config setting {name}.{key}")
         if not _fits(value, hints[key]):
             raise DataError(f"config setting {name}.{key} must be "
                             f"{_json_type(hints[key])}, got {value!r}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
+
+
+def _settings(cls, args, values=None):
+    """A settings dataclass: its defaults, overridden by ``values`` (a
+    config file section), overridden by each flag of ``args`` that is set.
+    A flag setting a tuple is comma-separated, empty items dropped, and
+    ``--mode`` takes hyphens for underscores."""
+    values = dict(values or {})
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        v = getattr(args, f.name, None)
+        if v is None:
+            continue
+        if typing.get_origin(hints[f.name]) is tuple:
+            v = tuple(s for s in v.split(",") if s)
+        elif f.name == "mode":
+            v = v.replace("-", "_")
+        values[f.name] = v
+    return cls(**values)
 
 
 def load_config(args) -> RunConfig:
@@ -165,61 +150,13 @@ def load_config(args) -> RunConfig:
         if key not in _SECTIONS and not _fits(raw[key], str | None):
             raise DataError(f"config setting {key} must be string or null, "
                             f"got {raw[key]!r}")
-
-    pp_raw = _section(raw, "preprocess")
-    for key in ("survey_substrings", "proceedings_prefixes"):
-        v = getattr(args, key, None)
-        if v is not None:
-            pp_raw[key] = tuple(s for s in v.split(",") if s)
-            setattr(args, key, None)
-    pp = _merge(PreprocessConfig, pp_raw,
-                args, [f.name for f in dataclasses.fields(PreprocessConfig)])
-
-    hp_raw = _section(raw, "hyperparams")
-    if getattr(args, "mode", None) is not None:
-        args.mode = args.mode.replace("-", "_")
-    hp = _merge(HyperParams, hp_raw,
-                args, [f.name for f in dataclasses.fields(HyperParams)])
-
-    feat_raw = _section(raw, "features")
-    proto = _section(raw, "protocol")
-    for k in proto.get("ks", ()):
-        if k < 1:
-            raise DataError(f"protocol.ks must be at least 1, got {k}")
-    for name in ("ks", "cohort_years"):
-        values = proto.get(name, ())
-        for i, v in enumerate(values):
-            if v in values[:i]:
-                raise DataError(f"protocol.{name} lists {v} more than once")
-    cutoff = proto.get("cutoff_year", 2005)
-    horizon = proto.get("horizon_year", 2011)
-    if cutoff >= horizon:
-        raise DataError(f"protocol.cutoff_year {cutoff} must be before "
-                        f"protocol.horizon_year {horizon}")
-
-    def pick(name, default, section):
-        v = getattr(args, name, None)
-        if v is not None:
-            return v
-        return section.get(name, default)
-
-    corpus_path = pick("corpus", raw.get("corpus"), raw)
-    workspace = pick("workspace", raw.get("workspace"), raw)
-    if corpus_path is None or workspace is None:
+    sections = {name: _settings(cls, args, _section(raw, name))
+                for name, cls in _SECTIONS.items()}
+    paths = [raw.get(key) if getattr(args, key) is None else getattr(args, key)
+             for key in ("corpus", "workspace")]
+    if None in paths:
         raise DataError("config must provide corpus and workspace paths")
-    return RunConfig(
-        corpus=Path(corpus_path),
-        workspace=Path(workspace),
-        preprocess=pp,
-        window_years=pick("window_years", 1, feat_raw),
-        min_df=pick("min_df", 3, feat_raw),
-        stopwords=pick("stopwords", None, feat_raw),
-        hyperparams=hp,
-        cutoff_year=cutoff,
-        horizon_year=horizon,
-        cohort_years=proto.get("cohort_years", ()),
-        ks=proto.get("ks", (10, 20, 50)),
-    )
+    return RunConfig(*map(Path, paths), **sections)
 
 
 def _load_corpus(path):
@@ -241,12 +178,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _merge(PreprocessConfig, {}, args,
-                 ["min_year", "require_abstract"])
-    for key in ("survey_substrings", "proceedings_prefixes"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, tuple(s for s in v.split(",") if s))
+    cfg = _settings(PreprocessConfig, args)
     corpus, _ = _load_corpus(args.input)
     out, report = corpus_mod.preprocess(corpus, cfg)
     corpus_mod.write_native(out, args.output)
@@ -255,16 +187,16 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+def _feature_table(corpus, cfg: FeatureConfig) -> textfeat.FeatureTable:
+    return textfeat.build_feature_table(corpus, cfg.window_years, cfg.min_df,
+                                        textfeat.load_stopwords(cfg.stopwords))
+
+
 def cmd_features(args) -> int:
+    cfg = _settings(FeatureConfig, args)
     corpus, _ = _load_corpus(args.input)
-    stop = (textfeat.load_stopwords(args.stopwords) if args.stopwords
-            else textfeat.load_stopwords())
-    table = textfeat.build_feature_table(
-        corpus, window_years=1 if args.window_years is None else args.window_years,
-        min_df=3 if args.min_df is None else args.min_df, stopwords=stop)
-    textfeat.write_feature_table(table, args.output,
-                                 rho=args.rho if args.rho is not None else 0.2,
-                                 u=args.u if args.u is not None else 3)
+    table = _feature_table(corpus, cfg)
+    textfeat.write_feature_table(table, args.output, rho=args.rho, u=args.u)
     print(f"features\t{len(table.features)}")
     return EXIT_OK
 
@@ -273,7 +205,8 @@ def _pipeline(cfg: RunConfig):
     """Shared front half: corpus -> preprocess -> cutoff split."""
     corpus, _ = _load_corpus(cfg.corpus)
     pre, filter_report = corpus_mod.preprocess(corpus, cfg.preprocess)
-    sub, gt = corpus_mod.split_ground_truth(pre, cfg.cutoff_year, cfg.horizon_year)
+    sub, gt = corpus_mod.split_ground_truth(pre, cfg.protocol.cutoff_year,
+                                            cfg.protocol.horizon_year)
     return sub, gt, filter_report
 
 
@@ -285,10 +218,7 @@ def cmd_rank(args) -> int:
     (cfg.workspace / "filter_report.txt").write_text(
         "\n".join(filter_report.lines()) + "\n")
 
-    stop = (textfeat.load_stopwords(cfg.stopwords) if cfg.stopwords
-            else textfeat.load_stopwords())
-    table = textfeat.build_feature_table(sub, window_years=cfg.window_years,
-                                         min_df=cfg.min_df, stopwords=stop)
+    table = _feature_table(sub, cfg.features)
     index = graphs_mod.build_index(sub, table.features)
     if index.n == 0 or index.m == 0 or index.k == 0:
         raise DataError("pipeline produced an empty entity set "
@@ -297,7 +227,7 @@ def cmd_rank(args) -> int:
     e = textfeat.innovativeness_at_window(
         table, table.n_windows - 1, rho=hp_eff.rho_feature, u=hp_eff.u)
 
-    gs = graphs_mod.build_graphs(sub, index, table, t_current=cfg.cutoff_year,
+    gs = graphs_mod.build_graphs(sub, index, table, t_current=cfg.protocol.cutoff_year,
                                  rho_edge=hp_eff.rho_edge)
     state, conv = ranking_mod.run(gs, e, hp)
 
@@ -349,10 +279,12 @@ def cmd_eval(args) -> int:
     ws = cfg.workspace
     years = f"{sub.years.min()}-{sub.years.max()}" if len(sub) else "none"
     log.info("ranked sub-corpus: %d papers, years %s", len(sub), years)
+    protocol = cfg.protocol
     cohorts = [(year, kind, getattr(eval_mod, name)(sub, year))
-               for year in cfg.cohort_years for kind, (_, _, name) in enumerate(_COHORTS)]
+               for year in protocol.cohort_years
+               for kind, (_, _, name) in enumerate(_COHORTS)]
     if not any(cohort.size for _, _, cohort in cohorts):
-        raise DataError(f"protocol.cohort_years {list(cfg.cohort_years)} give no paper "
+        raise DataError(f"protocol.cohort_years {list(protocol.cohort_years)} give no paper "
                         f"or author cohort in the ranked sub-corpus (years {years})")
 
     positions = [{eid: i for i, eid in enumerate(ids)}
@@ -378,7 +310,7 @@ def cmd_eval(args) -> int:
                 if rankings[m][kind] is not None]
         runs.append(("cc", cohort[ranking_mod.rank_entities(counts[kind][cohort])]))
         for method, ranked in runs:
-            for k, ri in eval_mod.evaluate_run(ranked, future[kind], cohort, cfg.ks):
+            for k, ri in eval_mod.evaluate_run(ranked, future[kind], cohort, protocol.ks):
                 rows.append((year, method, letter, k, ri))
 
     out = ws / "eval.tsv"
@@ -448,32 +380,32 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preprocess", help="apply corpus filters")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    add_preprocess_flags(p)
+    add_flags(p, "preprocess")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("features", help="build and snapshot the feature table")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    add_feature_flags(p)
-    p.add_argument("--rho", type=float, default=None,
+    add_flags(p, "features")
+    p.add_argument("--rho", type=float, default=HyperParams.rho_feature,
                    help="feature decay used for the snapshot scores")
-    p.add_argument("--u", type=int, default=None)
+    p.add_argument("--u", type=int, default=HyperParams.u)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("rank", help="run the full ranking pipeline")
     p.add_argument("--config", default=None)
     p.add_argument("--corpus", default=None)
     p.add_argument("--workspace", default=None)
-    add_preprocess_flags(p)
-    add_feature_flags(p)
-    add_hyperparam_flags(p)
+    add_flags(p, "preprocess")
+    add_flags(p, "features")
+    add_flags(p, "hyperparams")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("eval", help="score rankings against ground truth")
     p.add_argument("--config", default=None)
     p.add_argument("--corpus", default=None)
     p.add_argument("--workspace", default=None)
-    add_preprocess_flags(p)
+    add_flags(p, "preprocess")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="render the evaluation table")

@@ -112,6 +112,13 @@ class PreprocessConfig:
     # case-insensitive prefixes matched at the start of the title
     proceedings_prefixes: tuple[str, ...] = ("proceedings of", "workshop on")
 
+    def __post_init__(self):
+        # an empty pattern is in every title
+        for name in ("survey_substrings", "proceedings_prefixes"):
+            if "" in getattr(self, name):
+                raise ValueError(f"preprocess.{name} holds an empty pattern, "
+                                 "which would remove every paper")
+
 
 @dataclass
 class FilterReport:
@@ -260,7 +267,8 @@ def _regroup(keys: array, ends: array, order: np.ndarray):
 def _title_matches(titles: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     """Per title, whether it holds a survey substring or starts with a
     proceedings prefix, ignoring case."""
-    substrings, prefixes = cfg.survey_substrings, tuple(cfg.proceedings_prefixes)
+    substrings = [s.lower() for s in cfg.survey_substrings]
+    prefixes = tuple(p.lower() for p in cfg.proceedings_prefixes)
     return np.fromiter((any(s in t for s in substrings) or t.startswith(prefixes)
                         for t in map(str.lower, titles)), dtype=bool, count=len(titles))
 

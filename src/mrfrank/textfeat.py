@@ -22,7 +22,9 @@ _TERMINATORS = ".!?"
 
 
 def load_stopwords(path=None) -> frozenset[str]:
-    if path is not None:
+    """The words of the list file at ``path``, one a line, or of the
+    built-in list when no path is given."""
+    if path:
         with open(path, encoding="utf-8") as fh:
             return frozenset(w.strip() for w in fh if w.strip())
     text = resources.files("mrfrank.data").joinpath("stopwords.txt").read_text()
@@ -112,7 +114,19 @@ class FeatureTable:
     counts: np.ndarray = field(default_factory=_floats)
 
 
-def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
+@dataclass
+class FeatureConfig:
+    """The ``features`` settings: the window length in years, the papers a
+    feature must appear in to be kept, and a stopword list file overriding
+    the built-in one.  ``build_feature_table`` checks their ranges."""
+
+    window_years: int = 1
+    min_df: int = 3
+    stopwords: str | None = None
+
+
+def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window_years,
+                        min_df: int = FeatureConfig.min_df,
                         stopwords: frozenset[str] = _DEFAULT_STOPWORDS) -> FeatureTable:
     """Windowed document frequencies and Poisson mean estimates per feature,
     and the paper x feature counts of the features seen in ``min_df`` papers
@@ -125,6 +139,8 @@ def build_feature_table(corpus: Corpus, window_years: int = 1, min_df: int = 3,
     """
     if window_years < 1:
         raise ValueError(f"window_years must be at least 1, got {window_years}")
+    if window_years >= 2**63:   # a year's window is an int64 division
+        raise ValueError(f"window_years must be below 2**63, got {window_years}")
     if min_df < 1:
         raise ValueError(f"min_df must be at least 1, got {min_df}")
     if not len(corpus):

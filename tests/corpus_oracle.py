@@ -125,9 +125,9 @@ def parse_corpus(record_stream) -> tuple[OracleCorpus, ParseReport]:
 
 def _title_matches(title: str, cfg: PreprocessConfig) -> bool:
     t = title.lower()
-    if any(s in t for s in cfg.survey_substrings):
+    if any(s.lower() in t for s in cfg.survey_substrings):
         return True
-    return any(t.startswith(p) for p in cfg.proceedings_prefixes)
+    return any(t.startswith(p.lower()) for p in cfg.proceedings_prefixes)
 
 
 def preprocess(corpus: OracleCorpus,

@@ -195,6 +195,24 @@ class TestExitCodes:
         assert flag[2:].replace("-", "_") + " must be at least 1, got 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["rank", "--window-years", str(2**64)],
+        ["features", "--window-years", str(2**63)],
+        ["rank", "--config", "{cfg}"]])
+    def test_data_error_window_years_too_large(self, corpus_file, tmp_path, capsys,
+                                               args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": {"window_years": 2**70}}))
+        args = [a.format(cfg=cfg) for a in args]
+        if args[0] == "rank":
+            args += ["--corpus", str(corpus_file), "--workspace", str(tmp_path / "ws")]
+        else:
+            args += ["--input", str(corpus_file), "--output", str(tmp_path / "f.tsv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "window_years must be below 2**63, got " in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, flag, value, message", [
         ("rank", "--tolerance", "nan", "tolerance must be finite and > 0, got nan"),
         ("rank", "--rho-edge", "inf", "rho_edge must be finite and >= 0, got inf"),
@@ -240,6 +258,11 @@ class TestExitCodes:
         ("protocol", {"ks": [2, 5, 2]}, "protocol.ks lists 2 more than once"),
         ("protocol", {"cohort_years": [1999, 2000, 1999, 2000]},
          "protocol.cohort_years lists 1999 more than once"),
+        # an empty pattern is in every title: it would remove every paper
+        ("preprocess", {"survey_substrings": [""]},
+         "preprocess.survey_substrings holds an empty pattern"),
+        ("preprocess", {"proceedings_prefixes": ["workshop on", ""]},
+         "preprocess.proceedings_prefixes holds an empty pattern"),
     ])
     def test_data_error_config_setting(self, corpus_file, tmp_path, capsys,
                                        section, settings, message):
@@ -397,6 +420,28 @@ class TestPreprocessAndFeatures:
                      "--output", str(out), "--min-year", "2000"]) == 0
         recs = [json.loads(l) for l in out.read_text().splitlines()]
         assert recs and all(r["year"] >= 2000 for r in recs)
+
+    @pytest.mark.parametrize("flags", [
+        ["--survey-substrings", "survey"], ["--survey-substrings", "Survey"],
+        ["--survey-substrings", "SURVEY,x"],
+        ["--survey-substrings", "", "--proceedings-prefixes", "a survey"],
+        ["--survey-substrings", "", "--proceedings-prefixes", "A Survey"],
+        ["--survey-substrings", ",", "--proceedings-prefixes", "A SURVEY OF"]])
+    def test_patterns_ignore_case(self, tmp_path, capsys, flags):
+        """A title pattern matches whatever the case of the title and of the
+        pattern; an empty flag value sets no pattern."""
+        recs = tiny_records()
+        recs[4]["title"] = "A Survey of things"
+        corpus = write_corpus(tmp_path / "corpus.jsonl", recs)
+        assert main(["preprocess", "--input", str(corpus), "--min-year", "1990",
+                     "--output", str(tmp_path / "pre.jsonl"), *flags]) == 0
+        assert "removed_survey\t1\n" in capsys.readouterr().out
+
+    def test_empty_pattern_flags_remove_nothing(self, corpus_file, tmp_path, capsys):
+        assert main(["preprocess", "--input", str(corpus_file), "--min-year", "1990",
+                     "--output", str(tmp_path / "pre.jsonl"),
+                     "--survey-substrings", "", "--proceedings-prefixes", ""]) == 0
+        assert "removed_survey\t0\n" in capsys.readouterr().out
 
     def test_features_snapshot(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "features.tsv"
@@ -570,7 +615,7 @@ def test_rank_flags_cover_all_config_fields():
         assert "--" + f.name.replace("_", "-") in opts, f.name
 
 
-# per numeric ``rank`` and ``eval`` flag, values it must reject: text that
+# per numeric ``rank``, ``eval`` and ``features`` flag, values it must reject: text that
 # is no number of its type, and the numbers outside its range
 _NOT_AN_INT = st.sampled_from(["x", "", "1,5", "2.5", "nan", "0x10"])
 _NOT_A_FLOAT = st.sampled_from(["x", "", "1,5", "0x10"])
@@ -584,11 +629,18 @@ def _floats_outside(valid):
     return _NOT_A_FLOAT | st.floats().filter(lambda v: not valid(v)).map(repr)
 
 
+# a window of 2**63 years or more overflows the int64 division
+_WINDOW_YEARS = _ints_below_one() | st.integers(min_value=2**63).map(str)
+
 INVALID_FLAG_VALUES = {
     ("rank", "--min-year"): _NOT_AN_INT,
     ("eval", "--min-year"): _NOT_AN_INT,
-    ("rank", "--window-years"): _ints_below_one(),
+    ("rank", "--window-years"): _WINDOW_YEARS,
+    ("features", "--window-years"): _WINDOW_YEARS,
     ("rank", "--min-df"): _ints_below_one(),
+    ("features", "--min-df"): _ints_below_one(),
+    ("features", "--u"): _ints_below_one(),
+    ("features", "--rho"): _floats_outside(lambda v: 0 <= v < math.inf),
     ("rank", "--u"): _ints_below_one(),
     ("rank", "--max-iterations"): _ints_below_one(),
     **{("rank", flag): _floats_outside(lambda v: 0 <= v <= 1)
@@ -607,11 +659,12 @@ def module_corpus_file(tmp_path_factory):
 
 
 def test_numeric_flags_all_checked():
-    """``INVALID_FLAG_VALUES`` covers every numeric flag of rank and eval."""
+    """``INVALID_FLAG_VALUES`` covers every numeric flag of rank, eval and
+    features."""
     parser = build_parser()
     commands = parser._subparsers._group_actions[0].choices
     numeric = {(command, action.option_strings[0])
-               for command in ("rank", "eval")
+               for command in ("rank", "eval", "features")
                for action in commands[command]._actions
                if action.type in (int, float)}
     assert numeric == set(INVALID_FLAG_VALUES)
@@ -626,10 +679,13 @@ def test_invalid_numeric_flag_named_on_exit(module_corpus_file, tmp_path_factory
     (usage) or 2 (data), naming the flag on stderr, with no traceback."""
     value = data.draw(INVALID_FLAG_VALUES[command, flag], label="value")
     ws = tmp_path_factory.mktemp("ws")
+    if command == "features":
+        paths = ["--input", str(module_corpus_file), "--output", str(ws / "f.tsv")]
+    else:
+        paths = ["--corpus", str(module_corpus_file), "--workspace", str(ws)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main([command, "--corpus", str(module_corpus_file),
-                     "--workspace", str(ws), f"{flag}={value}"])
+        code = main([command, *paths, f"{flag}={value}"])
     assert code in (1, 2)
     assert flag in err.getvalue() or flag[2:].replace("-", "_") in err.getvalue()
     assert "Traceback" not in err.getvalue()

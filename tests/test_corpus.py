@@ -278,8 +278,13 @@ def oracle_case(draw):
     for bad in ({"id": "M1", "year": "2001", "refs": ["P00"]}, None,
                 {"id": "M2", "year": 2001, "authors": "u"}):
         records.insert(draw(st.integers(0, len(records))), bad)
+    # the patterns match ignoring case, theirs and the title's
+    case = draw(st.sampled_from([str.lower, str.upper, str.title]))
     cfg = PreprocessConfig(min_year=draw(st.integers(1985, 1992)),
-                           require_abstract=draw(st.booleans()))
+                           require_abstract=draw(st.booleans()),
+                           survey_substrings=tuple(map(case, ("survey", "a review of"))),
+                           proceedings_prefixes=tuple(map(case, ("proceedings of",
+                                                                 "workshop on"))))
     cutoff = draw(st.integers(1990, 2008))
     horizon = draw(st.integers(cutoff + 1, 2012))
     return records, cfg, cutoff, horizon
