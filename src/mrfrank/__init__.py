@@ -6,13 +6,12 @@ __version__ = "0.1.0"
 
 from .corpus import (Corpus, GroundTruth, PreprocessConfig, parse_corpus,
                      preprocess, split_ground_truth)
-from .ranking import (ConvergenceLog, HyperParams, RankState,
-                      assemble_combined, combined_operator, init_state,
-                      iterate_once, rank_entities, run)
+from .ranking import (ConvergenceLog, HyperParams, RankState, combined_operator,
+                      init_state, iterate_once, rank_entities, run)
 
 __all__ = [
     "Corpus", "GroundTruth", "PreprocessConfig", "parse_corpus", "preprocess",
     "split_ground_truth",
-    "ConvergenceLog", "HyperParams", "RankState", "assemble_combined",
-    "combined_operator", "init_state", "iterate_once", "rank_entities", "run",
+    "ConvergenceLog", "HyperParams", "RankState", "combined_operator",
+    "init_state", "iterate_once", "rank_entities", "run",
 ]

@@ -61,14 +61,6 @@ def ri_item(o_r: int, k: int, in_ground_truth_topk: bool) -> float:
     return 1.0 + (k - o_r) / k
 
 
-def ri_list(returned: list[str], gt_topk) -> float:
-    """Total recommendation intensity of a returned top-k list."""
-    k = len(returned)
-    gt_topk = set(gt_topk)
-    return sum(ri_item(o_r, k, pid in gt_topk)
-               for o_r, pid in enumerate(returned, start=1))
-
-
 def citation_counts(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """In-corpus citations at the cutoff: per paper, and per author summed
     over the author's listings (a paper that lists an author twice counts

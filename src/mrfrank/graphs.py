@@ -1,6 +1,6 @@
-"""The five sparse literature graphs with time-aware edge weights, the
+"""The five sparse literature graphs with time-aware edge weights and the
 column-normalized paper and author blocks consumed by the ranking
-iteration, and the dense-built eight-block oracle."""
+iteration."""
 
 from __future__ import annotations
 
@@ -132,22 +132,6 @@ def build_graphs(corpus: Corpus, index: EntityIndex, table: FeatureTable,
     )
 
 
-@dataclass
-class OperatorBlocks:
-    """Column-normalized blocks, each in the orientation used by the
-    update equations (authority flows citing -> cited, so the citation
-    block is transposed before normalization)."""
-
-    pp: SparseMatrix  # N x N
-    pa: SparseMatrix  # N x M
-    pt: SparseMatrix  # N x K
-    aa: SparseMatrix  # M x M
-    ap: SparseMatrix  # M x N
-    at: SparseMatrix  # M x K
-    tp: SparseMatrix  # K x N
-    ta: SparseMatrix  # K x M
-
-
 def graph_blocks(graphs: GraphSet) -> dict[str, SparseMatrix]:
     """The four blocks between papers and authors, each with fresh ``data``.
     pp and pa are returned as their transposes, over the ``rows`` and
@@ -168,22 +152,3 @@ def graph_blocks(graphs: GraphSet) -> dict[str, SparseMatrix]:
         ap=column_normalize(ap),
     )
 
-
-def _from_dense(dense: np.ndarray) -> SparseMatrix:
-    rows, cols = np.nonzero(dense)
-    return SparseMatrix(dense.shape, rows, cols, dense[rows, cols])
-
-
-def operator_blocks(graphs: GraphSet) -> OperatorBlocks:
-    """All eight blocks materialized, an oracle for small instances: the
-    paper and author tf-idf matrices are built densely from C, L and the
-    idf vectors, then column-normalized like the graph blocks."""
-    counts = graphs.feature_counts.to_dense()
-    paper = _from_dense(counts * graphs.idf_paper)
-    author = _from_dense((graphs.listings.to_dense() @ counts) * graphs.idf_author)
-    blocks = graph_blocks(graphs)
-    return OperatorBlocks(
-        pt=column_normalize(paper), tp=column_normalize(paper.transpose()),
-        at=column_normalize(author), ta=column_normalize(author.transpose()),
-        pp=blocks["pp"].transpose(), pa=blocks["pa"].transpose(),
-        aa=blocks["aa"], ap=blocks["ap"])

@@ -1,5 +1,5 @@
 """Mutual-reinforcement power iteration over papers, authors and text
-features, with the dense combined-matrix oracle and ranked-list output.
+features, and ranked-list output.
 
 The combined (N+M+K)^2 block matrix is held as a list of terms, each a
 column-normalized block, or a short chain of sparse factors whose product
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import GraphSet, graph_blocks, operator_blocks
+from .graphs import GraphSet, graph_blocks
 from .sparse import SparseMatrix, Transposed, reciprocal, scale
 
 MODES = ("full", "no_time", "no_content", "no_time_no_content")
@@ -249,29 +249,6 @@ def run(graphs: GraphSet, e: np.ndarray,
             log.converged = True
             break
     return state, log
-
-
-def assemble_combined(graphs: GraphSet, e: np.ndarray, hp: HyperParams,
-                      size_limit: int = 2000) -> np.ndarray:
-    """Dense (N+M+K)^2 combined matrix for small-instance oracle checks."""
-    idx = graphs.index
-    n, m, k = idx.n, idx.m, idx.k
-    if n + m + k > size_limit:
-        raise ValueError(f"combined size {n + m + k} exceeds oracle limit {size_limit}")
-    hp = hp.effective()
-    b = operator_blocks(graphs)
-    e_norm = normalize_innovativeness(e)
-
-    out = np.zeros((n + m + k, n + m + k))
-    out[:n, :n] = hp.alpha_p * b.pp.to_dense()
-    out[:n, n:n + m] = hp.beta_p * (1 - hp.alpha_p) * b.pa.to_dense()
-    out[:n, n + m:] = (1 - hp.beta_p) * (1 - hp.alpha_p) * b.pt.to_dense()
-    out[n:n + m, :n] = hp.beta_a * (1 - hp.alpha_a) * b.ap.to_dense()
-    out[n:n + m, n:n + m] = hp.alpha_a * b.aa.to_dense()
-    out[n:n + m, n + m:] = (1 - hp.beta_a) * (1 - hp.alpha_a) * b.at.to_dense()
-    out[n + m:, :n] = (1 - hp.alpha_f) * e_norm[:, None] * b.tp.to_dense()
-    out[n + m:, n:n + m] = hp.alpha_f * e_norm[:, None] * b.ta.to_dense()
-    return out
 
 
 def rank_entities(values: np.ndarray) -> np.ndarray:

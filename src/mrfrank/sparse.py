@@ -65,23 +65,11 @@ class SparseMatrix:
                            minlength=self.shape[0]).astype(np.float64, copy=False)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """A^T @ x, bit for bit ``transpose().matvec(x)``: each column adds
-        its products in storage order, which is ascending row, the order of
-        the transpose's own rows."""
+        """A^T @ x, bit for bit the ``matvec`` of A^T held in canonical
+        order: each column adds its products in storage order, which is
+        ascending row, the order in which A^T holds that row's entries."""
         return np.bincount(self.cols, weights=self.data * x[self.rows],
                            minlength=self.shape[1]).astype(np.float64, copy=False)
-
-    def transpose(self) -> "SparseMatrix":
-        # entries sharing a column are in ascending row order, so a stable
-        # sort by column alone gives the transpose's canonical order
-        order = np.argsort(self.cols, kind="stable")
-        return SparseMatrix.canonical((self.shape[1], self.shape[0]), self.cols[order],
-                                      self.rows[order], self.data[order])
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.data
-        return out
 
 
 class Transposed:
@@ -121,8 +109,8 @@ def divide_columns(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
 
 
 def divide_rows(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
-    """Divide every stored entry by the value ``sums`` gives its row: the
-    transpose of ``divide_columns(m.transpose(), sums)``, in m's order."""
+    """Divide every stored entry by the value ``sums`` gives its row:
+    ``divide_columns`` of m^T, held in m's own order."""
     return SparseMatrix.canonical(m.shape, m.rows, m.cols, m.data / sums[m.rows])
 
 

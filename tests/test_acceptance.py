@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperparams, random_instance
+from operator_oracle import assemble_combined, ri_list
 from mrfrank.cli import main as cli_main
-from mrfrank.evaluate import max_ri, ri_item, ri_list
-from mrfrank.ranking import (HyperParams, assemble_combined, combined_operator,
-                             init_state, iterate_once, run)
+from mrfrank.evaluate import max_ri, ri_item
+from mrfrank.ranking import HyperParams, combined_operator, init_state, iterate_once, run
 from mrfrank.textfeat import FeatureTable, innovativeness_at_window
 from synthgen import rising_paper_corpus, scale_corpus
 

@@ -490,8 +490,11 @@ class TestRank:
     def test_rank_makes_no_resorted_copy(self, corpus_file, tmp_path, capsys,
                                          monkeypatch):
         """``rank`` applies the transposed factors over the stored matrices
-        and builds the coauthor graph without the sorting constructor, and
-        its ranking files keep the recorded bytes."""
+        (``SparseMatrix`` has no ``transpose``), builds the coauthor graph
+        without the sorting constructor, and its ranking files keep the
+        recorded bytes."""
+        assert not hasattr(SparseMatrix, "transpose")
+
         def refuse(*args):
             raise AssertionError("re-sorted copy made during rank")
 
@@ -502,7 +505,6 @@ class TestRank:
                 patch.setattr(SparseMatrix, "__init__", refuse)
                 return build_coauthor(*args)
 
-        monkeypatch.setattr(SparseMatrix, "transpose", refuse)
         monkeypatch.setattr(graphs, "build_coauthor", build_coauthor_unsorted)
         ws = tmp_path / "ws"
         for mode in MODES:

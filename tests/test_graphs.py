@@ -7,10 +7,10 @@ import pytest
 from conftest import random_sparse
 from corpus_oracle import records
 from feature_oracle import extract_features, feature_key
+from operator_oracle import operator_blocks, to_dense, transpose
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import (SparseMatrix, build_coauthor, build_graphs,
-                            build_index, column_normalize, decay_weights,
-                            operator_blocks)
+                            build_index, column_normalize, decay_weights)
 from mrfrank.sparse import scale
 from mrfrank.textfeat import build_feature_table
 
@@ -42,16 +42,16 @@ class TestSparseMatrix:
             r, c = rng.integers(1, 15, 2)
             m = random_sparse(rng, r, c)
             x = rng.random(c)
-            assert np.allclose(m.matvec(x), m.to_dense() @ x)
+            assert np.allclose(m.matvec(x), to_dense(m) @ x)
 
     def test_zero_entries_dropped(self):
         m = SparseMatrix((2, 2), [0, 1], [1, 0], [0.0, 3.0])
         assert m.nnz == 1
-        assert m.to_dense()[1, 0] == 3.0
+        assert to_dense(m)[1, 0] == 3.0
 
     def test_transpose(self, rng):
         m = random_sparse(rng, 6, 4)
-        assert np.array_equal(m.transpose().to_dense(), m.to_dense().T)
+        assert np.array_equal(to_dense(transpose(m)), to_dense(m).T)
 
     def test_transpose_equals_lexsorted(self, rng):
         """The stable sort by column gives exactly the arrays the
@@ -61,7 +61,7 @@ class TestSparseMatrix:
             size = int(rng.integers(0, 40))
             m = SparseMatrix((r, c), rng.integers(0, r, size), rng.integers(0, c, size),
                              rng.random(size))
-            fast = m.transpose()
+            fast = transpose(m)
             lexsorted = SparseMatrix((c, r), m.cols, m.rows, m.data)
             assert fast.shape == lexsorted.shape
             for name in ("rows", "cols", "data"):
@@ -97,7 +97,7 @@ class TestColumnNormalize:
     def test_zero_column_stays_zero(self):
         m = SparseMatrix((2, 3), [0, 1], [0, 0], [1.0, 3.0])
         out = column_normalize(m)
-        dense = out.to_dense()
+        dense = to_dense(out)
         assert np.allclose(dense[:, 0], [0.25, 0.75])
         assert np.all(dense[:, 1:] == 0.0)
 
@@ -105,7 +105,7 @@ class TestColumnNormalize:
 class TestBuildGraphs:
     def test_citation_decay_weight(self):
         corpus, index, gs = small_setup(rho=0.5, t_current=2004)
-        dense = gs.citation.to_dense()
+        dense = to_dense(gs.citation)
         b, a, c = (index.paper_ids.index(x) for x in "BAC")
         # B (2003) cites A: age 1 year at rho 0.5
         assert dense[b, a] == pytest.approx(math.exp(-0.5))
@@ -126,7 +126,7 @@ class TestBuildGraphs:
         table = build_feature_table(corpus, min_df=1)
         index = build_index(corpus, table.features)
         m = build_coauthor(corpus, index, t_current=2004, rho=1.0)
-        dense = m.to_dense()
+        dense = to_dense(m)
         u, v = (index.author_ids.index(x) for x in "uv")
         assert dense[u, v] == pytest.approx(1.0 + math.exp(-1.0))
         assert dense[v, u] == dense[u, v]
@@ -134,16 +134,16 @@ class TestBuildGraphs:
         # at rho 1000 the 2003 papers weigh exp(-1000), which underflows to
         # 0: v-w is not stored, like a citation whose weight underflows
         m = build_coauthor(corpus, index, t_current=2004, rho=1000.0)
-        assert m.nnz == 2 and m.to_dense()[u, v] == m.to_dense()[v, u] == 1.0
+        assert m.nnz == 2 and to_dense(m)[u, v] == to_dense(m)[v, u] == 1.0
 
     def test_coauthor_symmetric(self, rng):
         corpus, index, gs = small_setup()
-        d = gs.coauthor.to_dense()
+        d = to_dense(gs.coauthor)
         assert np.array_equal(d, d.T)
 
     def test_author_paper_binary(self):
         corpus, index, gs = small_setup()
-        d = gs.author_paper.to_dense()
+        d = to_dense(gs.author_paper)
         assert set(np.unique(d)) <= {0.0, 1.0}
         a = index.paper_ids.index("A")
         assert d[index.author_ids.index("u"), a] == 1.0
@@ -178,11 +178,11 @@ class TestBuildGraphs:
         assert gs.feature_counts.shape == (index.n, index.k)
         assert gs.listings.shape == (index.m, index.n)
         assert gs.idf_paper.shape == gs.idf_author.shape == (index.k,)
-        assert np.array_equal(gs.listings.to_dense(), gs.author_paper.to_dense())
+        assert np.array_equal(to_dense(gs.listings), to_dense(gs.author_paper))
         # the pair alpha-beta is in the titles of A and B only, whose
         # authors are u and v
         a, pair = index.paper_ids.index("A"), index.feature_ids.index("p|alpha|beta")
-        assert gs.feature_counts.to_dense()[a, pair] == 1.0
+        assert to_dense(gs.feature_counts)[a, pair] == 1.0
         assert gs.idf_paper[pair] == math.log(3 / 2)
         assert gs.idf_author[pair] == math.log(3 / 2)
         # alpha is in every paper and used by every author
@@ -208,7 +208,7 @@ class TestOperatorBlocks:
         # C cites A and B at age 0: each reference gets 1/2 of C's vote;
         # B cites only A: full e^{-0.5} (decay survives, count normalizes)
         corpus, index, gs = small_setup(rho=0.5, t_current=2004)
-        pp = operator_blocks(gs).pp.to_dense()
+        pp = to_dense(operator_blocks(gs).pp)
         a, b, c = (index.paper_ids.index(x) for x in "ABC")
         assert pp[a, c] == pytest.approx(0.5)
         assert pp[b, c] == pytest.approx(0.5)
@@ -218,7 +218,7 @@ class TestOperatorBlocks:
         # v coauthors A (2000) with u and C (2004) with w: two links, so
         # each of v's coauthors gets its decayed weight over 2
         corpus, index, gs = small_setup(rho=0.5, t_current=2004)
-        aa = operator_blocks(gs).aa.to_dense()
+        aa = to_dense(operator_blocks(gs).aa)
         u, v, w = (index.author_ids.index(x) for x in "uvw")
         assert aa[u, v] == pytest.approx(math.exp(-0.5 * 4) / 2)
         assert aa[w, v] == pytest.approx(1.0 / 2)
@@ -229,7 +229,7 @@ class TestOperatorBlocks:
         _, _, gs = small_setup(rho=0.0)
         blocks = operator_blocks(gs)
         assert np.array_equal(blocks.pp.data,
-                              column_normalize(gs.citation.transpose()).data)
+                              column_normalize(transpose(gs.citation)).data)
         assert np.array_equal(blocks.aa.data, column_normalize(gs.coauthor).data)
 
     def test_untimed_blocks_column_stochastic(self):
@@ -309,8 +309,8 @@ class TestOperatorBlocks:
                     tf_a[apos[a]] += tf_p[i]
             idf_p = np.array([math.log(index.n / df[f]) for f in kept])
             idf_a = np.array([math.log(index.m / u) for u in (tf_a > 0).sum(axis=0)])
-            assert np.array_equal(gs.feature_counts.to_dense(), tf_p)
-            assert np.array_equal(gs.listings.to_dense(), listings)
+            assert np.array_equal(to_dense(gs.feature_counts), tf_p)
+            assert np.array_equal(to_dense(gs.listings), listings)
             assert np.array_equal(gs.idf_paper, idf_p)
             assert np.array_equal(gs.idf_author, idf_a)
             P, A = tf_p * idf_p, tf_a * idf_a
@@ -321,7 +321,7 @@ class TestOperatorBlocks:
             cit = np.zeros((index.n, index.n))
             for citing, cited in corpus.citation_edges.tolist():
                 cit[citing, cited] = decay(papers[citing].year)
-            assert np.array_equal(gs.citation.to_dense(), cit)
+            assert np.array_equal(to_dense(gs.citation), cit)
 
             # coauthor weights added in paper order, as the pipeline does
             co = np.zeros((index.m, index.m))
@@ -335,16 +335,16 @@ class TestOperatorBlocks:
                         if x != y:
                             co[apos[x], apos[y]] += decay(p.year)
                             links[apos[x], apos[y]] += 1.0
-            assert np.array_equal(gs.coauthor.to_dense(), co)
+            assert np.array_equal(to_dense(gs.coauthor), co)
             # canonical order, no repeated entry, each pair's one sum on both
             # sides of the diagonal
             co_m = gs.coauthor
             assert np.all(np.diff(co_m.rows * index.m + co_m.cols) > 0)
-            dense_co = co_m.to_dense()
+            dense_co = to_dense(co_m)
             assert np.array_equal(dense_co.view(np.int64), dense_co.T.view(np.int64))
             if trial == 12:
                 assert co_m.nnz == 0
-            assert np.array_equal(gs.author_paper.to_dense(), ap)
+            assert np.array_equal(to_dense(gs.author_paper), ap)
 
             def colnorm(dense, sums=None):
                 if sums is None:
@@ -364,4 +364,4 @@ class TestOperatorBlocks:
                 "at": colnorm(A), "ta": colnorm(A.T),
             }
             for name, dense in expect.items():
-                assert np.array_equal(getattr(blocks, name).to_dense(), dense), name
+                assert np.array_equal(to_dense(getattr(blocks, name)), dense), name

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperparams, random_instance
+from operator_oracle import assemble_combined, to_dense
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import build_graphs, build_index
-from mrfrank.ranking import (MODES, HyperParams, NumericalError, assemble_combined,
-                             combined_operator, init_state, iterate_once,
-                             normalize_innovativeness, rank_entities, run,
-                             write_ranking)
+from mrfrank.ranking import (MODES, HyperParams, NumericalError, combined_operator,
+                             init_state, iterate_once, normalize_innovativeness,
+                             rank_entities, run, write_ranking)
 from mrfrank.sparse import Transposed
 from mrfrank.textfeat import build_feature_table
 
@@ -15,8 +15,8 @@ from mrfrank.textfeat import build_feature_table
 def factor_dense(factor):
     """The dense matrix an operator factor applies."""
     if isinstance(factor, Transposed):
-        return factor.m.to_dense().T
-    return factor.to_dense()
+        return to_dense(factor.m).T
+    return to_dense(factor)
 
 
 class TestHyperParams:
@@ -192,7 +192,7 @@ class TestFactoredTerms:
         col = {key: j for j, key in enumerate(idx.feature_ids)}
         assert gs.idf_author[col["w|alpha"]] == 0.0 < gs.idf_paper[col["w|alpha"]]
         pos = {x: i for ids in (idx.paper_ids, idx.author_ids) for i, x in enumerate(ids)}
-        assert gs.listings.to_dense()[pos["u"], pos["B"]] == 2.0
+        assert to_dense(gs.listings)[pos["u"], pos["B"]] == 2.0
 
         e = rng.random(idx.k) + 0.05
         hp = random_hyperparams(rng, mode=mode)
@@ -205,7 +205,7 @@ class TestFactoredTerms:
         # x's features all have idf_a 0: nothing flows from x to features
         assert np.all(combined[n + m:, n + pos["x"]] == 0.0)
         if featureless:
-            assert gs.feature_counts.to_dense()[pos["D"]].sum() == 0.0
+            assert to_dense(gs.feature_counts)[pos["D"]].sum() == 0.0
             assert np.all(combined[n + m:, pos["D"]] == 0.0)
         else:
             assert gs.idf_paper[col["w|common"]] == 0.0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import feature_oracle as oracle
 from corpus_oracle import PaperRecord, records
 from feature_oracle import extract_features, feature_key, tokenize
+from operator_oracle import to_dense
 from mrfrank.corpus import parse_corpus
 from mrfrank import textfeat
 from mrfrank.graphs import build_graphs, build_index, build_listings
@@ -265,9 +266,9 @@ class TestTfidf:
         from the factors the graphs hold: C idf_p and (L C) idf_a."""
         index = build_index(corpus, table.features)
         gs = build_graphs(corpus, index, table, t_current=2004, rho_edge=0.0)
-        counts = gs.feature_counts.to_dense()
+        counts = to_dense(gs.feature_counts)
         return (index, counts * gs.idf_paper,
-                (gs.listings.to_dense() @ counts) * gs.idf_author)
+                (to_dense(gs.listings) @ counts) * gs.idf_author)
 
     def weight(self, index, matrix, entity, key):
         """Entry of a tf-idf matrix: a paper row for an upper-case id, an
@@ -316,7 +317,7 @@ class TestTfidf:
         corpus, _ = parse_corpus(recs)
         table = build_feature_table(corpus, min_df=1)
         index = build_index(corpus, table.features)
-        listings = build_listings(corpus, index).to_dense()
+        listings = to_dense(build_listings(corpus, index))
         assert listings[index.author_ids.index("u"), index.paper_ids.index("A")] == 2.0
         assert listings[index.author_ids.index("v"), index.paper_ids.index("B")] == 1.0
         index, _, w = self.tfidf(corpus, table)
