@@ -282,9 +282,10 @@ def oracle_case(draw):
     case = draw(st.sampled_from([str.lower, str.upper, str.title]))
     cfg = PreprocessConfig(min_year=draw(st.integers(1985, 1992)),
                            require_abstract=draw(st.booleans()),
-                           survey_substrings=tuple(map(case, ("survey", "a review of"))),
-                           proceedings_prefixes=tuple(map(case, ("proceedings of",
-                                                                 "workshop on"))))
+                           survey_substrings=tuple(map(
+                               case, PreprocessConfig.survey_substrings)),
+                           proceedings_prefixes=tuple(map(
+                               case, PreprocessConfig.proceedings_prefixes)))
     cutoff = draw(st.integers(1990, 2008))
     horizon = draw(st.integers(cutoff + 1, 2012))
     return records, cfg, cutoff, horizon
