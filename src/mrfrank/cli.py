@@ -219,23 +219,23 @@ def cmd_rank(args) -> int:
         "\n".join(filter_report.lines()) + "\n")
 
     table = _feature_table(sub, cfg.features)
-    index = graphs_mod.build_index(sub, table.features)
-    if index.n == 0 or index.m == 0 or index.k == 0:
+    n, m, k = len(sub), len(sub.authors), len(table.features)
+    if n == 0 or m == 0 or k == 0:
         raise DataError("pipeline produced an empty entity set "
-                        f"(N={index.n}, M={index.m}, K={index.k})")
+                        f"(N={n}, M={m}, K={k})")
     hp_eff = hp.effective()
     e = textfeat.innovativeness_at_window(
         table, table.n_windows - 1, rho=hp_eff.rho_feature, u=hp_eff.u)
 
-    gs = graphs_mod.build_graphs(sub, index, table, t_current=cfg.protocol.cutoff_year,
+    gs = graphs_mod.build_graphs(sub, table, t_current=cfg.protocol.cutoff_year,
                                  rho_edge=hp_eff.rho_edge)
     state, conv = ranking_mod.run(gs, e, hp)
 
     mode = hp.mode
     ws = cfg.workspace
-    for kind, ids, scores in (("papers", index.paper_ids, state.a_paper),
-                              ("authors", index.author_ids, state.a_author),
-                              ("features", index.feature_ids, state.a_feature)):
+    for kind, ids, scores in (("papers", sub.papers, state.a_paper),
+                              ("authors", sub.authors, state.a_author),
+                              ("features", table.features, state.a_feature)):
         ranking_mod.write_ranking(ws / f"{kind}_{mode}.tsv", ids, scores,
                                   conv.converged)
     ranking_mod.write_convergence(conv, ws / f"convergence_{mode}.tsv")

@@ -188,7 +188,7 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
     are left out.
     """
     hp = hp.effective()
-    n, m = graphs.index.n, graphs.index.m
+    n, m, _ = graphs.sizes
     f = n + m
     coef = {
         "pp": hp.alpha_p, "pa": hp.beta_p * (1.0 - hp.alpha_p),
@@ -239,8 +239,7 @@ def run(graphs: GraphSet, e: np.ndarray,
     """Iterate to convergence (L1 delta over the concatenated per-type
     vectors below tolerance) or until max_iterations."""
     operator = combined_operator(graphs, e, hp)
-    idx = graphs.index
-    state = init_state(idx.n, idx.m, idx.k)
+    state = init_state(*graphs.sizes)
     log = ConvergenceLog()
     for _ in range(hp.max_iterations):
         state = iterate_once(state, operator)
@@ -253,7 +252,7 @@ def run(graphs: GraphSet, e: np.ndarray,
 
 def rank_entities(values: np.ndarray) -> np.ndarray:
     """Positions by descending value, ties by ascending position; where
-    positions follow sorted ids, as in ``Corpus`` and ``EntityIndex``, that
+    positions follow sorted ids, as in ``Corpus`` and ``FeatureTable``, that
     is ascending id."""
     # a stable sort by value keeps tied positions in order
     return np.argsort(-values, kind="stable")

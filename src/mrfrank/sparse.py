@@ -103,8 +103,6 @@ def reciprocal(values: np.ndarray) -> np.ndarray:
 
 def divide_columns(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
     """Divide every stored entry by the value ``sums`` gives its column."""
-    if m.nnz == 0:
-        return m
     return SparseMatrix.canonical(m.shape, m.rows, m.cols, m.data / sums[m.cols])
 
 

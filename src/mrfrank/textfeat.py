@@ -91,8 +91,8 @@ def _floats() -> np.ndarray:
 class FeatureTable:
     """Per-feature window statistics, one entry per column, plus the paper x
     feature counts as COO arrays in canonical (row, col) order.  A row is
-    the paper's position in the corpus, a column the feature's position in
-    ``features``; both are the positions ``graphs.build_index`` gives them.
+    the paper's position in ``Corpus.papers``, a column the feature's
+    position in ``features``; the graphs' C has the same rows and columns.
 
     A feature key is ``w|word`` for a word and ``p|a|b`` for the pair of
     words a < b in one sentence; ``features`` holds the keys in ascending
@@ -230,7 +230,7 @@ def _idf(total: int, users: np.ndarray) -> np.ndarray:
 
 def idf_paper(corpus: Corpus, table: FeatureTable) -> np.ndarray:
     """ln(N / papers using the feature), per column."""
-    return _idf(len(corpus.papers), np.bincount(table.cols, minlength=len(table.features)))
+    return _idf(len(corpus.papers), table.doc_freq)
 
 
 # (author, feature) keys per slice in ``idf_author``: at 1 << 20 the slice's

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mrfrank.graphs import EntityIndex, GraphSet, SparseMatrix
+from mrfrank.graphs import GraphSet, SparseMatrix
 
 
 def random_sparse(rng, r, c, density=0.5, symmetric=False, nodiag=False):
@@ -36,29 +36,24 @@ def random_instance(rng, max_dim=12):
 
     The feature terms come from random counts C and L (entries 1 or 2, so
     some authors are listed twice) and idf vectors with some zeros; a
-    paper or author may be left with no feature."""
+    paper or author may be left with no feature.  The coauthor weights are
+    random, symmetric, and stored on exactly the author pairs that share a
+    paper in L, as ``build_coauthor`` stores them."""
     n, m, k = rng.integers(3, max_dim, 3)
-    idx = EntityIndex(
-        tuple(f"p{i:02d}" for i in range(n)),
-        tuple(f"a{i:02d}" for i in range(m)),
-        tuple(f"f{i:02d}" for i in range(k)),
-    )
-    citation = random_sparse(rng, n, n, nodiag=True)
-    coauthor = random_sparse(rng, m, m, symmetric=True)
+    listings = random_counts(rng, m, n)
+    listed = np.zeros((m, n))
+    listed[listings.rows, listings.cols] = 1.0
+    share = np.triu(listed @ listed.T > 0, 1)
+    upper = np.where(share, rng.random((m, m)) + 0.05, 0.0)
+    coauthor = upper + upper.T
+    rows, cols = np.nonzero(coauthor)
     gs = GraphSet(
-        index=idx,
-        citation=citation,
-        coauthor=coauthor,
-        author_paper=random_sparse(rng, m, n),
-        listings=random_counts(rng, m, n),
+        citation=random_sparse(rng, n, n, nodiag=True),
+        coauthor=SparseMatrix((m, m), rows, cols, coauthor[rows, cols]),
+        listings=listings,
         feature_counts=random_counts(rng, n, k),
         idf_paper=random_idf(rng, k),
         idf_author=random_idf(rng, k),
-        # the weights' own sums, so that pp and aa are column-stochastic
-        reference_counts=np.bincount(citation.rows, weights=citation.data,
-                                     minlength=n),
-        coauthor_counts=np.bincount(coauthor.cols, weights=coauthor.data,
-                                    minlength=m),
     )
     e = rng.random(k) + 0.05
     return gs, e

@@ -68,8 +68,7 @@ def operator_blocks(graphs: GraphSet) -> OperatorBlocks:
 def assemble_combined(graphs: GraphSet, e: np.ndarray, hp: HyperParams,
                       size_limit: int = 2000) -> np.ndarray:
     """Dense (N+M+K)^2 combined matrix for small instances."""
-    idx = graphs.index
-    n, m, k = idx.n, idx.m, idx.k
+    n, m, k = graphs.sizes
     if n + m + k > size_limit:
         raise ValueError(f"combined size {n + m + k} exceeds oracle limit {size_limit}")
     hp = hp.effective()

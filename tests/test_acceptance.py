@@ -62,10 +62,10 @@ def test_criterion_1_and_2_eigenvector_oracle_and_normalization(rng, capfd):
         while checked < 50 and attempts < 80:
             attempts += 1
             gs, e = random_instance(rng, max_dim=11)  # N+M+K <= 30
-            assert gs.index.n + gs.index.m + gs.index.k <= 30
+            assert sum(gs.sizes) <= 30
             hp = random_hyperparams(rng, tolerance=1e-13, max_iterations=5000)
             operator = combined_operator(gs, e, hp)
-            state = init_state(gs.index.n, gs.index.m, gs.index.k)
+            state = init_state(*gs.sizes)
             converged = False
             for _ in range(hp.max_iterations):
                 state = iterate_once(state, operator)

@@ -10,7 +10,7 @@ from feature_oracle import extract_features, feature_key
 from operator_oracle import operator_blocks, to_dense, transpose
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import (SparseMatrix, build_coauthor, build_graphs,
-                            build_index, column_normalize, decay_weights)
+                            column_normalize, decay_weights, graph_blocks)
 from mrfrank.sparse import scale
 from mrfrank.textfeat import build_feature_table
 
@@ -31,9 +31,14 @@ def small_corpus():
 def small_setup(rho=0.5, t_current=2004):
     corpus = small_corpus()
     table = build_feature_table(corpus, min_df=2)
-    index = build_index(corpus, table.features)
-    gs = build_graphs(corpus, index, table, t_current=t_current, rho_edge=rho)
-    return corpus, index, gs
+    gs = build_graphs(corpus, table, t_current=t_current, rho_edge=rho)
+    return corpus, table, gs
+
+
+def positions(ids, names):
+    """The positions of ``names`` in the id sequence ``ids``."""
+    ids = list(ids)
+    return [ids.index(x) for x in names]
 
 
 class TestSparseMatrix:
@@ -104,9 +109,9 @@ class TestColumnNormalize:
 
 class TestBuildGraphs:
     def test_citation_decay_weight(self):
-        corpus, index, gs = small_setup(rho=0.5, t_current=2004)
+        corpus, _, gs = small_setup(rho=0.5, t_current=2004)
         dense = to_dense(gs.citation)
-        b, a, c = (index.paper_ids.index(x) for x in "BAC")
+        b, a, c = positions(corpus.papers, "BAC")
         # B (2003) cites A: age 1 year at rho 0.5
         assert dense[b, a] == pytest.approx(math.exp(-0.5))
         # C (2004) cites A and B: age 0
@@ -123,78 +128,107 @@ class TestBuildGraphs:
              "year": 2003, "refs": []},
         ]
         corpus, _ = parse_corpus(recs)
-        table = build_feature_table(corpus, min_df=1)
-        index = build_index(corpus, table.features)
-        m = build_coauthor(corpus, index, t_current=2004, rho=1.0)
+        m = build_coauthor(corpus, t_current=2004, rho=1.0)
         dense = to_dense(m)
-        u, v = (index.author_ids.index(x) for x in "uv")
+        u, v = positions(corpus.authors, "uv")
         assert dense[u, v] == pytest.approx(1.0 + math.exp(-1.0))
         assert dense[v, u] == dense[u, v]
         assert dense[u, u] == 0.0
         # at rho 1000 the 2003 papers weigh exp(-1000), which underflows to
         # 0: v-w is not stored, like a citation whose weight underflows
-        m = build_coauthor(corpus, index, t_current=2004, rho=1000.0)
+        m = build_coauthor(corpus, t_current=2004, rho=1000.0)
         assert m.nnz == 2 and to_dense(m)[u, v] == to_dense(m)[v, u] == 1.0
 
     def test_coauthor_symmetric(self, rng):
-        corpus, index, gs = small_setup()
+        _, _, gs = small_setup()
         d = to_dense(gs.coauthor)
         assert np.array_equal(d, d.T)
 
     def test_author_paper_binary(self):
-        corpus, index, gs = small_setup()
-        d = to_dense(gs.author_paper)
-        assert set(np.unique(d)) <= {0.0, 1.0}
-        a = index.paper_ids.index("A")
-        assert d[index.author_ids.index("u"), a] == 1.0
-        assert d[index.author_ids.index("w"), a] == 0.0
-        assert d.sum() == 5  # A:2 + B:1 + C:2 authors
+        """pa and ap link each author to each of its papers once: pa splits
+        an author's vote evenly over its papers, ap a paper's over its
+        authors, and an author listed twice counts once."""
+        corpus, _, gs = small_setup()
+        blocks = graph_blocks(gs)
+        pa, ap = to_dense(blocks["pa"]), to_dense(blocks["ap"])
+        linked = ap != 0.0
+        assert np.array_equal(pa != 0.0, linked)
+        a = positions(corpus.papers, "A")[0]
+        u, w = positions(corpus.authors, "uw")
+        assert linked[u, a] and not linked[w, a]
+        assert linked.sum() == 5  # A:2 + B:1 + C:2 authors
+        assert np.array_equal(pa * linked.sum(axis=1, keepdims=True), linked)
+        assert np.array_equal(ap * linked.sum(axis=0), linked)
+        # B lists u twice: u and v each get half of B's vote, and u splits
+        # its vote evenly over A and B
+        recs = [{"id": "A", "title": "t", "abstract": "a", "authors": ["u"],
+                 "year": 2000, "refs": []},
+                {"id": "B", "title": "t", "abstract": "a", "authors": ["u", "v", "u"],
+                 "year": 2000, "refs": []}]
+        corpus, _ = parse_corpus(recs)
+        gs = build_graphs(corpus, build_feature_table(corpus, min_df=1), 2000, 0.0)
+        assert to_dense(gs.listings).tolist() == [[1.0, 2.0], [0.0, 1.0]]
+        blocks = graph_blocks(gs)
+        assert to_dense(blocks["ap"]).tolist() == [[1.0, 0.5], [0.0, 0.5]]
+        assert to_dense(blocks["pa"]).tolist() == [[0.5, 0.5], [0.0, 1.0]]
 
     def test_rho_zero_equals_time_unaware(self):
-        """At rho_edge = 0 no edge decays: every citation weighs 1 and the
-        graphs' sums are their undecayed counterparts."""
-        corpus, index, gs = small_setup(rho=0.0)
+        """At rho_edge = 0 no edge decays: every citation weighs 1 and pp
+        and aa are divided by the graphs' own sums."""
+        corpus, _, gs = small_setup(rho=0.0)
         assert np.array_equal(decay_weights(corpus.years, 2004, 0.0),
-                              np.ones(index.n))
-        assert np.array_equal(gs.citation.data, np.ones(gs.citation.nnz))
-        assert np.array_equal(np.bincount(gs.citation.rows, weights=gs.citation.data,
-                                          minlength=index.n), gs.reference_counts)
-        assert np.array_equal(np.bincount(gs.coauthor.cols, weights=gs.coauthor.data,
-                                          minlength=index.m), gs.coauthor_counts)
+                              np.ones(len(corpus)))
+        cit, co = gs.citation, gs.coauthor
+        assert np.array_equal(cit.data, np.ones(cit.nnz))
+        blocks = graph_blocks(gs)
+        refs = np.bincount(cit.rows, weights=cit.data, minlength=len(corpus))
+        assert np.array_equal(blocks["pp"].data, cit.data / refs[cit.rows])
+        links = np.bincount(co.cols, weights=co.data, minlength=len(corpus.authors))
+        assert np.array_equal(blocks["aa"].data, co.data / links[co.cols])
 
     def test_undecayed_counterparts_present(self):
+        """pp and aa divide the decayed weights by undecayed counts: a
+        stored weight over its block entry is the reference count of its
+        citing paper, or the coauthor links of its column's author."""
         # A cites nothing, B cites A, C cites A and B; coauthor links:
         # u-v on A, v-w on C
-        _, index, gs = small_setup(rho=0.5)
-        refs = dict(zip(index.paper_ids, gs.reference_counts))
-        assert refs == {"A": 0.0, "B": 1.0, "C": 2.0}
-        links = dict(zip(index.author_ids, gs.coauthor_counts))
-        assert links == {"u": 1.0, "v": 2.0, "w": 1.0}
+        corpus, _, gs = small_setup(rho=0.5)
+        blocks = graph_blocks(gs)
+        cit, co = gs.citation, gs.coauthor
+        refs = set(zip(corpus.papers[cit.rows], cit.data / blocks["pp"].data))
+        assert refs == {("B", 1.0), ("C", 2.0)}
+        links = set(zip((corpus.authors[a] for a in co.cols), co.data / blocks["aa"].data))
+        assert links == {("u", 1.0), ("v", 2.0), ("w", 1.0)}
 
     def test_feature_matrices_carry_tfidf(self):
         """The feature graphs are held as their tf-idf factors: the counts
         C and L and the two idf vectors."""
-        corpus, index, gs = small_setup()
-        assert gs.feature_counts.shape == (index.n, index.k)
-        assert gs.listings.shape == (index.m, index.n)
-        assert gs.idf_paper.shape == gs.idf_author.shape == (index.k,)
-        assert np.array_equal(to_dense(gs.listings), to_dense(gs.author_paper))
+        corpus, table, gs = small_setup()
+        n, m, k = len(corpus), len(corpus.authors), len(table.features)
+        assert gs.sizes == (n, m, k)
+        assert gs.feature_counts.shape == (n, k)
+        assert gs.listings.shape == (m, n)
+        assert gs.idf_paper.shape == gs.idf_author.shape == (k,)
+        # no author is listed twice: L is the authorship pattern of pa and ap
+        assert np.array_equal(gs.listings.data, np.ones(gs.listings.nnz))
+        assert np.array_equal(to_dense(gs.listings) != 0.0,
+                              to_dense(graph_blocks(gs)["ap"]) != 0.0)
         # the pair alpha-beta is in the titles of A and B only, whose
         # authors are u and v
-        a, pair = index.paper_ids.index("A"), index.feature_ids.index("p|alpha|beta")
+        a, pair = positions(corpus.papers, "A")[0], table.features.index("p|alpha|beta")
         assert to_dense(gs.feature_counts)[a, pair] == 1.0
         assert gs.idf_paper[pair] == math.log(3 / 2)
         assert gs.idf_author[pair] == math.log(3 / 2)
         # alpha is in every paper and used by every author
-        alpha = index.feature_ids.index("w|alpha")
+        alpha = table.features.index("w|alpha")
         assert gs.idf_paper[alpha] == 0.0 and gs.idf_author[alpha] == 0.0
 
 
 class TestOperatorBlocks:
     def test_shapes(self):
-        _, index, gs = small_setup()
+        corpus, table, gs = small_setup()
         blocks = operator_blocks(gs)
-        n, m, k = index.n, index.m, index.k
+        n, m, k = len(corpus), len(corpus.authors), len(table.features)
         assert blocks.pp.shape == (n, n)
         assert blocks.pa.shape == (n, m)
         assert blocks.pt.shape == (n, k)
@@ -207,9 +241,9 @@ class TestOperatorBlocks:
     def test_pp_normalized_by_citation_counts(self):
         # C cites A and B at age 0: each reference gets 1/2 of C's vote;
         # B cites only A: full e^{-0.5} (decay survives, count normalizes)
-        corpus, index, gs = small_setup(rho=0.5, t_current=2004)
+        corpus, _, gs = small_setup(rho=0.5, t_current=2004)
         pp = to_dense(operator_blocks(gs).pp)
-        a, b, c = (index.paper_ids.index(x) for x in "ABC")
+        a, b, c = positions(corpus.papers, "ABC")
         assert pp[a, c] == pytest.approx(0.5)
         assert pp[b, c] == pytest.approx(0.5)
         assert pp[a, b] == pytest.approx(math.exp(-0.5))
@@ -217,9 +251,9 @@ class TestOperatorBlocks:
     def test_aa_normalized_by_coauthor_counts(self):
         # v coauthors A (2000) with u and C (2004) with w: two links, so
         # each of v's coauthors gets its decayed weight over 2
-        corpus, index, gs = small_setup(rho=0.5, t_current=2004)
+        corpus, _, gs = small_setup(rho=0.5, t_current=2004)
         aa = to_dense(operator_blocks(gs).aa)
-        u, v, w = (index.author_ids.index(x) for x in "uvw")
+        u, v, w = positions(corpus.authors, "uvw")
         assert aa[u, v] == pytest.approx(math.exp(-0.5 * 4) / 2)
         assert aa[w, v] == pytest.approx(1.0 / 2)
         assert aa[v, u] == pytest.approx(math.exp(-0.5 * 4))
@@ -233,7 +267,7 @@ class TestOperatorBlocks:
         assert np.array_equal(blocks.aa.data, column_normalize(gs.coauthor).data)
 
     def test_untimed_blocks_column_stochastic(self):
-        _, index, gs = small_setup(rho=0.0)
+        _, _, gs = small_setup(rho=0.0)
         blocks = operator_blocks(gs)
         for name in ("pp", "pa", "pt", "aa", "ap", "at", "tp", "ta"):
             m = getattr(blocks, name)
@@ -270,17 +304,17 @@ class TestOperatorBlocks:
                     "authors": authors, "year": year, "refs": refs})
             corpus, _ = parse_corpus(recs)
             table = build_feature_table(corpus, window_years=window_years, min_df=2)
-            index = build_index(corpus, table.features)
-            gs = build_graphs(corpus, index, table, t_cur, rho)
+            gs = build_graphs(corpus, table, t_cur, rho)
             blocks = operator_blocks(gs)
             papers = list(records(corpus).values())
-            apos = {a: i for i, a in enumerate(index.author_ids)}
+            n, m, k = len(corpus), len(corpus.authors), len(table.features)
+            apos = {a: i for i, a in enumerate(corpus.authors)}
 
             # feature table: retained features, window counts, lambdas
             feats = [extract_features(p) for p in papers]
             df = Counter(f for counts in feats for f in counts)
             kept = sorted((f for f in df if df[f] >= 2), key=feature_key)
-            assert tuple(map(feature_key, kept)) == index.feature_ids == table.features
+            assert tuple(map(feature_key, kept)) == table.features
             origin = min(p.year for p in papers)
             n_windows = (max(p.year for p in papers) - origin) // window_years + 1
             assert table.n_windows == n_windows
@@ -296,19 +330,19 @@ class TestOperatorBlocks:
             # tf-idf factors: an author listed twice on a paper counts it
             # twice in L
             col = {f: j for j, f in enumerate(kept)}
-            tf_p = np.zeros((index.n, index.k))
+            tf_p = np.zeros((n, k))
             for i, counts in enumerate(feats):
                 for f, c in counts.items():
                     if f in col:
                         tf_p[i, col[f]] = c
-            listings = np.zeros((index.m, index.n))
-            tf_a = np.zeros((index.m, index.k))
+            listings = np.zeros((m, n))
+            tf_a = np.zeros((m, k))
             for i, p in enumerate(papers):
                 for a in p.author_ids:
                     listings[apos[a], i] += 1.0
                     tf_a[apos[a]] += tf_p[i]
-            idf_p = np.array([math.log(index.n / df[f]) for f in kept])
-            idf_a = np.array([math.log(index.m / u) for u in (tf_a > 0).sum(axis=0)])
+            idf_p = np.array([math.log(n / df[f]) for f in kept])
+            idf_a = np.array([math.log(m / u) for u in (tf_a > 0).sum(axis=0)])
             assert np.array_equal(to_dense(gs.feature_counts), tf_p)
             assert np.array_equal(to_dense(gs.listings), listings)
             assert np.array_equal(gs.idf_paper, idf_p)
@@ -318,15 +352,15 @@ class TestOperatorBlocks:
             def decay(year):
                 return math.exp(-rho * (t_cur - year))
 
-            cit = np.zeros((index.n, index.n))
+            cit = np.zeros((n, n))
             for citing, cited in corpus.citation_edges.tolist():
                 cit[citing, cited] = decay(papers[citing].year)
             assert np.array_equal(to_dense(gs.citation), cit)
 
             # coauthor weights added in paper order, as the pipeline does
-            co = np.zeros((index.m, index.m))
-            links = np.zeros((index.m, index.m))
-            ap = np.zeros((index.m, index.n))
+            co = np.zeros((m, m))
+            links = np.zeros((m, m))
+            ap = np.zeros((m, n))
             for i, p in enumerate(papers):
                 aset = sorted(set(p.author_ids))
                 for x in aset:
@@ -339,12 +373,15 @@ class TestOperatorBlocks:
             # canonical order, no repeated entry, each pair's one sum on both
             # sides of the diagonal
             co_m = gs.coauthor
-            assert np.all(np.diff(co_m.rows * index.m + co_m.cols) > 0)
+            assert np.all(np.diff(co_m.rows * m + co_m.cols) > 0)
             dense_co = to_dense(co_m)
             assert np.array_equal(dense_co.view(np.int64), dense_co.T.view(np.int64))
             if trial == 12:
                 assert co_m.nnz == 0
-            assert np.array_equal(to_dense(gs.author_paper), ap)
+            # pa and ap link an author to a paper once, however often it is
+            # listed there: L's pattern; their values are checked below
+            assert np.array_equal(to_dense(blocks.ap) != 0.0, ap != 0.0)
+            assert np.array_equal(to_dense(gs.listings) != 0.0, ap != 0.0)
 
             def colnorm(dense, sums=None):
                 if sums is None:

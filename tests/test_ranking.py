@@ -4,7 +4,7 @@ import pytest
 from conftest import random_hyperparams, random_instance
 from operator_oracle import assemble_combined, to_dense
 from mrfrank.corpus import parse_corpus
-from mrfrank.graphs import build_graphs, build_index
+from mrfrank.graphs import build_graphs
 from mrfrank.ranking import (MODES, HyperParams, NumericalError, combined_operator,
                              init_state, iterate_once, normalize_innovativeness,
                              rank_entities, run, write_ranking)
@@ -81,7 +81,7 @@ class TestIterateOnce:
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
         operator = combined_operator(gs, e, hp)
-        s = init_state(gs.index.n, gs.index.m, gs.index.k)
+        s = init_state(*gs.sizes)
         for _ in range(5):
             s = iterate_once(s, operator)
             assert s.a_paper.sum() == pytest.approx(1.0)
@@ -97,8 +97,7 @@ class TestIterateOnce:
             hp = random_hyperparams(rng)
             combined = assemble_combined(gs, e, hp)
             operator = combined_operator(gs, e, hp)
-            n, m = gs.index.n, gs.index.m
-            s = init_state(n, m, gs.index.k)
+            s = init_state(*gs.sizes)
             for _ in range(3):
                 raw_next = combined @ s.vector
                 s = iterate_once(s, operator)
@@ -109,15 +108,15 @@ class TestIterateOnce:
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
         operator = combined_operator(gs, np.zeros_like(e), hp)
-        s = init_state(gs.index.n, gs.index.m, gs.index.k)
+        s = init_state(*gs.sizes)
         s = iterate_once(s, operator)
-        assert np.allclose(s.a_feature, 1.0 / gs.index.k)
+        assert np.allclose(s.a_feature, 1.0 / gs.sizes[2])
 
     def test_nonfinite_raises(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
         operator = combined_operator(gs, e, hp)
-        s = init_state(gs.index.n, gs.index.m, gs.index.k)
+        s = init_state(*gs.sizes)
         s.vector[0] = np.inf
         with pytest.raises(NumericalError):
             iterate_once(s, operator)
@@ -126,7 +125,7 @@ class TestIterateOnce:
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
         operator = combined_operator(gs, e, hp)
-        s0 = init_state(gs.index.n, gs.index.m, gs.index.k)
+        s0 = init_state(*gs.sizes)
         s1 = iterate_once(s0, operator)
         assert s1.iteration == 1
         assert s1.last_delta == pytest.approx(
@@ -137,12 +136,12 @@ class TestCombinedOperator:
     def test_no_content_leaves_out_pt_and_at(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng, mode="no_content")
-        n, m = gs.index.n, gs.index.m
+        n, m, k = gs.sizes
         operator = combined_operator(gs, e, hp)
         offsets = [(row, col) for row, col, _ in operator]
         assert (0, n + m) not in offsets and (n, n + m) not in offsets
         assert len(offsets) == 6
-        size = n + m + gs.index.k
+        size = n + m + k
         dense = np.zeros((size, size))
         for row, col, chain in operator:
             block = factor_dense(chain[0])
@@ -154,8 +153,8 @@ class TestCombinedOperator:
 
 
 def zero_weight_graphs(with_featureless_paper):
-    """Graphs of a small corpus built to put zeros in every diagonal of the
-    factored feature terms:
+    """A small corpus, its feature table and its graphs, built to put zeros
+    in every diagonal of the factored feature terms:
 
     - "common" is in every paper (idf_p = 0) unless the featureless paper
       D is added;
@@ -176,8 +175,7 @@ def zero_weight_graphs(with_featureless_paper):
                      "year": 2002, "refs": ["C"]})
     corpus, _ = parse_corpus(recs)
     table = build_feature_table(corpus, min_df=1)
-    index = build_index(corpus, table.features)
-    return build_graphs(corpus, index, table, t_current=2002, rho_edge=0.3)
+    return corpus, table, build_graphs(corpus, table, t_current=2002, rho_edge=0.3)
 
 
 class TestFactoredTerms:
@@ -187,21 +185,20 @@ class TestFactoredTerms:
         """The factored feature terms keep a zero column wherever an idf or
         a row sum is 0, never inf or nan, and one update equals one
         multiply by the dense combined matrix."""
-        gs = zero_weight_graphs(featureless)
-        idx = gs.index
-        col = {key: j for j, key in enumerate(idx.feature_ids)}
+        corpus, table, gs = zero_weight_graphs(featureless)
+        n, m, k = gs.sizes
+        col = {key: j for j, key in enumerate(table.features)}
         assert gs.idf_author[col["w|alpha"]] == 0.0 < gs.idf_paper[col["w|alpha"]]
-        pos = {x: i for ids in (idx.paper_ids, idx.author_ids) for i, x in enumerate(ids)}
+        pos = {x: i for ids in (corpus.papers, corpus.authors) for i, x in enumerate(ids)}
         assert to_dense(gs.listings)[pos["u"], pos["B"]] == 2.0
 
-        e = rng.random(idx.k) + 0.05
+        e = rng.random(k) + 0.05
         hp = random_hyperparams(rng, mode=mode)
         operator = combined_operator(gs, e, hp)
         for _, _, chain in operator:
             for factor in chain:
                 assert np.all(np.isfinite(factor_dense(factor)))
         combined = assemble_combined(gs, e, hp)
-        n, m = idx.n, idx.m
         # x's features all have idf_a 0: nothing flows from x to features
         assert np.all(combined[n + m:, n + pos["x"]] == 0.0)
         if featureless:
@@ -210,7 +207,7 @@ class TestFactoredTerms:
         else:
             assert gs.idf_paper[col["w|common"]] == 0.0
             assert np.all(combined[:n + m, n + m + col["w|common"]] == 0.0)
-        s = init_state(n, m, idx.k)
+        s = init_state(n, m, k)
         for _ in range(3):
             raw_next = combined @ s.vector
             s = iterate_once(s, operator)
@@ -291,7 +288,7 @@ class TestAssembleCombined:
     def test_shape_and_blocks(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
-        n, m, k = gs.index.n, gs.index.m, gs.index.k
+        n, m, k = gs.sizes
         c = assemble_combined(gs, e, hp)
         assert c.shape == (n + m + k, n + m + k)
         # feature-feature block is zero: features reinforce only via papers
@@ -301,7 +298,7 @@ class TestAssembleCombined:
     def test_linear_in_normalized_innovativeness(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng)
-        n, m = gs.index.n, gs.index.m
+        n, m, _ = gs.sizes
         c1 = assemble_combined(gs, e, hp)
         c2 = assemble_combined(gs, 2.0 * e, hp)
         assert np.allclose(c1, c2)  # invariant to scaling

@@ -16,7 +16,7 @@ from feature_oracle import extract_features, feature_key, tokenize
 from operator_oracle import to_dense
 from mrfrank.corpus import parse_corpus
 from mrfrank import textfeat
-from mrfrank.graphs import build_graphs, build_index, build_listings
+from mrfrank.graphs import build_graphs, build_listings
 from mrfrank.textfeat import (FeatureTable, build_feature_table, idf_author,
                               idf_paper, innovativeness_at_window, load_stopwords,
                               write_feature_table)
@@ -121,12 +121,11 @@ class TestFeatureTable:
     def test_columns_in_feature_key_order(self):
         corpus = self.make_corpus()
         table = build_feature_table(corpus, min_df=1)
-        index = build_index(corpus, table.features)
-        assert index.feature_ids == table.features == tuple(sorted(table.features))
+        assert table.features == tuple(sorted(table.features))
         papers = records(corpus)
         for row, col, count in zip(table.rows, table.cols, table.counts):
-            pid = index.paper_ids[row]
-            feat = tuple(index.feature_ids[col].split("|"))
+            pid = corpus.papers[row]
+            feat = tuple(table.features[col].split("|"))
             assert extract_features(papers[pid])[feat] == count
         assert table.rows.size == sum(len(extract_features(p))
                                       for p in papers.values())
@@ -262,27 +261,25 @@ class TestTfidf:
         return corpus, build_feature_table(corpus, min_df=2)
 
     def tfidf(self, corpus, table):
-        """The index and the dense paper and author tf-idf matrices, rebuilt
-        from the factors the graphs hold: C idf_p and (L C) idf_a."""
-        index = build_index(corpus, table.features)
-        gs = build_graphs(corpus, index, table, t_current=2004, rho_edge=0.0)
+        """The dense paper and author tf-idf matrices, rebuilt from the
+        factors the graphs hold: C idf_p and (L C) idf_a."""
+        gs = build_graphs(corpus, table, t_current=2004, rho_edge=0.0)
         counts = to_dense(gs.feature_counts)
-        return (index, counts * gs.idf_paper,
-                (to_dense(gs.listings) @ counts) * gs.idf_author)
+        return counts * gs.idf_paper, (to_dense(gs.listings) @ counts) * gs.idf_author
 
-    def weight(self, index, matrix, entity, key):
+    def weight(self, corpus, table, matrix, entity, key):
         """Entry of a tf-idf matrix: a paper row for an upper-case id, an
         author row for a lower-case one."""
-        ids = index.paper_ids if entity.isupper() else index.author_ids
-        return matrix[ids.index(entity), index.feature_ids.index(key)]
+        ids = list(corpus.papers) if entity.isupper() else corpus.authors
+        return matrix[ids.index(entity), table.features.index(key)]
 
     def test_paper_weights(self):
         corpus, table = self.make()
-        index, w, _ = self.tfidf(corpus, table)
+        w, _ = self.tfidf(corpus, table)
         # alpha: tf 3 in A, df 2 of 4 papers
-        assert self.weight(index, w, "A", "w|alpha") == pytest.approx(
+        assert self.weight(corpus, table, w, "A", "w|alpha") == pytest.approx(
             3 * math.log(4 / 2))
-        assert self.weight(index, w, "B", "w|beta") == pytest.approx(
+        assert self.weight(corpus, table, w, "B", "w|beta") == pytest.approx(
             1 * math.log(4 / 3))
 
     def test_uniform_feature_has_zero_weight(self):
@@ -292,18 +289,18 @@ class TestTfidf:
         corpus, _ = parse_corpus(recs)
         table = build_feature_table(corpus, min_df=1)
         assert np.array_equal(idf_paper(corpus, table), [0.0])  # ln(3/3)
-        _, w, _ = self.tfidf(corpus, table)
+        w, _ = self.tfidf(corpus, table)
         assert w.shape == (3, 1)
         assert np.all(w == 0.0)
 
     def test_author_weights_sum_over_papers(self):
         corpus, table = self.make()
-        index, _, w = self.tfidf(corpus, table)
+        _, w = self.tfidf(corpus, table)
         # u has alpha tf 3 + 1 = 4; alpha used by 2 of 3 authors
-        assert self.weight(index, w, "u", "w|alpha") == pytest.approx(
+        assert self.weight(corpus, table, w, "u", "w|alpha") == pytest.approx(
             4 * math.log(3 / 2))
         # w (the author) has beta tf 1; beta used by all 3 authors -> weight 0
-        assert self.weight(index, w, "w", "w|beta") == 0.0
+        assert self.weight(corpus, table, w, "w", "w|beta") == 0.0
 
     def test_author_listed_twice_counts_twice(self):
         recs = [
@@ -316,13 +313,13 @@ class TestTfidf:
         ]
         corpus, _ = parse_corpus(recs)
         table = build_feature_table(corpus, min_df=1)
-        index = build_index(corpus, table.features)
-        listings = to_dense(build_listings(corpus, index))
-        assert listings[index.author_ids.index("u"), index.paper_ids.index("A")] == 2.0
-        assert listings[index.author_ids.index("v"), index.paper_ids.index("B")] == 1.0
-        index, _, w = self.tfidf(corpus, table)
-        assert self.weight(index, w, "u", "w|alpha") == 2 * math.log(3 / 2)
-        assert self.weight(index, w, "v", "w|alpha") == math.log(3 / 2)
+        listings = to_dense(build_listings(corpus))
+        papers = list(corpus.papers)
+        assert listings[corpus.authors.index("u"), papers.index("A")] == 2.0
+        assert listings[corpus.authors.index("v"), papers.index("B")] == 1.0
+        _, w = self.tfidf(corpus, table)
+        assert self.weight(corpus, table, w, "u", "w|alpha") == 2 * math.log(3 / 2)
+        assert self.weight(corpus, table, w, "v", "w|alpha") == math.log(3 / 2)
 
     def test_author_idf_independent_of_slice_size(self, rng, monkeypatch):
         """Counting distinct (author, feature) keys in slices of whole
@@ -334,13 +331,13 @@ class TestTfidf:
                      "abstract": "", "year": 2000, "refs": []} for i in range(12)]
             corpus, _ = parse_corpus(recs)
             table = build_feature_table(corpus, min_df=1)
-            index = build_index(corpus, table.features)
             papers = list(records(corpus).values())
-            used = np.zeros((index.m, index.k), dtype=bool)
+            m = len(corpus.authors)
+            used = np.zeros((m, len(table.features)), dtype=bool)
             for row, col in zip(table.rows.tolist(), table.cols.tolist()):
                 for a in papers[row].author_ids:
-                    used[index.author_ids.index(a), col] = True
-            expect = np.array([math.log(index.m / u) for u in used.sum(axis=0)])
+                    used[corpus.authors.index(a), col] = True
+            expect = np.array([math.log(m / u) for u in used.sum(axis=0)])
             for size in (1, 2, 3, 7, 1 << 20):
                 monkeypatch.setattr(textfeat, "AUTHOR_SLICE_KEYS", size)
                 assert np.array_equal(idf_author(corpus, table), expect)
