@@ -9,10 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from mrfrank.graphs import GraphSet, SparseMatrix
 
 
-def random_sparse(rng, r, c, density=0.5, symmetric=False, nodiag=False):
+def random_sparse(rng, r, c, density=0.5, nodiag=False):
     a = rng.random((r, c)) * (rng.random((r, c)) < density)
-    if symmetric:
-        a = a + a.T
     if nodiag:
         np.fill_diagonal(a, 0)
     rows, cols = np.nonzero(a)
