@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,7 +137,45 @@ class TestIterateOnce:
             np.abs(s1.per_type - s0.per_type).sum())
 
 
+# sha256 over every term of ``combined_operator`` on ``operator_instances``
+# in all four modes: each term's offsets, and each factor's shape,
+# ``Transposed`` flag and the bytes of its rows, cols and data
+OPERATOR_DIGEST = "3fd42752f74dd39e511504d2b357a1466be49264a7c7721b1238661d49686879"
+
+
+def operator_instances():
+    """60 seeded ``random_instance``s with their hyperparameters; every
+    fifth puts a coefficient at 0 or 1."""
+    rng = np.random.default_rng(1407)
+    edges = [dict(alpha_p=1.0), dict(beta_p=0.0, alpha_a=0.0), dict(beta_a=1.0),
+             dict(alpha_f=0.0), dict(alpha_f=1.0, beta_p=1.0)]
+    for i in range(60):
+        gs, e = random_instance(rng)
+        hp = random_hyperparams(rng, **(edges[i // 5 % 5] if i % 5 == 4 else {}))
+        yield gs, e, hp
+
+
+def operator_digest() -> str:
+    digest = hashlib.sha256()
+    for gs, e, hp in operator_instances():
+        for mode in MODES:
+            for row, col, chain in combined_operator(gs, e, replace(hp, mode=mode)):
+                digest.update(f"{mode} {row} {col} {len(chain)};".encode())
+                for factor in chain:
+                    transposed = isinstance(factor, Transposed)
+                    m = factor.m if transposed else factor
+                    digest.update(f"{transposed} {m.shape};".encode())
+                    for array in (m.rows, m.cols, m.data):
+                        digest.update(array.dtype.str.encode() + array.tobytes())
+    return digest.hexdigest()
+
+
 class TestCombinedOperator:
+    def test_operator_bytes_pinned(self):
+        """Every factor of every term keeps its bytes: a refactor of how
+        the terms are built must not move a single ulp."""
+        assert operator_digest() == OPERATOR_DIGEST
+
     def test_no_content_leaves_out_pt_and_at(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng, mode="no_content")
@@ -357,7 +398,6 @@ class TestRun:
         produce byte-identical scores to mode=full with rho_edge 0."""
         gs, e = random_instance(rng)
         base = random_hyperparams(rng, tolerance=1e-10, max_iterations=2000)
-        from dataclasses import replace
         a, _ = run(gs, e, replace(base, mode="full", rho_edge=0.0))
         b, _ = run(gs, e, replace(base, mode="no_time", rho_edge=0.9))
         assert np.array_equal(a.a_paper, b.a_paper)
@@ -367,7 +407,6 @@ class TestRun:
     def test_no_content_mode_reduces_exactly(self, rng):
         gs, e = random_instance(rng)
         base = random_hyperparams(rng, tolerance=1e-10, max_iterations=2000)
-        from dataclasses import replace
         a, _ = run(gs, e, replace(base, mode="full", beta_p=1.0, beta_a=1.0))
         b, _ = run(gs, e, replace(base, mode="no_content"))
         assert np.array_equal(a.a_paper, b.a_paper)
