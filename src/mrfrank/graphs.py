@@ -1,6 +1,6 @@
-"""The five sparse literature graphs with time-aware edge weights and the
-column-normalized paper and author blocks consumed by the ranking
-iteration."""
+"""The five sparse literature graphs with time-aware edge weights, held as
+the six facts the paper names; ``ranking.combined_operator`` derives every
+block of the ranking iteration from them."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .sparse import (SparseMatrix, column_normalize, distinct, divide_columns,
-                     divide_rows, group_sum, pairs_within_groups, per_distinct)
+from .sparse import SparseMatrix, distinct, group_sum, pairs_within_groups, per_distinct
 from .textfeat import FeatureTable, idf_author, idf_paper
 
 
@@ -87,33 +86,4 @@ def build_graphs(corpus: Corpus, table: FeatureTable, t_current: int,
                                               table.rows, table.cols, table.counts),
         idf_paper=idf_paper(corpus, table),
         idf_author=idf_author(corpus, table),
-    )
-
-
-def graph_blocks(graphs: GraphSet) -> dict[str, SparseMatrix]:
-    """The four blocks between papers and authors, each with fresh ``data``.
-    pp and pa are returned as their transposes, over the ``rows`` and
-    ``cols`` of ``citation`` and ``listings``, to be applied transposed.
-    The authorship graph behind pa and ap is L's pattern: an author listed
-    twice on a paper links to it once.
-
-    The time-aware blocks pp and aa are divided by their undecayed column
-    sums instead of their own: every reference of one citing paper carries
-    that paper's timestamp, so normalizing by the decayed sums would cancel
-    the decay exactly.  Dividing by the reference count keeps each citer's
-    vote split across its references while recent votes keep more absolute
-    weight; at rho = 0 this is plain column normalization.  An author's
-    coauthor count sums, over its papers, the paper's other authors.
-    """
-    cit, lst = graphs.citation, graphs.listings
-    m, n = lst.shape
-    ap = SparseMatrix.canonical(lst.shape, lst.rows, lst.cols, np.ones(lst.nnz))
-    paper_size = np.bincount(lst.cols, minlength=n)
-    return dict(
-        pp=divide_rows(cit, np.bincount(cit.rows, minlength=n)),
-        pa=divide_rows(ap, np.bincount(lst.rows, minlength=m)),
-        aa=divide_columns(graphs.coauthor,
-                          np.bincount(lst.rows, weights=paper_size[lst.cols] - 1.0,
-                                      minlength=m)),
-        ap=column_normalize(ap),
     )

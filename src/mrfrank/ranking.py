@@ -1,17 +1,17 @@
 """Mutual-reinforcement iteration over papers, authors and text features,
 and ranked-list output.
 
-The combined (N+M+K)^2 block matrix is held as a list of terms, each a
-column-normalized block, or a short chain of sparse factors whose product
-is one, already scaled by its coefficient and placed at its row and column
-offset.  One operator application (``iterate_once``) applies every term to
-the concatenated authority vector and renormalizes it by its total sum: a
-power-iteration step, whose fixed point is the dominant eigenvector of the
-combined matrix.  ``run`` reaches that same fixed point in fewer
-applications by Anderson mixing: each next point combines the latest image
-with the last few images, and the plain image is taken whenever the mix is
-not a distribution.  The per-type vectors are the three sections of that
-one vector, each rescaled to sum 1.
+The combined (N+M+K)^2 block matrix is held as a list of terms, one per
+block: a chain of one or two sparse factors whose product is the
+column-normalized block times its coefficient, placed at its row and column
+offset.  ``combined_operator`` builds all eight.  One operator application
+(``iterate_once``) applies every term to the concatenated authority vector
+and renormalizes it by its total sum: a power-iteration step, whose fixed
+point is the dominant eigenvector of the combined matrix.  ``run`` reaches
+that same fixed point in fewer applications by Anderson mixing: each next
+point combines the latest image with the last few images, and the plain
+image is taken whenever the mix is not a distribution.  The per-type
+vectors are the three sections of that one vector, each rescaled to sum 1.
 
 The innovativeness vector is rescaled to sum 1 before entering the
 matrix, so only the relative burstiness of features matters and a global
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import GraphSet, graph_blocks
-from .sparse import SparseMatrix, Transposed, reciprocal, scale
+from .graphs import GraphSet
+from .sparse import SparseMatrix, Transposed, reciprocal
 
 MODES = ("full", "no_time", "no_content", "no_time_no_content")
 
@@ -150,70 +150,91 @@ def normalize_innovativeness(e: np.ndarray) -> np.ndarray:
 Operator = list[tuple[int, int, tuple[SparseMatrix | Transposed, ...]]]
 
 
-def _feature_chains(graphs: GraphSet, e_norm: np.ndarray,
-                    coef: dict[str, float]) -> dict[str, tuple]:
-    """The four feature blocks as chains of factors over C (paper x feature
-    counts) and L (author x paper listing counts), the transposed ones
-    applied in place.
-
-    Column normalization cancels idf, so
-
-        pt = C diag(1 / colsum C)
-        at = L C diag(1 / colsum(L C))
-        tp = diag(idf_p) C^T diag(1 / (C idf_p))
-        ta = diag(idf_a) C^T L^T diag(1 / (L C idf_a))
-
-    A feature with idf 0 keeps a zero column in pt and at, and a paper or
-    author whose features all have idf 0 a zero column in tp and ta.  Each
-    coefficient and diagonal, the normalized innovativeness of the feature
-    rows included, is folded into one factor's weights; every scaled factor
-    shares the ``rows`` and ``cols`` of C or L.
-    """
-    c, lst = graphs.feature_counts, graphs.listings
-    idf_p, idf_a = graphs.idf_paper, graphs.idf_author
-    n, m = c.shape[0], lst.shape[0]
-    colsum_c = c.rmatvec(np.ones(n))
-    colsum_lc = c.rmatvec(lst.rmatvec(np.ones(m)))
-    return {
-        "pt": (scale(c, col_weights=np.where(idf_p != 0.0, coef["pt"], 0.0)
-                     * reciprocal(colsum_c)),),
-        "at": (scale(c, col_weights=np.where(idf_a != 0.0, coef["at"], 0.0)
-                     * reciprocal(colsum_lc)), lst),
-        "tp": (Transposed(scale(c, row_weights=reciprocal(c.matvec(idf_p)),
-                                col_weights=coef["tp"] * e_norm * idf_p)),),
-        "ta": (Transposed(scale(lst, row_weights=reciprocal(lst.matvec(c.matvec(idf_a))))),
-               Transposed(scale(c, col_weights=coef["ta"] * e_norm * idf_a))),
-    }
-
-
 def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Operator:
-    """The combined matrix as (row offset, col offset, chain) terms.
+    """The combined matrix as (row offset, col offset, chain) terms, one per
+    block whose coefficient w is not 0.  With R the citation graph (i cites
+    j), S the coauthor graph, A the authorship pattern (L's nonzeros), C the
+    paper x feature counts, L the author x paper listing counts and e the
+    normalized innovativeness, the eight blocks are
 
-    The paper and author blocks come fresh from ``graph_blocks`` and their
-    weights are scaled in place by their coefficients; pp and pa come as
-    their transposes and are applied transposed.  The feature blocks are
-    chains of factors (``_feature_chains``).  Terms whose coefficient is 0
-    are left out.
+        pp = w R^T diag(1 / references per citing paper)
+        pa = w A^T diag(1 / papers per author)
+        aa = w S diag(1 / coauthor links per author)
+        ap = w A diag(1 / authors per paper)
+        pt = w C diag([idf_p != 0] / colsum C)
+        at = w L C diag([idf_a != 0] / colsum(L C))
+        tp = w diag(e idf_p) C^T diag(1 / (C idf_p))
+        ta = w diag(e idf_a) C^T L^T diag(1 / (L C idf_a))
+
+    Each is column-normalized: column normalization cancels idf in pt and
+    at, and a zero sum leaves a zero column.  pp and aa divide by undecayed
+    counts instead of their own sums: every reference of one citing paper
+    carries that paper's timestamp, so normalizing by the decayed sums would
+    cancel the decay exactly.  Dividing by the reference count keeps each
+    citer's vote split across its references while recent votes keep more
+    absolute weight; at rho = 0 this is plain column normalization.  An
+    author's coauthor links sum, over its papers, the paper's other authors.
+    The authorship graph is L's pattern: an author listed twice on a paper
+    links to it once.
+
+    Every factor shares the ``rows`` and ``cols`` of R, S, L or C and gets
+    its own ``data``, made with the divisor and w folded in; pp, pa, tp and
+    ta apply theirs ``Transposed``.  In a factor weighted on both sides the
+    column weight is multiplied in first.
     """
     hp = hp.effective()
+    cit, co, lst, c = graphs.citation, graphs.coauthor, graphs.listings, graphs.feature_counts
+    idf_p, idf_a = graphs.idf_paper, graphs.idf_author
     n, m, _ = graphs.sizes
     f = n + m
-    coef = {
-        "pp": hp.alpha_p, "pa": hp.beta_p * (1.0 - hp.alpha_p),
-        "pt": (1.0 - hp.beta_p) * (1.0 - hp.alpha_p),
-        "aa": hp.alpha_a, "ap": hp.beta_a * (1.0 - hp.alpha_a),
-        "at": (1.0 - hp.beta_a) * (1.0 - hp.alpha_a),
-        "ta": hp.alpha_f, "tp": 1.0 - hp.alpha_f,
-    }
-    chains = _feature_chains(graphs, normalize_innovativeness(e), coef)
-    blocks = graph_blocks(graphs)
-    for name, block in blocks.items():
-        block.data *= coef[name]
-    chains.update(pp=(Transposed(blocks["pp"]),), pa=(Transposed(blocks["pa"]),),
-                  aa=(blocks["aa"],), ap=(blocks["ap"],))
-    offsets = [("pp", 0, 0), ("pa", 0, n), ("pt", 0, f), ("aa", n, n), ("ap", n, 0),
-               ("at", n, f), ("ta", f, n), ("tp", f, 0)]
-    return [(row, col, chains[name]) for name, row, col in offsets if coef[name] != 0.0]
+    e_norm = normalize_innovativeness(e)
+    # every divisor: the undecayed counts of the paper and author blocks,
+    # and the reciprocal column and row sums of the feature blocks
+    refs = np.bincount(cit.rows, minlength=n)
+    papers_per_author = np.bincount(lst.rows, minlength=m)
+    authors_per_paper = np.bincount(lst.cols, minlength=n)
+    links = np.bincount(lst.rows, weights=authors_per_paper[lst.cols] - 1.0, minlength=m)
+    inv_colsum_c = reciprocal(c.rmatvec(np.ones(n)))
+    inv_colsum_lc = reciprocal(c.rmatvec(lst.rmatvec(np.ones(m))))
+    inv_paper_tfidf = reciprocal(c.matvec(idf_p))
+    inv_author_tfidf = reciprocal(lst.matvec(c.matvec(idf_a)))
+
+    def on(g: SparseMatrix, data: np.ndarray) -> SparseMatrix:
+        # a factor over g's rows and cols, with its own data
+        return SparseMatrix.canonical(g.shape, g.rows, g.cols, data)
+
+    def pp(w):
+        return (Transposed(on(cit, cit.data / refs[cit.rows] * w)),)
+
+    def pa(w):
+        return (Transposed(on(lst, 1.0 / papers_per_author[lst.rows] * w)),)
+
+    def pt(w):
+        return (on(c, c.data * (np.where(idf_p != 0.0, w, 0.0) * inv_colsum_c)[c.cols]),)
+
+    def aa(w):
+        return (on(co, co.data / links[co.cols] * w),)
+
+    def ap(w):
+        return (on(lst, 1.0 / authors_per_paper[lst.cols] * w),)
+
+    def at(w):
+        return (on(c, c.data * (np.where(idf_a != 0.0, w, 0.0) * inv_colsum_lc)[c.cols]), lst)
+
+    def ta(w):
+        return (Transposed(on(lst, lst.data * inv_author_tfidf[lst.rows])),
+                Transposed(on(c, c.data * (w * e_norm * idf_a)[c.cols])))
+
+    def tp(w):
+        return (Transposed(on(c, c.data * (w * e_norm * idf_p)[c.cols]
+                              * inv_paper_tfidf[c.rows])),)
+
+    terms = [(0, 0, hp.alpha_p, pp), (0, n, hp.beta_p * (1.0 - hp.alpha_p), pa),
+             (0, f, (1.0 - hp.beta_p) * (1.0 - hp.alpha_p), pt),
+             (n, n, hp.alpha_a, aa), (n, 0, hp.beta_a * (1.0 - hp.alpha_a), ap),
+             (n, f, (1.0 - hp.beta_a) * (1.0 - hp.alpha_a), at),
+             (f, n, hp.alpha_f, ta), (f, 0, 1.0 - hp.alpha_f, tp)]
+    return [(row, col, build(w)) for row, col, w, build in terms if w != 0.0]
 
 
 def iterate_once(state: RankState, operator: Operator) -> RankState:

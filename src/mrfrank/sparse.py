@@ -1,6 +1,8 @@
-"""Sparse matrices in canonical COO order, and the integer-id and
-integer-array helpers the corpus, graphs and feature factors are built
-with."""
+"""Sparse matrices in canonical COO order, applied as they are or
+transposed over their own arrays, and the integer-id and integer-array
+helpers the corpus, graphs and feature table are built with.  A weighted
+copy of a matrix is ``SparseMatrix.canonical`` over its ``rows`` and
+``cols`` with new ``data``; no function here writes into a matrix's arrays."""
 
 from __future__ import annotations
 
@@ -83,39 +85,9 @@ class Transposed:
         return self.m.rmatvec(x)
 
 
-def scale(m: SparseMatrix, row_weights: np.ndarray | None = None,
-          col_weights: np.ndarray | None = None) -> SparseMatrix:
-    """``diag(row_weights) @ m @ diag(col_weights)`` with its own ``data``,
-    the column weight multiplied in first, sharing ``m``'s ``rows`` and
-    ``cols``; a zero weight leaves a stored zero."""
-    data = m.data
-    if col_weights is not None:
-        data = data * col_weights[m.cols]
-    if row_weights is not None:
-        data = data * row_weights[m.rows]
-    return SparseMatrix.canonical(m.shape, m.rows, m.cols, data)
-
-
 def reciprocal(values: np.ndarray) -> np.ndarray:
     """``1 / values``, with 0 where a value is 0."""
     return np.divide(1.0, values, out=np.zeros(values.shape), where=values != 0.0)
-
-
-def divide_columns(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
-    """Divide every stored entry by the value ``sums`` gives its column."""
-    return SparseMatrix.canonical(m.shape, m.rows, m.cols, m.data / sums[m.cols])
-
-
-def divide_rows(m: SparseMatrix, sums: np.ndarray) -> SparseMatrix:
-    """Divide every stored entry by the value ``sums`` gives its row:
-    ``divide_columns`` of m^T, held in m's own order."""
-    return SparseMatrix.canonical(m.shape, m.rows, m.cols, m.data / sums[m.rows])
-
-
-def column_normalize(m: SparseMatrix) -> SparseMatrix:
-    """Scale every nonzero column to sum 1; zero columns stay zero."""
-    return divide_columns(m, np.bincount(m.cols, weights=m.data,
-                                         minlength=m.shape[1]))
 
 
 def interner() -> defaultdict:

@@ -1,8 +1,9 @@
 """Dense oracles for the combined operator: a ``SparseMatrix`` as a dense
 array and as a re-sorted transpose, all eight column-normalized blocks
-materialized, the (N+M+K)^2 combined matrix built densely from them, the
-fixed point reached by plain power iteration, and the recommendation
-intensity of a list of ids."""
+materialized densely from the graph facts, the (N+M+K)^2 combined matrix
+built from them, the fixed point reached by plain power iteration, one
+block read from the production operator, and the recommendation intensity
+of a list of ids."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from mrfrank.evaluate import ri_item
-from mrfrank.graphs import GraphSet, graph_blocks
+from mrfrank.graphs import GraphSet
 from mrfrank.ranking import (HyperParams, RankState, combined_operator, init_state,
                              iterate_once, normalize_innovativeness)
-from mrfrank.sparse import SparseMatrix, column_normalize
+from mrfrank.sparse import SparseMatrix, Transposed
 
 
 def to_dense(m: SparseMatrix) -> np.ndarray:
@@ -52,19 +53,55 @@ class OperatorBlocks:
     ta: SparseMatrix  # K x M
 
 
+def colnorm(dense: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
+    """Every column of ``dense`` divided by its entry of ``sums``, by
+    default the column's own sum, added row after row; a zero sum leaves
+    a zero column."""
+    if sums is None:
+        sums = np.zeros(dense.shape[1])
+        for row in dense:
+            sums += row
+    return np.divide(dense, sums, out=np.zeros_like(dense), where=sums != 0)
+
+
 def operator_blocks(graphs: GraphSet) -> OperatorBlocks:
-    """All eight blocks materialized: the paper and author tf-idf matrices
-    are built densely from C, L and the idf vectors, then column-normalized
-    like the graph blocks."""
+    """All eight blocks materialized densely from the graph facts.  pp is
+    the transposed citation graph over each citing paper's reference count,
+    aa the coauthor graph over each author's coauthor links (the other
+    authors of its papers), pa and ap the authorship pattern (L's nonzeros)
+    column-normalized, and the feature blocks the column-normalized paper
+    and author tf-idf matrices, built from C, L and the idf vectors."""
+    cit = to_dense(graphs.citation)
+    listings = to_dense(graphs.listings)
+    authorship = (listings != 0.0).astype(np.float64)
+    links = authorship @ (authorship.sum(axis=0) - 1.0)
     counts = to_dense(graphs.feature_counts)
-    paper = _from_dense(counts * graphs.idf_paper)
-    author = _from_dense((to_dense(graphs.listings) @ counts) * graphs.idf_author)
-    blocks = graph_blocks(graphs)
-    return OperatorBlocks(
-        pt=column_normalize(paper), tp=column_normalize(transpose(paper)),
-        at=column_normalize(author), ta=column_normalize(transpose(author)),
-        pp=transpose(blocks["pp"]), pa=transpose(blocks["pa"]),
-        aa=blocks["aa"], ap=blocks["ap"])
+    paper = counts * graphs.idf_paper
+    author = (listings @ counts) * graphs.idf_author
+    dense = dict(
+        pp=colnorm(cit.T, (cit != 0.0).sum(axis=1)), pa=colnorm(authorship.T),
+        aa=colnorm(to_dense(graphs.coauthor), links), ap=colnorm(authorship),
+        pt=colnorm(paper), tp=colnorm(paper.T), at=colnorm(author), ta=colnorm(author.T))
+    return OperatorBlocks(**{name: _from_dense(block) for name, block in dense.items()})
+
+
+# hyperparameters that put coefficient 1 on pp, pa, aa and ap
+UNIT_COEFFICIENT = {"pp": dict(alpha_p=1.0), "pa": dict(alpha_p=0.0, beta_p=1.0),
+                    "aa": dict(alpha_a=1.0), "ap": dict(alpha_a=0.0, beta_a=1.0)}
+
+
+def term_factor(graphs: GraphSet, name: str) -> SparseMatrix:
+    """The one factor of block ``name`` (pp, pa, aa or ap) as
+    ``combined_operator`` builds it, read from its term under
+    ``UNIT_COEFFICIENT``: multiplying by 1.0 leaves every value exact.  pp
+    and pa are applied transposed, so theirs is the block's transpose, over
+    the ``rows`` and ``cols`` of the citation graph and L."""
+    n = graphs.sizes[0]
+    offsets = {"pp": (0, 0), "pa": (0, n), "aa": (n, n), "ap": (n, 0)}[name]
+    operator = combined_operator(graphs, np.ones(graphs.sizes[2]),
+                                 HyperParams(**UNIT_COEFFICIENT[name]))
+    (factor,), = [chain for row, col, chain in operator if (row, col) == offsets]
+    return factor.m if isinstance(factor, Transposed) else factor
 
 
 def assemble_combined(graphs: GraphSet, e: np.ndarray, hp: HyperParams,

@@ -166,9 +166,28 @@ class TestExitCodes:
         out = tmp_path / "out.jsonl"
         assert main(["ingest", "--input", str(path), "--output", str(out)]) == 2
 
-    def test_data_error_missing_file(self, tmp_path, capsys):
-        assert main(["ingest", "--input", str(tmp_path / "nope.jsonl"),
-                     "--output", str(tmp_path / "o.jsonl")]) == 2
+    @pytest.mark.parametrize("case", ["missing", "corpus_dir", "config_dir",
+                                      "report_input_dir", "workspace_file"])
+    def test_data_error_missing_file(self, corpus_file, tmp_path, capsys, case):
+        """A path that cannot be read or made ends with exit 2 and one
+        ``error:`` line naming it: a missing input, a directory given as
+        the corpus, the config or the report input, and an existing file
+        given as the workspace."""
+        bad = tmp_path / "bad"
+        if case == "missing":
+            args = ["ingest", "--input", str(bad), "--output", str(tmp_path / "o.jsonl")]
+        elif case == "workspace_file":
+            bad.write_text("")
+            args = rank_args(corpus_file, bad)
+        else:
+            bad.mkdir()
+            args = {"corpus_dir": rank_args(bad, tmp_path / "ws"),
+                    "config_dir": ["rank", "--config", str(bad)],
+                    "report_input_dir": ["report", "--input", str(bad)]}[case]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and str(bad) in err
 
     def test_nonconvergence_exit_3(self, corpus_file, tmp_path, capsys):
         ws = tmp_path / "ws"

@@ -7,11 +7,9 @@ import pytest
 from conftest import random_sparse
 from corpus_oracle import records
 from feature_oracle import extract_features, feature_key
-from operator_oracle import operator_blocks, to_dense, transpose
+from operator_oracle import colnorm, operator_blocks, term_factor, to_dense, transpose
 from mrfrank.corpus import parse_corpus
-from mrfrank.graphs import (SparseMatrix, build_coauthor, build_graphs,
-                            column_normalize, decay_weights, graph_blocks)
-from mrfrank.sparse import scale
+from mrfrank.graphs import SparseMatrix, build_coauthor, build_graphs, decay_weights
 from mrfrank.textfeat import build_feature_table
 
 
@@ -73,15 +71,6 @@ class TestSparseMatrix:
                 assert np.array_equal(getattr(fast, name), getattr(lexsorted, name))
                 assert getattr(fast, name).dtype == getattr(lexsorted, name).dtype
 
-    def test_scale_multiplies_column_weight_first(self, rng):
-        """The column weight goes in first: on a C factor applied transposed
-        that is the feature weight, which tp multiplies in before the paper
-        weight."""
-        m = random_sparse(rng, 30, 20, density=0.8)
-        row_w, col_w = rng.random(30) * 3.0, rng.random(20) * 3.0
-        scaled = scale(m, row_weights=row_w, col_weights=col_w)
-        assert np.array_equal(scaled.data, m.data * col_w[m.cols] * row_w[m.rows])
-
     def test_canonical_order(self):
         m = SparseMatrix((3, 3), [2, 0, 2], [0, 1, 2], [1.0, 2.0, 3.0])
         assert list(m.rows) == [0, 2, 2]
@@ -90,21 +79,6 @@ class TestSparseMatrix:
     def test_empty_matvec(self):
         m = SparseMatrix((3, 4), [], [], [])
         assert np.array_equal(m.matvec(np.ones(4)), np.zeros(3))
-
-
-class TestColumnNormalize:
-    def test_columns_sum_to_one(self, rng):
-        m = column_normalize(random_sparse(rng, 8, 6))
-        sums = np.bincount(m.cols, weights=m.data, minlength=6)
-        nonzero = np.unique(m.cols)
-        assert np.allclose(sums[nonzero], 1.0)
-
-    def test_zero_column_stays_zero(self):
-        m = SparseMatrix((2, 3), [0, 1], [0, 0], [1.0, 3.0])
-        out = column_normalize(m)
-        dense = to_dense(out)
-        assert np.allclose(dense[:, 0], [0.25, 0.75])
-        assert np.all(dense[:, 1:] == 0.0)
 
 
 class TestBuildGraphs:
@@ -149,8 +123,7 @@ class TestBuildGraphs:
         an author's vote evenly over its papers, ap a paper's over its
         authors, and an author listed twice counts once."""
         corpus, _, gs = small_setup()
-        blocks = graph_blocks(gs)
-        pa, ap = to_dense(blocks["pa"]), to_dense(blocks["ap"])
+        pa, ap = to_dense(term_factor(gs, "pa")), to_dense(term_factor(gs, "ap"))
         linked = ap != 0.0
         assert np.array_equal(pa != 0.0, linked)
         a = positions(corpus.papers, "A")[0]
@@ -168,9 +141,8 @@ class TestBuildGraphs:
         corpus, _ = parse_corpus(recs)
         gs = build_graphs(corpus, build_feature_table(corpus, min_df=1), 2000, 0.0)
         assert to_dense(gs.listings).tolist() == [[1.0, 2.0], [0.0, 1.0]]
-        blocks = graph_blocks(gs)
-        assert to_dense(blocks["ap"]).tolist() == [[1.0, 0.5], [0.0, 0.5]]
-        assert to_dense(blocks["pa"]).tolist() == [[0.5, 0.5], [0.0, 1.0]]
+        assert to_dense(term_factor(gs, "ap")).tolist() == [[1.0, 0.5], [0.0, 0.5]]
+        assert to_dense(term_factor(gs, "pa")).tolist() == [[0.5, 0.5], [0.0, 1.0]]
 
     def test_rho_zero_equals_time_unaware(self):
         """At rho_edge = 0 no edge decays: every citation weighs 1 and pp
@@ -180,11 +152,10 @@ class TestBuildGraphs:
                               np.ones(len(corpus)))
         cit, co = gs.citation, gs.coauthor
         assert np.array_equal(cit.data, np.ones(cit.nnz))
-        blocks = graph_blocks(gs)
         refs = np.bincount(cit.rows, weights=cit.data, minlength=len(corpus))
-        assert np.array_equal(blocks["pp"].data, cit.data / refs[cit.rows])
+        assert np.array_equal(term_factor(gs, "pp").data, cit.data / refs[cit.rows])
         links = np.bincount(co.cols, weights=co.data, minlength=len(corpus.authors))
-        assert np.array_equal(blocks["aa"].data, co.data / links[co.cols])
+        assert np.array_equal(term_factor(gs, "aa").data, co.data / links[co.cols])
 
     def test_undecayed_counterparts_present(self):
         """pp and aa divide the decayed weights by undecayed counts: a
@@ -193,11 +164,11 @@ class TestBuildGraphs:
         # A cites nothing, B cites A, C cites A and B; coauthor links:
         # u-v on A, v-w on C
         corpus, _, gs = small_setup(rho=0.5)
-        blocks = graph_blocks(gs)
         cit, co = gs.citation, gs.coauthor
-        refs = set(zip(corpus.papers[cit.rows], cit.data / blocks["pp"].data))
+        refs = set(zip(corpus.papers[cit.rows], cit.data / term_factor(gs, "pp").data))
         assert refs == {("B", 1.0), ("C", 2.0)}
-        links = set(zip((corpus.authors[a] for a in co.cols), co.data / blocks["aa"].data))
+        links = set(zip((corpus.authors[a] for a in co.cols),
+                        co.data / term_factor(gs, "aa").data))
         assert links == {("u", 1.0), ("v", 2.0), ("w", 1.0)}
 
     def test_feature_matrices_carry_tfidf(self):
@@ -212,7 +183,7 @@ class TestBuildGraphs:
         # no author is listed twice: L is the authorship pattern of pa and ap
         assert np.array_equal(gs.listings.data, np.ones(gs.listings.nnz))
         assert np.array_equal(to_dense(gs.listings) != 0.0,
-                              to_dense(graph_blocks(gs)["ap"]) != 0.0)
+                              to_dense(term_factor(gs, "ap")) != 0.0)
         # the pair alpha-beta is in the titles of A and B only, whose
         # authors are u and v
         a, pair = positions(corpus.papers, "A")[0], table.features.index("p|alpha|beta")
@@ -260,11 +231,14 @@ class TestOperatorBlocks:
         assert aa[v, w] == pytest.approx(1.0)
 
     def test_rho_zero_time_aware_blocks_are_column_normalized(self):
+        """At rho 0 the undecayed counts pp and aa divide by are the graphs'
+        own column sums: the production blocks are the plain column
+        normalization of the transposed citation graph and of the coauthor
+        graph."""
         _, _, gs = small_setup(rho=0.0)
-        blocks = operator_blocks(gs)
-        assert np.array_equal(blocks.pp.data,
-                              column_normalize(transpose(gs.citation)).data)
-        assert np.array_equal(blocks.aa.data, column_normalize(gs.coauthor).data)
+        cit, co = to_dense(gs.citation), to_dense(gs.coauthor)
+        assert np.array_equal(to_dense(term_factor(gs, "pp")).T, colnorm(cit.T))
+        assert np.array_equal(to_dense(term_factor(gs, "aa")), colnorm(co))
 
     def test_untimed_blocks_column_stochastic(self):
         _, _, gs = small_setup(rho=0.0)
@@ -380,16 +354,8 @@ class TestOperatorBlocks:
                 assert co_m.nnz == 0
             # pa and ap link an author to a paper once, however often it is
             # listed there: L's pattern; their values are checked below
-            assert np.array_equal(to_dense(blocks.ap) != 0.0, ap != 0.0)
+            assert np.array_equal(to_dense(term_factor(gs, "ap")) != 0.0, ap != 0.0)
             assert np.array_equal(to_dense(gs.listings) != 0.0, ap != 0.0)
-
-            def colnorm(dense, sums=None):
-                if sums is None:
-                    sums = np.zeros(dense.shape[1])
-                    for row in dense:
-                        sums += row
-                return np.divide(dense, sums, out=np.zeros_like(dense),
-                                 where=sums != 0)
 
             # time-aware blocks: decayed entries over undecayed counts
             refs = (cit != 0).sum(axis=1)
@@ -400,5 +366,12 @@ class TestOperatorBlocks:
                 "pt": colnorm(P), "tp": colnorm(P.T),
                 "at": colnorm(A), "ta": colnorm(A.T),
             }
+            # every block of the dense oracle, and the paper and author
+            # blocks as the production operator builds them (pp and pa are
+            # applied transposed); it builds the feature blocks as chains
             for name, dense in expect.items():
                 assert np.array_equal(to_dense(getattr(blocks, name)), dense), name
+            for name in ("pp", "pa", "aa", "ap"):
+                built = to_dense(term_factor(gs, name))
+                built = built.T if name in ("pp", "pa") else built
+                assert np.array_equal(built, expect[name]), name

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_hyperparams, random_instance
+from conftest import random_counts, random_hyperparams, random_instance
 from operator_oracle import assemble_combined, fixed_point, to_dense
 from mrfrank import ranking
 from mrfrank.corpus import parse_corpus
@@ -13,7 +13,7 @@ from mrfrank.ranking import (MODES, Anderson, HyperParams, NumericalError,
                              combined_operator, init_state, iterate_once,
                              normalize_innovativeness, rank_entities, run,
                              write_convergence, write_ranking)
-from mrfrank.sparse import Transposed
+from mrfrank.sparse import Transposed, reciprocal
 from mrfrank.textfeat import build_feature_table
 
 
@@ -222,6 +222,21 @@ def zero_weight_graphs(with_featureless_paper):
 
 
 class TestFactoredTerms:
+    def test_tp_multiplies_feature_weight_first(self, rng):
+        """tp's C factor, applied transposed, takes the feature weight
+        before the paper weight.  With counts of 1 and 2, as in
+        ``random_instance``, either order gives the same bits, so the
+        counts here run to 7."""
+        gs, e = random_instance(rng)
+        c = gs.feature_counts = random_counts(rng, gs.sizes[0], gs.sizes[2], high=8)
+        f = sum(gs.sizes[:2])
+        (factor,), = [chain for row, col, chain in
+                      combined_operator(gs, e, HyperParams(alpha_f=0.0)) if (row, col) == (f, 0)]
+        feature_w = 1.0 * normalize_innovativeness(e) * gs.idf_paper
+        paper_w = reciprocal(c.matvec(gs.idf_paper))
+        assert np.array_equal(factor.m.data, c.data * feature_w[c.cols] * paper_w[c.rows])
+        assert not np.array_equal(factor.m.data, c.data * paper_w[c.rows] * feature_w[c.cols])
+
     @pytest.mark.parametrize("featureless", [False, True])
     @pytest.mark.parametrize("mode", MODES)
     def test_zero_weights_match_dense(self, rng, featureless, mode):
