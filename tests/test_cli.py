@@ -150,6 +150,27 @@ NATIVE_DIGESTS = {
     "preprocess.jsonl": "5e4c607b9c10ed3d793f9816334cb670a3ede68823dc95a01ddcb51094c7e03b",
 }
 
+# an ArnetMiner text with CRLF line endings (and one lone CR): repeated,
+# self and dangling references, an author list with empty items, an
+# unknown marker, two blank lines in a row, a record without ``#index``,
+# one whose ``#t`` is not an integer, and a last record with no blank
+# line (nor line break) after it
+ARNETMINER_TEXT = "\r\n".join([
+    "#*Ranking über alles", "#@Ann Smith;; Bo Chen; ;", "#t2001", "#cKDD",
+    "#index7", "#%3", "#%3", "#%7", "#%gone", "#%9", "#!Citation bursts.",
+    "#xan unknown marker", "", "",
+    "#*No index here", "#@Cy", "#t1999", "",
+    "#*Bad year", "#tnineteen", "#index5", "#%3", "",
+    "#*Graphs", "#@Bo Chen", "#t1995", "#index3", "",
+    "#*Trees", "#@Dee;Ann Smith", "#t1999", "#cVLDB\r#index9", "#%3",
+    "#!Last record, no blank line after it."])
+# sha256 of the file ``ingest --format arnetminer`` writes for
+# ``ARNETMINER_TEXT`` and of the report it prints
+ARNETMINER_DIGESTS = {
+    "ingest.jsonl": "c89a20da7a346b1203a4caf28533ee4e9b67e777a2e9d24719343a3d006a0f79",
+    "stdout": "433a0067975ee534f660d49f4da77da3ca5b128b5ea4497f2dd3efa1cec47bb4",
+}
+
 
 class TestExitCodes:
     def test_usage_error_missing_arg(self, capsys):
@@ -409,6 +430,18 @@ class TestIngest:
         assert main(["ingest", "--input", str(tmp_path / "preprocess.jsonl"),
                      "--output", str(tmp_path / "again.jsonl")]) == 0
         assert "dangling_references\t0" in capsys.readouterr().out
+
+    def test_arnetminer_outputs_match_recorded_digests(self, tmp_path, capsys):
+        """The bytes ``ingest --format arnetminer`` writes and prints keep
+        the recorded sha256."""
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(ARNETMINER_TEXT.encode("utf-8"))
+        assert main(["ingest", "--input", str(raw), "--format", "arnetminer",
+                     "--output", str(tmp_path / "ingest.jsonl")]) == 0
+        written = {"ingest.jsonl": (tmp_path / "ingest.jsonl").read_bytes(),
+                   "stdout": capsys.readouterr().out.encode("utf-8")}
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in written.items()} == ARNETMINER_DIGESTS
 
     def test_arnetminer(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
