@@ -140,10 +140,13 @@ def _settings(cls, args, values=None):
 def load_config(args) -> RunConfig:
     raw = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, too deep
+            raise DataError(f"config file {args.config}: {exc}") from None
         if not isinstance(raw, dict):
-            raise DataError("config file must hold a JSON object")
+            raise DataError(f"config file {args.config} must hold a JSON object")
     for key in raw:
         if key not in ("corpus", "workspace", *_SECTIONS):
             raise DataError(f"unknown config setting {key}")
@@ -159,18 +162,13 @@ def load_config(args) -> RunConfig:
     return RunConfig(*map(Path, paths), **sections)
 
 
-def _load_corpus(path):
-    records = corpus_mod.read_native(path)
-    return corpus_mod.parse_corpus(records)
+def _load_corpus(path, fmt: str = "native"):
+    """Parse the corpus at ``path``, read by the reader of format ``fmt``."""
+    return corpus_mod.parse_corpus(corpus_mod.READERS[fmt](path))
 
 
 def cmd_ingest(args) -> int:
-    if args.format == "arnetminer":
-        with open(args.input, encoding="utf-8") as fh:
-            records = corpus_mod.convert_arnetminer(fh)
-    else:
-        records = corpus_mod.read_native(args.input)
-    corpus, report = corpus_mod.parse_corpus(records)
+    corpus, report = _load_corpus(args.input, args.format)
     corpus_mod.write_native(corpus, args.output)
     for line in report.lines():
         print(line)
@@ -374,7 +372,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="convert raw corpus to native JSON lines")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=["native", "arnetminer"], default="native")
+    p.add_argument("--format", choices=list(corpus_mod.READERS), default="native")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("preprocess", help="apply corpus filters")
@@ -424,7 +422,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (DataError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

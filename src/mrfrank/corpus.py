@@ -2,6 +2,8 @@
 
 The native corpus format is JSON lines: one object per paper with keys
 ``id``, ``title``, ``abstract``, ``authors``, ``year``, ``venue``, ``refs``.
+``read_native`` and ``read_arnetminer`` yield the records of a file one at
+a time and ``parse_corpus`` takes them into columns.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,18 +91,17 @@ def _corpus(columns: dict[str, np.ndarray], edges: np.ndarray,
                   listing_papers=listing_papers, listing_authors=listing_authors)
 
 
+class _Counts:
+    def lines(self) -> list[str]:
+        """One ``name<TAB>count`` line per field, in field order."""
+        return [f"{f.name}\t{getattr(self, f.name)}" for f in fields(self)]
+
+
 @dataclass
-class ParseReport:
-    parsed: int = 0
+class ParseReport(_Counts):
+    parsed_papers: int = 0
     skipped_malformed: int = 0
     dangling_references: int = 0
-
-    def lines(self) -> list[str]:
-        return [
-            f"parsed_papers\t{self.parsed}",
-            f"skipped_malformed\t{self.skipped_malformed}",
-            f"dangling_references\t{self.dangling_references}",
-        ]
 
 
 @dataclass
@@ -121,23 +122,13 @@ class PreprocessConfig:
 
 
 @dataclass
-class FilterReport:
+class FilterReport(_Counts):
     input_papers: int = 0
     removed_survey: int = 0
     removed_year: int = 0
     removed_no_abstract: int = 0
     removed_isolated: int = 0
     remaining: int = 0
-
-    def lines(self) -> list[str]:
-        return [
-            f"input_papers\t{self.input_papers}",
-            f"removed_survey\t{self.removed_survey}",
-            f"removed_year\t{self.removed_year}",
-            f"removed_no_abstract\t{self.removed_no_abstract}",
-            f"removed_isolated\t{self.removed_isolated}",
-            f"remaining\t{self.remaining}",
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +215,7 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
             abstracts.append(rec.get("abstract") or "")
             venues.append(rec.get("venue") or "")
         del rec   # a record dies before the next one is read
-    report.parsed = len(own)
+    report.parsed_papers = len(own)
 
     key.default_factory = author_key.default_factory = None   # frees the dicts
     strings, names = list(key), list(author_key)              # in key order
@@ -337,6 +328,8 @@ def _decode(line: bytes, path, lineno: int) -> dict | None:
         reason = f"not UTF-8 ({exc.reason} at byte {exc.start + 1})"
     except json.JSONDecodeError as exc:
         reason = f"not JSON ({exc.msg} at column {exc.colno})"
+    except (ValueError, RecursionError) as exc:   # too many digits, too deep
+        reason = f"not decodable JSON ({exc})"
     log.warning("%s line %d skipped: %s", path, lineno, reason)
     return None
 
@@ -367,49 +360,48 @@ def _runs(values: list, groups: np.ndarray, n: int) -> list[list]:
     return [values[s:e] for s, e in zip([0] + ends, ends)]
 
 
-def convert_arnetminer(lines) -> list[dict]:
-    """Convert ArnetMiner flat-text records to native record dicts.
+# the ArnetMiner markers that set a text field
+_TEXT_FIELDS = {"#*": "title", "#c": "venue", "#!": "abstract"}
 
-    Markers: ``#*`` title, ``#@`` authors (``;`` separated), ``#t`` year,
-    ``#c`` venue, ``#index`` id, ``#%`` reference (repeated), ``#!`` abstract.
-    Records are separated by blank lines.
+
+def read_arnetminer(path):
+    """Yield the records of an ArnetMiner flat-text corpus one at a time,
+    each holding only the fields its lines set; ``parse_corpus`` reads a
+    missing id or year as malformed and any other missing field as empty.
+
+    Markers: ``#*`` title, ``#@`` authors (``;`` separated), ``#t`` year
+    (None when not an integer), ``#c`` venue, ``#index`` id, ``#%``
+    reference (repeated), ``#!`` abstract; other lines are ignored.
+    Records are separated by blank lines.  A byte that is not UTF-8 is a
+    DataError naming the file.
     """
-    records = []
-    cur: dict = {}
+    rec: dict = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                marker, value = line[:2], line[2:].strip()
+                if not line.strip():
+                    if rec:
+                        yield rec
+                    rec = {}
+                elif line.startswith("#index"):
+                    rec["id"] = line[6:].strip()
+                elif marker == "#%":
+                    rec.setdefault("refs", []).append(value)
+                elif marker == "#@":
+                    rec["authors"] = [a for a in map(str.strip, value.split(";")) if a]
+                elif marker == "#t":
+                    try:
+                        rec["year"] = int(value)
+                    except ValueError:
+                        rec["year"] = None
+                elif marker in _TEXT_FIELDS:
+                    rec[_TEXT_FIELDS[marker]] = value
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if rec:
+        yield rec
 
-    def flush():
-        if cur:
-            records.append({
-                "id": cur.get("id", ""),
-                "title": cur.get("title", ""),
-                "abstract": cur.get("abstract", ""),
-                "authors": cur.get("authors", []),
-                "year": cur.get("year"),
-                "venue": cur.get("venue", ""),
-                "refs": cur.get("refs", []),
-            })
 
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line.strip():
-            flush()
-            cur = {}
-        elif line.startswith("#index"):
-            cur["id"] = line[6:].strip()
-        elif line.startswith("#*"):
-            cur["title"] = line[2:].strip()
-        elif line.startswith("#@"):
-            cur["authors"] = [a.strip() for a in line[2:].split(";") if a.strip()]
-        elif line.startswith("#t"):
-            try:
-                cur["year"] = int(line[2:].strip())
-            except ValueError:
-                cur["year"] = None
-        elif line.startswith("#c"):
-            cur["venue"] = line[2:].strip()
-        elif line.startswith("#%"):
-            cur.setdefault("refs", []).append(line[2:].strip())
-        elif line.startswith("#!"):
-            cur["abstract"] = line[2:].strip()
-    flush()
-    return records
+# corpus format -> the reader that yields its records
+READERS = {"native": read_native, "arnetminer": read_arnetminer}

@@ -96,7 +96,7 @@ def parse_corpus(record_stream) -> tuple[OracleCorpus, ParseReport]:
         if pid in raw:
             raise DataError(f"duplicate paper id {pid!r} at record {lineno}")
         raw[pid] = rec
-        report.parsed += 1
+        report.parsed_papers += 1
 
     papers: dict[str, PaperRecord] = {}
     for pid in sorted(raw):

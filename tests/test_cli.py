@@ -310,6 +310,18 @@ class TestExitCodes:
             assert message in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [
+        b'{corpus: "c.jsonl"}', b'{"corpus": "\xff"}', b"[" * 100_000],
+        ids=["not_json", "not_utf8", "too_deep"])
+    def test_data_error_undecodable_config(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        for command in ("rank", "eval"):
+            assert main([command, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and str(cfg) in errors[0]
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("protocol, message", [
         ({"cutoff_year": 2005, "horizon_year": 2005},
@@ -399,7 +411,12 @@ class TestIngest:
                        "in double quotes at column 2)"),
         (b'{"id": "\xff", "year": 2001}',
          "line 5 skipped: not UTF-8 (invalid start byte at byte 9)"),
-        (b'{"id": "p99", "year": true}', "record 5 skipped: year is not an integer")])
+        (b'{"id": "p99", "year": true}', "record 5 skipped: year is not an integer"),
+        (b'{"id": "p99", "year": 1' + b"0" * 5000 + b"}",
+         "line 5 skipped: not decodable JSON (Exceeds the limit (4300 digits) for "
+         "integer string conversion"),
+        (b"[" * 100_000, "line 5 skipped: not decodable JSON (maximum recursion depth "
+                         "exceeded")])
     def test_bad_line_skipped_and_counted(self, corpus_file, tmp_path, capsys,
                                           caplog, bad, warning):
         lines = corpus_file.read_bytes().splitlines()
@@ -442,6 +459,15 @@ class TestIngest:
                    "stdout": capsys.readouterr().out.encode("utf-8")}
         assert {name: hashlib.sha256(data).hexdigest()
                 for name, data in written.items()} == ARNETMINER_DIGESTS
+
+    def test_arnetminer_undecodable_byte_names_file(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(b"#*One\n#index1\n#t2000\n\n#*Two\xff\n#index2\n#t2001\n")
+        assert main(["ingest", "--input", str(raw), "--format", "arnetminer",
+                     "--output", str(tmp_path / "native.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {raw}: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
 
     def test_arnetminer(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"

@@ -1,4 +1,5 @@
 import json
+import re
 import weakref
 from collections.abc import Iterator
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_oracle as oracle
-from mrfrank.corpus import (DataError, PreprocessConfig, convert_arnetminer,
-                            parse_corpus, preprocess, read_native,
-                            split_ground_truth, write_native)
+from mrfrank.corpus import (DataError, PreprocessConfig, parse_corpus, preprocess,
+                            read_arnetminer, read_native, split_ground_truth,
+                            write_native)
 from mrfrank.evaluate import (authors_starting_year, citation_counts, evaluate_run,
                               papers_of_year)
 from mrfrank.ranking import rank_entities
@@ -65,7 +66,7 @@ class TestParse:
     def test_malformed_record_rules(self, bad, reason, caplog):
         corpus, report = parse_corpus([rec("A", 2000), bad])
         assert list(corpus.papers) == ["A"]
-        assert (report.parsed, report.skipped_malformed) == (1, 1)
+        assert (report.parsed_papers, report.skipped_malformed) == (1, 1)
         assert f"record 2 skipped: {reason}" in caplog.text
 
     def test_null_optional_fields_are_empty(self):
@@ -356,7 +357,7 @@ class TestReadNative:
             json.dumps(rec("B", 2001, refs=["A"])).encode()]) + b"\n")
         corpus, report = parse_corpus(read_native(path))
         assert list(corpus.papers) == ["A", "B"]
-        assert (report.parsed, report.skipped_malformed) == (2, 2)
+        assert (report.parsed_papers, report.skipped_malformed) == (2, 2)
         assert f"{path} line 3 skipped" in caplog.text
         assert f"{path} line 4 skipped" in caplog.text
 
@@ -408,7 +409,7 @@ def test_parse_keeps_no_consumed_record():
         assert all(w() is None for w in watched)
 
     corpus, report = parse_corpus(stream())
-    assert (len(watched), report.parsed, report.skipped_malformed) == (4, 3, 2)
+    assert (len(watched), report.parsed_papers, report.skipped_malformed) == (4, 3, 2)
     assert corpus.citation_edges.tolist() == [[0, 1], [1, 0], [1, 2], [2, 0]]
 
 
@@ -423,19 +424,31 @@ def test_native_roundtrip(tmp_path_factory, case):
     again, report = parse_corpus(read_native(path))
     assert oracle.records(again) == oracle.records(corpus)
     assert np.array_equal(again.citation_edges, corpus.citation_edges)
-    assert (report.parsed, report.dangling_references) == (len(corpus), 0)
+    assert (report.parsed_papers, report.dangling_references) == (len(corpus), 0)
 
 
 class TestArnetMiner:
-    def test_roundtrip_fields(self):
-        text = [
+    def test_roundtrip_fields(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join([
             "#*Title One\n", "#@Alice; Bob\n", "#t2001\n", "#cVenueX\n",
             "#index1\n", "#%2\n", "#!An abstract.\n", "\n",
             "#*Title Two\n", "#@Carol\n", "#t2000\n", "#index2\n",
-        ]
-        records = convert_arnetminer(text)
+        ]))
+        records = list(read_arnetminer(path))
         assert records[0]["id"] == "1"
         assert records[0]["authors"] == ["Alice", "Bob"]
         assert records[0]["refs"] == ["2"]
         assert records[0]["abstract"] == "An abstract."
         assert records[1]["year"] == 2000
+
+    def test_read_arnetminer_is_lazy(self, tmp_path):
+        """The first record comes before the reader decodes the second, whose
+        non-UTF-8 byte lies past a 1 MiB title line; decoding it is a
+        DataError naming the file."""
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"#index1\n#t2000\n\n#*" + b"x" * 2**20 + b"\n#c\xff\n")
+        records = read_arnetminer(path)
+        assert next(records) == {"id": "1", "year": 2000}
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            next(records)
