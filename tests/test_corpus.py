@@ -23,13 +23,18 @@ def rec(pid, year, refs=(), title="t", authors=("x",), abstract="a"):
 
 
 class TestParse:
-    def test_dangling_reference_dropped(self):
+    @pytest.mark.parametrize("refs, edges", [
+        (["A", "MISSING"], [[1, 0]]),   # B cites A
+        # repeats and self-references keep each first occurrence in order,
+        # and a dangling id listed twice counts once
+        (["C", "A", "B", "MISSING", "A", "B", "MISSING", "C"], [[1, 2], [1, 0]]),
+    ], ids=["once", "repeated"])
+    def test_dangling_reference_dropped(self, refs, edges):
         corpus, report = parse_corpus([
-            rec("A", 2000), rec("B", 2001, refs=["A", "MISSING"]),
-            rec("C", 2002),
+            rec("A", 2000), rec("B", 2001, refs=refs), rec("C", 2002),
         ])
         assert len(corpus.papers) == 3
-        assert corpus.citation_edges.tolist() == [[1, 0]]   # B cites A
+        assert corpus.citation_edges.tolist() == edges
         assert report.dangling_references == 1
 
     def test_empty_stream(self):
