@@ -21,7 +21,7 @@ from . import evaluate as eval_mod
 from . import graphs as graphs_mod
 from . import ranking as ranking_mod
 from . import textfeat
-from .corpus import DataError, PreprocessConfig
+from .corpus import DataError, PreprocessConfig, text_lines
 from .evaluate import ProtocolConfig
 from .ranking import MODES, HyperParams
 from .textfeat import FeatureConfig
@@ -250,19 +250,18 @@ def _read_ranking(path, positions: dict[str, int]) -> np.ndarray:
     """The positions of a ranking file's ids, in file order.  Ids not in
     ``positions`` are skipped: they are in no cohort."""
     ranked, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or line.startswith("rank\t"):
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) < 2 or not fields[1]:
-                raise DataError(f"{path} line {lineno}: no id column")
-            eid = fields[1]
-            if eid in seen:
-                raise DataError(f"{path} line {lineno}: id {eid!r} listed twice")
-            seen.add(eid)
-            if eid in positions:
-                ranked.append(positions[eid])
+    for lineno, line in enumerate(text_lines(path), start=1):
+        if line.startswith("#") or line.startswith("rank\t"):
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) < 2 or not fields[1]:
+            raise DataError(f"{path} line {lineno}: no id column")
+        eid = fields[1]
+        if eid in seen:
+            raise DataError(f"{path} line {lineno}: id {eid!r} listed twice")
+        seen.add(eid)
+        if eid in positions:
+            ranked.append(positions[eid])
     return np.array(ranked, dtype=np.int64)
 
 
@@ -323,15 +322,15 @@ def cmd_eval(args) -> int:
 def render_report(eval_path) -> str:
     """Aligned per-year table: method rows, (k, P/A) columns."""
     rows = []
-    with open(eval_path, encoding="utf-8") as fh:
-        if next(fh, None) is None:
-            raise DataError(f"{eval_path} line 1: no header line")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                year, method, kind, k, ri = line.rstrip("\n").split("\t")
-                rows.append((int(year), method, kind, int(k), float(ri)))
-            except ValueError as exc:
-                raise DataError(f"{eval_path} line {lineno}: {exc}") from None
+    text = text_lines(eval_path)
+    if next(text, None) is None:
+        raise DataError(f"{eval_path} line 1: no header line")
+    for lineno, line in enumerate(text, start=2):
+        try:
+            year, method, kind, k, ri = line.rstrip("\n").split("\t")
+            rows.append((int(year), method, kind, int(k), float(ri)))
+        except ValueError as exc:
+            raise DataError(f"{eval_path} line {lineno}: {exc}") from None
     if not rows:
         return "(no evaluation rows)\n"
     years = sorted({r[0] for r in rows})

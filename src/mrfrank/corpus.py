@@ -59,7 +59,8 @@ class Corpus:
         citations and listings among them.  Authors and their first
         publication years are derived again from the kept listings."""
         new_pos = np.cumsum(keep) - 1
-        edges = self.citation_edges[keep[self.citation_edges].all(axis=1)]
+        citing, cited = self.citation_edges.T
+        edges = self.citation_edges[keep[citing] & keep[cited]]
         listed = keep[self.listing_papers]
         return _corpus({c: getattr(self, c)[keep] for c in _COLUMNS}, new_pos[edges],
                        new_pos[self.listing_papers[listed]],
@@ -176,18 +177,24 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
     with its position; a None record (a line ``read_native`` could not
     decode, and reported) is skipped and counted.  A duplicate paper id is
     a hard error.  Self-references and repeated references are dropped;
-    references to unknown ids are dropped and counted as dangling.
+    references to unknown ids are dropped and counted as dangling, once
+    per record however often it lists them.
 
     Paper ids and references are interned to int keys in one dict, author
     ids in another, and each record leaves only its fields in flat columns
-    in file order.  After the pass, the keys are mapped once to positions
-    in sorted id order, -1 for an id no paper has.
+    in file order, its references as listed.  After the pass, one numpy
+    pass over the (own key, reference key) pairs drops self-references
+    and repeats, keeping each pair's first occurrence in file order; then
+    the keys are mapped once to positions in sorted id order, -1 for an id
+    no paper has.
     """
     report = ParseReport()
     key, author_key = interner(), interner()
     parsed: set[int] = set()     # the keys of the papers so far
-    own, years = array("q"), array("q")
-    ref_keys, ref_ends, author_keys, author_ends = (array("q") for _ in range(4))
+    # per-record numbers go into arrays, which hold no int objects, so none
+    # outlives its record; the key lists hold only the interners' own ints
+    own, years, ref_ends, author_ends = (array("q") for _ in range(4))
+    ref_keys, author_keys = [], []
     titles, abstracts, venues = [], [], []
     lineno = 0   # not enumerate: its reused result tuple would keep the last record
     for rec in record_stream:
@@ -204,11 +211,9 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
                 raise DataError(f"duplicate paper id {pid!r} at record {lineno}")
             parsed.add(k)
             own.append(k)
-            refs = dict.fromkeys(rec.get("refs") or ())
-            refs.pop(pid, None)
-            ref_keys.extend(map(key.__getitem__, refs))
+            ref_keys += map(key.__getitem__, rec.get("refs") or ())
             ref_ends.append(len(ref_keys))
-            author_keys.extend(map(author_key.__getitem__, rec.get("authors") or ()))
+            author_keys += map(author_key.__getitem__, rec.get("authors") or ())
             author_ends.append(len(author_keys))
             years.append(rec["year"])
             titles.append(rec.get("title") or "")
@@ -219,13 +224,19 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
 
     key.default_factory = author_key.default_factory = None   # frees the dicts
     strings, names = list(key), list(author_key)              # in key order
+    own = np.frombuffer(own, dtype=np.int64)
+    # each key list is freed as its array takes its name
+    ref_keys, ref_lengths = _int64(ref_keys), _lengths(ref_ends)
+    del ref_ends
+    ref_keys, ref_lengths = _first_references(ref_keys, ref_lengths, own, len(strings))
 
     # order[i]: the file index of the paper at position i
-    pids = [strings[k] for k in own]
+    pids = [strings[k] for k in own.tolist()]
     order = np.array(sorted(range(len(pids)), key=pids.__getitem__), dtype=np.int64)
     pos = np.full(len(strings), -1, dtype=np.int64)
-    pos[np.frombuffer(own, dtype=np.int64)[order]] = np.arange(order.size)
-    citing, cited = _regroup(ref_keys, ref_ends, order)
+    pos[own[order]] = np.arange(order.size)
+    citing, cited = _regroup(ref_keys, ref_lengths, order)
+    del ref_keys, ref_lengths
     cited = pos[cited]
     resolved = cited >= 0
     report.dangling_references = int(resolved.size - np.count_nonzero(resolved))
@@ -233,7 +244,10 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
     by_name = sorted(range(len(names)), key=names.__getitem__)
     author_pos = np.empty(len(names), dtype=np.int64)
     author_pos[by_name] = np.arange(len(names))
-    listing_papers, listing_authors = _regroup(author_keys, author_ends, order)
+    author_keys, author_lengths = _int64(author_keys), _lengths(author_ends)
+    del author_ends
+    listing_papers, listing_authors = _regroup(author_keys, author_lengths, order)
+    del author_keys, author_lengths
 
     columns = {c: np.array(v, dtype=object)[order] for c, v in
                (("papers", pids), ("titles", titles), ("abstracts", abstracts),
@@ -244,15 +258,39 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
                    [names[i] for i in by_name]), report
 
 
-def _regroup(keys: array, ends: array, order: np.ndarray):
-    """The runs of ``keys`` that end at ``ends``, one per record in file
-    order, taken in the record order ``order``: the position in ``order``
-    of each entry's record, and the entry's key."""
-    ends = np.frombuffer(ends, dtype=np.int64)
-    lengths = np.diff(ends, prepend=0)[order]
-    runs = concat_ranges(ends[order] - lengths, lengths)
-    return (np.repeat(np.arange(order.size), lengths),
-            np.frombuffer(keys, dtype=np.int64)[runs])
+def _int64(values: list[int]) -> np.ndarray:
+    return np.fromiter(values, dtype=np.int64, count=len(values))
+
+
+def _lengths(ends: array) -> np.ndarray:
+    """The lengths of the runs that end at ``ends``."""
+    return np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0)
+
+
+def _first_references(keys: np.ndarray, lengths: np.ndarray, own: np.ndarray,
+                      n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-record runs of reference ``keys`` (of ``lengths``) without
+    the record's own key ``own`` and without repeats, keeping each first
+    occurrence in file order, and the new run lengths."""
+    record = np.repeat(np.arange(lengths.size), lengths)
+    keep = keys != own[record]
+    # a stable sort of a key that orders as (record, reference): each run
+    # of equal pairs starts with the pair's first occurrence
+    pair = record * n_keys + keys
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    keep[order[1:][pair[1:] == pair[:-1]]] = False
+    del pair, order
+    return keys[keep], np.bincount(record[keep], minlength=lengths.size)
+
+
+def _regroup(keys: np.ndarray, lengths: np.ndarray, order: np.ndarray):
+    """The runs of ``keys`` of ``lengths``, one per record in file order,
+    taken in the record order ``order``: the position in ``order`` of each
+    entry's record, and the entry's key."""
+    starts = (np.cumsum(lengths) - lengths)[order]
+    lengths = lengths[order]
+    return np.repeat(np.arange(order.size), lengths), keys[concat_ranges(starts, lengths)]
 
 
 def _title_matches(titles: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
@@ -282,10 +320,11 @@ def preprocess(corpus: Corpus, cfg: PreprocessConfig) -> tuple[Corpus, FilterRep
     # isolation filter: a kept paper no citation among the kept papers
     # touches is removed.  One pass reaches the fixpoint, because removing
     # such papers removes no citation between the others.
-    citing, cited = corpus.citation_edges[keep[corpus.citation_edges].all(axis=1)].T
+    citing, cited = corpus.citation_edges.T
+    kept = keep[citing] & keep[cited]
     linked = np.zeros(len(corpus), dtype=bool)
-    linked[citing] = True
-    linked[cited] = True
+    linked[citing[kept]] = True
+    linked[cited[kept]] = True
     report.removed_isolated = int((keep & ~linked).sum())
     keep &= linked
 
@@ -360,6 +399,16 @@ def _runs(values: list, groups: np.ndarray, n: int) -> list[list]:
     return [values[s:e] for s, e in zip([0] + ends, ends)]
 
 
+def text_lines(path):
+    """Yield the lines of the UTF-8 text file at ``path``; a byte that is
+    not UTF-8 is a DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 # the ArnetMiner markers that set a text field
 _TEXT_FIELDS = {"#*": "title", "#c": "venue", "#!": "abstract"}
 
@@ -376,29 +425,25 @@ def read_arnetminer(path):
     DataError naming the file.
     """
     rec: dict = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                marker, value = line[:2], line[2:].strip()
-                if not line.strip():
-                    if rec:
-                        yield rec
-                    rec = {}
-                elif line.startswith("#index"):
-                    rec["id"] = line[6:].strip()
-                elif marker == "#%":
-                    rec.setdefault("refs", []).append(value)
-                elif marker == "#@":
-                    rec["authors"] = [a for a in map(str.strip, value.split(";")) if a]
-                elif marker == "#t":
-                    try:
-                        rec["year"] = int(value)
-                    except ValueError:
-                        rec["year"] = None
-                elif marker in _TEXT_FIELDS:
-                    rec[_TEXT_FIELDS[marker]] = value
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    for line in text_lines(path):
+        marker, value = line[:2], line[2:].strip()
+        if not line.strip():
+            if rec:
+                yield rec
+            rec = {}
+        elif line.startswith("#index"):
+            rec["id"] = line[6:].strip()
+        elif marker == "#%":
+            rec.setdefault("refs", []).append(value)
+        elif marker == "#@":
+            rec["authors"] = [a for a in map(str.strip, value.split(";")) if a]
+        elif marker == "#t":
+            try:
+                rec["year"] = int(value)
+            except ValueError:
+                rec["year"] = None
+        elif marker in _TEXT_FIELDS:
+            rec[_TEXT_FIELDS[marker]] = value
     if rec:
         yield rec
 

@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, text_lines
 from .sparse import (concat_ranges, distinct, interner, pairs_within_groups,
                      per_distinct)
 
@@ -25,8 +25,7 @@ def load_stopwords(path=None) -> frozenset[str]:
     """The words of the list file at ``path``, one a line, or of the
     built-in list when no path is given."""
     if path:
-        with open(path, encoding="utf-8") as fh:
-            return frozenset(w.strip() for w in fh if w.strip())
+        return frozenset(w.strip() for w in text_lines(path) if w.strip())
     text = resources.files("mrfrank.data").joinpath("stopwords.txt").read_text()
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 

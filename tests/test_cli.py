@@ -381,6 +381,25 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["report_input", "ranking_file", "stopwords"])
+    def test_data_error_undecodable_text_file(self, corpus_file, tmp_path, capsys, case):
+        """A byte that is not UTF-8 in a text file the CLI reads ends with
+        exit 2 and one ``error:`` line naming the file."""
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        bad = {"report_input": tmp_path / "eval.tsv", "ranking_file": ws / "papers_full.tsv",
+               "stopwords": tmp_path / "stopwords.txt"}[case]
+        bad.write_bytes(b"rank\tid\tscore\n1\tp05\xff\t0.5\n")
+        args = {"report_input": ["report", "--input", str(bad)],
+                "ranking_file": ["eval", "--config", str(eval_config(
+                    tmp_path / "cfg.json", corpus_file, ws, {"cohort_years": [1998]}))],
+                "stopwords": ["features", "--input", str(corpus_file), "--output",
+                              str(tmp_path / "features.tsv"), "--stopwords", str(bad)]}[case]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("cohort_years", [[1800, 2100], []])
     def test_data_error_no_cohort(self, corpus_file, tmp_path, capsys, cohort_years):
         ws = tmp_path / "ws"
