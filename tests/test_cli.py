@@ -170,6 +170,28 @@ ARNETMINER_DIGESTS = {
     "ingest.jsonl": "c89a20da7a346b1203a4caf28533ee4e9b67e777a2e9d24719343a3d006a0f79",
     "stdout": "433a0067975ee534f660d49f4da77da3ca5b128b5ea4497f2dd3efa1cec47bb4",
 }
+# sha256 of the JSON list [exit code, stdout, stderr] of ``main`` for each
+# argument list, at 80 columns: the top-level and every subcommand's help,
+# and one usage error, so every flag, default, choice and help string is pinned
+PARSER_DIGESTS = {
+    "--help": "f1a805fce714740eafbc8a8548229f53a79a5968d6ee10ef758040413f388fff",
+    "ingest --help": "abc53d5a100f8547667e3dd907bc53e6e648341814262ac2bae7a564c3c1e5c6",
+    "preprocess --help": "8aeaa2f8b409a4aa03485dbd4c7cd9aca158d23836d6b49cc452457783fddcea",
+    "features --help": "99daf4390844dd05e5582812d71ed45b0872a65473cc4c1e32a169f267dc33c8",
+    "rank --help": "c9dd1997c964498b73ed1b6009c7cb65c3d4e9034fb7a0b15b13f736fa9e1144",
+    "eval --help": "d6615d58ab0d207a48c04b4696ee9d650f75df6b4cfe5502f0a8c4b008280a26",
+    "report --help": "b26db073204cb2d4966847e64f7a97deb81385539eaae86ce18454b032f7d7d8",
+    "rank --bogus": "845aa25f1cb246498c4c92de738985b17335049600083ef3059f6db1b4512bb5",
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_DIGESTS)
+def test_parser_output_matches_recorded_digest(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    data = json.dumps([code, out, err]).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == PARSER_DIGESTS[argv]
 
 
 class TestExitCodes:
