@@ -1,6 +1,10 @@
 """Command-line pipeline: ingest, preprocess, features, rank, eval, report.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 non-convergence.
+
+The parser is built from ``config`` and ``records``, which need no numpy;
+each command imports the modules it runs, so ``--help``, a usage error and
+``report`` start without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,17 +18,13 @@ import types
 import typing
 from pathlib import Path
 
-import numpy as np
+from .config import MODES, FeatureConfig, HyperParams, PreprocessConfig, ProtocolConfig
+from .records import READERS, DataError, text_lines
 
-from . import corpus as corpus_mod
-from . import evaluate as eval_mod
-from . import graphs as graphs_mod
-from . import ranking as ranking_mod
-from . import textfeat
-from .corpus import DataError, PreprocessConfig, text_lines
-from .evaluate import ProtocolConfig
-from .ranking import MODES, HyperParams
-from .textfeat import FeatureConfig
+if typing.TYPE_CHECKING:
+    import numpy as np
+
+    from .textfeat import FeatureTable
 
 log = logging.getLogger("mrfrank")
 
@@ -164,10 +164,12 @@ def load_config(args) -> RunConfig:
 
 def _load_corpus(path, fmt: str = "native"):
     """Parse the corpus at ``path``, read by the reader of format ``fmt``."""
-    return corpus_mod.parse_corpus(corpus_mod.READERS[fmt](path))
+    from .corpus import parse_corpus
+    return parse_corpus(READERS[fmt](path))
 
 
 def cmd_ingest(args) -> int:
+    from . import corpus as corpus_mod
     corpus, report = _load_corpus(args.input, args.format)
     corpus_mod.write_native(corpus, args.output)
     for line in report.lines():
@@ -176,6 +178,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    from . import corpus as corpus_mod
     cfg = _settings(PreprocessConfig, args)
     corpus, _ = _load_corpus(args.input)
     out, report = corpus_mod.preprocess(corpus, cfg)
@@ -185,12 +188,14 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _feature_table(corpus, cfg: FeatureConfig) -> textfeat.FeatureTable:
+def _feature_table(corpus, cfg: FeatureConfig) -> FeatureTable:
+    from . import textfeat
     return textfeat.build_feature_table(corpus, cfg.window_years, cfg.min_df,
                                         textfeat.load_stopwords(cfg.stopwords))
 
 
 def cmd_features(args) -> int:
+    from . import textfeat
     cfg = _settings(FeatureConfig, args)
     corpus, _ = _load_corpus(args.input)
     table = _feature_table(corpus, cfg)
@@ -201,6 +206,7 @@ def cmd_features(args) -> int:
 
 def _pipeline(cfg: RunConfig):
     """Shared front half: corpus -> preprocess -> cutoff split."""
+    from . import corpus as corpus_mod
     corpus, _ = _load_corpus(cfg.corpus)
     pre, filter_report = corpus_mod.preprocess(corpus, cfg.preprocess)
     sub, gt = corpus_mod.split_ground_truth(pre, cfg.protocol.cutoff_year,
@@ -209,6 +215,9 @@ def _pipeline(cfg: RunConfig):
 
 
 def cmd_rank(args) -> int:
+    from . import graphs as graphs_mod
+    from . import ranking as ranking_mod
+    from . import textfeat
     cfg = load_config(args)
     cfg.workspace.mkdir(parents=True, exist_ok=True)
     hp = cfg.hyperparams
@@ -249,6 +258,7 @@ def cmd_rank(args) -> int:
 def _read_ranking(path, positions: dict[str, int]) -> np.ndarray:
     """The positions of a ranking file's ids, in file order.  Ids not in
     ``positions`` are skipped: they are in no cohort."""
+    import numpy as np
     ranked, seen = [], set()
     for lineno, line in enumerate(text_lines(path), start=1):
         if line.startswith("#") or line.startswith("rank\t"):
@@ -271,6 +281,8 @@ _COHORTS = (("P", "papers", "papers_of_year"), ("A", "authors", "authors_startin
 
 
 def cmd_eval(args) -> int:
+    from . import evaluate as eval_mod
+    from . import ranking as ranking_mod
     cfg = load_config(args)
     sub, gt, _ = _pipeline(cfg)
     ws = cfg.workspace
@@ -371,7 +383,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="convert raw corpus to native JSON lines")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=list(corpus_mod.READERS), default="native")
+    p.add_argument("--format", choices=list(READERS), default="native")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("preprocess", help="apply corpus filters")

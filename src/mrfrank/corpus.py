@@ -2,8 +2,8 @@
 
 The native corpus format is JSON lines: one object per paper with keys
 ``id``, ``title``, ``abstract``, ``authors``, ``year``, ``venue``, ``refs``.
-``read_native`` and ``read_arnetminer`` yield the records of a file one at
-a time and ``parse_corpus`` takes them into columns.
+``records.read_native`` and ``records.read_arnetminer`` yield the records of
+a file one at a time and ``parse_corpus`` takes them into columns.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import PreprocessConfig
+from .records import DataError
 from .sparse import concat_ranges, interner
 
 log = logging.getLogger(__name__)
-
-
-class DataError(Exception):
-    """Unrecoverable problem in the input data (e.g. duplicate paper id)."""
 
 
 # a year outside this range is malformed, so year arithmetic on the int64
@@ -60,7 +58,7 @@ class Corpus:
         publication years are derived again from the kept listings."""
         new_pos = np.cumsum(keep) - 1
         citing, cited = self.citation_edges.T
-        edges = self.citation_edges[keep[citing] & keep[cited]]
+        edges = np.compress(keep[citing] & keep[cited], self.citation_edges, axis=0)
         listed = keep[self.listing_papers]
         return _corpus({c: getattr(self, c)[keep] for c in _COLUMNS}, new_pos[edges],
                        new_pos[self.listing_papers[listed]],
@@ -103,23 +101,6 @@ class ParseReport(_Counts):
     parsed_papers: int = 0
     skipped_malformed: int = 0
     dangling_references: int = 0
-
-
-@dataclass
-class PreprocessConfig:
-    min_year: int = 1990
-    require_abstract: bool = False
-    # case-insensitive substrings matched anywhere in the title
-    survey_substrings: tuple[str, ...] = ("survey", "a review of")
-    # case-insensitive prefixes matched at the start of the title
-    proceedings_prefixes: tuple[str, ...] = ("proceedings of", "workshop on")
-
-    def __post_init__(self):
-        # an empty pattern is in every title
-        for name in ("survey_substrings", "proceedings_prefixes"):
-            if "" in getattr(self, name):
-                raise ValueError(f"preprocess.{name} holds an empty pattern, "
-                                 "which would remove every paper")
 
 
 @dataclass
@@ -349,30 +330,6 @@ def split_ground_truth(corpus: Corpus, cutoff_year: int,
     return sub, GroundTruth(papers=paper_future, authors=author_future)
 
 
-def read_native(path):
-    """Yield the records of a native JSON-lines corpus one at a time.  A
-    line that is not UTF-8 JSON is logged with its line number and yielded
-    as None, which ``parse_corpus`` counts as malformed."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield _decode(line, path, lineno)
-
-
-def _decode(line: bytes, path, lineno: int) -> dict | None:
-    try:
-        return json.loads(line.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        reason = f"not UTF-8 ({exc.reason} at byte {exc.start + 1})"
-    except json.JSONDecodeError as exc:
-        reason = f"not JSON ({exc.msg} at column {exc.colno})"
-    except (ValueError, RecursionError) as exc:   # too many digits, too deep
-        reason = f"not decodable JSON ({exc})"
-    log.warning("%s line %d skipped: %s", path, lineno, reason)
-    return None
-
-
 def write_native(corpus: Corpus, path) -> None:
     """Write a corpus back out as JSON lines in id order (stable bytes).  A
     paper's refs are the papers its citation edges reach and its authors
@@ -397,56 +354,3 @@ def _runs(values: list, groups: np.ndarray, n: int) -> list[list]:
     ``groups`` (ascending)."""
     ends = np.cumsum(np.bincount(groups, minlength=n)).tolist()
     return [values[s:e] for s, e in zip([0] + ends, ends)]
-
-
-def text_lines(path):
-    """Yield the lines of the UTF-8 text file at ``path``; a byte that is
-    not UTF-8 is a DataError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from fh
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-# the ArnetMiner markers that set a text field
-_TEXT_FIELDS = {"#*": "title", "#c": "venue", "#!": "abstract"}
-
-
-def read_arnetminer(path):
-    """Yield the records of an ArnetMiner flat-text corpus one at a time,
-    each holding only the fields its lines set; ``parse_corpus`` reads a
-    missing id or year as malformed and any other missing field as empty.
-
-    Markers: ``#*`` title, ``#@`` authors (``;`` separated), ``#t`` year
-    (None when not an integer), ``#c`` venue, ``#index`` id, ``#%``
-    reference (repeated), ``#!`` abstract; other lines are ignored.
-    Records are separated by blank lines.  A byte that is not UTF-8 is a
-    DataError naming the file.
-    """
-    rec: dict = {}
-    for line in text_lines(path):
-        marker, value = line[:2], line[2:].strip()
-        if not line.strip():
-            if rec:
-                yield rec
-            rec = {}
-        elif line.startswith("#index"):
-            rec["id"] = line[6:].strip()
-        elif marker == "#%":
-            rec.setdefault("refs", []).append(value)
-        elif marker == "#@":
-            rec["authors"] = [a for a in map(str.strip, value.split(";")) if a]
-        elif marker == "#t":
-            try:
-                rec["year"] = int(value)
-            except ValueError:
-                rec["year"] = None
-        elif marker in _TEXT_FIELDS:
-            rec[_TEXT_FIELDS[marker]] = value
-    if rec:
-        yield rec
-
-
-# corpus format -> the reader that yields its records
-READERS = {"native": read_native, "arnetminer": read_arnetminer}

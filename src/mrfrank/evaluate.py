@@ -9,7 +9,6 @@ count, ties by ascending position, which is ascending id.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,31 +16,6 @@ from .corpus import Corpus
 from .ranking import rank_entities
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class ProtocolConfig:
-    """The ``protocol`` settings: rank the papers up to ``cutoff_year``,
-    count the citations from papers up to ``horizon_year`` as the ground
-    truth, and score the cohorts of ``cohort_years`` at every k of ``ks``."""
-
-    cutoff_year: int = 2005
-    horizon_year: int = 2011
-    cohort_years: tuple[int, ...] = ()
-    ks: tuple[int, ...] = (10, 20, 50)
-
-    def __post_init__(self):
-        for k in self.ks:
-            if k < 1:
-                raise ValueError(f"protocol.ks must be at least 1, got {k}")
-        for name in ("ks", "cohort_years"):
-            values = getattr(self, name)
-            for i, v in enumerate(values):
-                if v in values[:i]:
-                    raise ValueError(f"protocol.{name} lists {v} more than once")
-        if self.cutoff_year >= self.horizon_year:
-            raise ValueError(f"protocol.cutoff_year {self.cutoff_year} must be before "
-                             f"protocol.horizon_year {self.horizon_year}")
 
 
 def papers_of_year(corpus: Corpus, year: int) -> np.ndarray:

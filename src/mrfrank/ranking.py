@@ -21,14 +21,13 @@ rescaling of the scores cannot change any ranking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import HyperParams
 from .graphs import GraphSet
 from .sparse import SparseMatrix, Transposed, reciprocal
-
-MODES = ("full", "no_time", "no_content", "no_time_no_content")
 
 # the number of past differences each Anderson-mixed step combines
 ANDERSON_MEMORY = 5
@@ -36,50 +35,6 @@ ANDERSON_MEMORY = 5
 
 class NumericalError(Exception):
     """Non-finite value produced during the iteration."""
-
-
-@dataclass
-class HyperParams:
-    alpha_p: float = 0.4
-    beta_p: float = 1.0 / 3.0   # gamma1 = (1-beta_p)(1-alpha_p) = 0.4
-    alpha_a: float = 0.4
-    beta_a: float = 0.5         # gamma2 = (1-beta_a)(1-alpha_a) = 0.3
-    alpha_f: float = 0.5
-    rho_edge: float = 0.2
-    rho_feature: float = 0.2
-    u: int = 3
-    tolerance: float = 1e-8
-    max_iterations: int = 200
-    mode: str = "full"
-
-    def __post_init__(self):
-        # written so that nan fails every check
-        for name in ("alpha_p", "beta_p", "alpha_a", "beta_a", "alpha_f"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        for name in ("rho_edge", "rho_feature"):
-            v = getattr(self, name)
-            if not 0.0 <= v < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        for name in ("u", "max_iterations"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be at least 1, got {v}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    def effective(self) -> "HyperParams":
-        """Coefficients after applying the ablation mode: no_time forces
-        binary edges (rho_edge = 0), no_content forces beta_p = beta_a = 1."""
-        hp = self
-        if hp.mode in ("no_time", "no_time_no_content"):
-            hp = replace(hp, rho_edge=0.0)
-        if hp.mode in ("no_content", "no_time_no_content"):
-            hp = replace(hp, beta_p=1.0, beta_a=1.0)
-        return hp
 
 
 def _split(vector: np.ndarray, sizes: tuple[int, int, int]) -> list[np.ndarray]:

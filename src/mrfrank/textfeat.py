@@ -11,7 +11,9 @@ from importlib import resources
 
 import numpy as np
 
-from .corpus import Corpus, text_lines
+from .config import FeatureConfig
+from .corpus import Corpus
+from .records import text_lines
 from .sparse import (concat_ranges, distinct, interner, pairs_within_groups,
                      per_distinct)
 
@@ -111,17 +113,6 @@ class FeatureTable:
     rows: np.ndarray = field(default_factory=_ints)
     cols: np.ndarray = field(default_factory=_ints)
     counts: np.ndarray = field(default_factory=_floats)
-
-
-@dataclass
-class FeatureConfig:
-    """The ``features`` settings: the window length in years, the papers a
-    feature must appear in to be kept, and a stopword list file overriding
-    the built-in one.  ``build_feature_table`` checks their ranges."""
-
-    window_years: int = 1
-    min_df: int = 3
-    stopwords: str | None = None
 
 
 def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window_years,

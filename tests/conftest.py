@@ -58,7 +58,7 @@ def random_instance(rng, max_dim=12):
 
 
 def random_hyperparams(rng, **overrides):
-    from mrfrank.ranking import HyperParams
+    from mrfrank.config import HyperParams
     kwargs = dict(
         alpha_p=rng.uniform(0.1, 0.9), beta_p=rng.uniform(0.1, 0.9),
         alpha_a=rng.uniform(0.1, 0.9), beta_a=rng.uniform(0.1, 0.9),

@@ -15,8 +15,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-from mrfrank.corpus import (DataError, FilterReport, ParseReport, PreprocessConfig,
-                            malformed_reason)
+from mrfrank.config import PreprocessConfig
+from mrfrank.corpus import FilterReport, ParseReport, malformed_reason
+from mrfrank.records import DataError
 from mrfrank.evaluate import ri_item
 
 log = logging.getLogger(__name__)

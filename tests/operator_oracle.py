@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mrfrank.config import HyperParams
 from mrfrank.evaluate import ri_item
 from mrfrank.graphs import GraphSet
-from mrfrank.ranking import (HyperParams, RankState, combined_operator, init_state,
-                             iterate_once, normalize_innovativeness)
+from mrfrank.ranking import (RankState, combined_operator, init_state, iterate_once,
+                             normalize_innovativeness)
 from mrfrank.sparse import SparseMatrix, Transposed
 
 

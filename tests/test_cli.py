@@ -5,16 +5,19 @@ import io
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrfrank
 from mrfrank import graphs
 from mrfrank.cli import build_parser, main
-from mrfrank.corpus import PreprocessConfig
-from mrfrank.ranking import MODES, HyperParams
+from mrfrank.config import MODES, HyperParams, PreprocessConfig
 from mrfrank.sparse import SparseMatrix
 
 VOCAB = ["ranking", "citation", "influence", "burst", "network", "topic"]
@@ -192,6 +195,28 @@ def test_parser_output_matches_recorded_digest(argv, capsys, monkeypatch):
     out, err = capsys.readouterr()
     data = json.dumps([code, out, err]).encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == PARSER_DIGESTS[argv]
+
+
+def test_commands_that_compute_nothing_do_not_import_numpy(tmp_path):
+    """``--help``, a usage error and ``report``, each run as
+    ``python -m mrfrank.cli`` in a fresh interpreter, end without numpy
+    in ``sys.modules``."""
+    eval_tsv = tmp_path / "eval.tsv"
+    eval_tsv.write_text("year\tmethod\tkind\tk\tri\n2000\tfull\tP\t2\t1.5\n")
+    # runs the module as ``-m`` does, then reports on the way out
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('mrfrank.cli', run_name='__main__')\n"
+             "finally:\n"
+             "    print('numpy' in sys.modules)\n")
+    src = str(Path(mrfrank.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, code in ((["--help"], 0), (["rank", "--bogus"], 1),
+                       (["report", "--input", str(eval_tsv)], 0)):
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout.splitlines()[-1]) == (code, "False"), argv
 
 
 class TestExitCodes:
@@ -406,12 +431,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["report_input", "ranking_file", "stopwords"])
     def test_data_error_undecodable_text_file(self, corpus_file, tmp_path, capsys, case):
         """A byte that is not UTF-8 in a text file the CLI reads ends with
-        exit 2 and one ``error:`` line naming the file."""
+        exit 2 and one ``error:`` line naming the file, the line and the
+        byte within it, past the decoder's first chunk."""
         ws = tmp_path / "ws"
         ws.mkdir()
         bad = {"report_input": tmp_path / "eval.tsv", "ranking_file": ws / "papers_full.tsv",
                "stopwords": tmp_path / "stopwords.txt"}[case]
-        bad.write_bytes(b"rank\tid\tscore\n1\tp05\xff\t0.5\n")
+        # rows each of the three readers accepts, then the bad one on line 2002
+        rows = "".join(f"2000\tm{i}\tP\t2\t1.5\n" for i in range(2000))
+        bad.write_bytes(b"rank\tid\tscore\n" + rows.encode() + b"1\tp05\xff\t0.5\n")
         args = {"report_input": ["report", "--input", str(bad)],
                 "ranking_file": ["eval", "--config", str(eval_config(
                     tmp_path / "cfg.json", corpus_file, ws, {"cohort_years": [1998]}))],
@@ -419,7 +447,7 @@ class TestExitCodes:
                               str(tmp_path / "features.tsv"), "--stopwords", str(bad)]}[case]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in err
+        assert f"error: {bad} line 2002: not UTF-8 (invalid start byte at byte 6)\n" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cohort_years", [[1800, 2100], []])
@@ -502,12 +530,15 @@ class TestIngest:
                 for name, data in written.items()} == ARNETMINER_DIGESTS
 
     def test_arnetminer_undecodable_byte_names_file(self, tmp_path, capsys):
+        """The error names the line of the byte and its byte within the
+        line, past the decoder's first chunk."""
         raw = tmp_path / "raw.txt"
-        raw.write_bytes(b"#*One\n#index1\n#t2000\n\n#*Two\xff\n#index2\n#t2001\n")
+        good = b"".join(b"#*One\n#index%d\n#t2000\n\n" % i for i in range(1000))
+        raw.write_bytes(good + b"#*Two\xff\n#index2\n#t2001\n")
         assert main(["ingest", "--input", str(raw), "--format", "arnetminer",
                      "--output", str(tmp_path / "native.jsonl")]) == 2
         err = capsys.readouterr().err
-        assert f"error: {raw}: 'utf-8' codec can't decode byte 0xff" in err
+        assert f"error: {raw} line 4001: not UTF-8 (invalid start byte at byte 6)\n" in err
         assert "Traceback" not in err
 
     def test_arnetminer(self, tmp_path, capsys):

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_oracle as oracle
-from mrfrank.corpus import (DataError, PreprocessConfig, parse_corpus, preprocess,
-                            read_arnetminer, read_native, split_ground_truth,
-                            write_native)
+from mrfrank.config import PreprocessConfig
+from mrfrank.corpus import parse_corpus, preprocess, split_ground_truth, write_native
+from mrfrank.records import DataError, read_arnetminer, read_native
 from mrfrank.evaluate import (authors_starting_year, citation_counts, evaluate_run,
                               papers_of_year)
 from mrfrank.ranking import rank_entities
@@ -450,10 +450,11 @@ class TestArnetMiner:
     def test_read_arnetminer_is_lazy(self, tmp_path):
         """The first record comes before the reader decodes the second, whose
         non-UTF-8 byte lies past a 1 MiB title line; decoding it is a
-        DataError naming the file."""
+        DataError naming the file, the line and the byte within it."""
         path = tmp_path / "corpus.txt"
         path.write_bytes(b"#index1\n#t2000\n\n#*" + b"x" * 2**20 + b"\n#c\xff\n")
         records = read_arnetminer(path)
         assert next(records) == {"id": "1", "year": 2000}
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+        message = f"{path} line 5: not UTF-8 (invalid start byte at byte 3)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             next(records)

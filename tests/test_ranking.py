@@ -9,10 +9,10 @@ from operator_oracle import assemble_combined, fixed_point, to_dense
 from mrfrank import ranking
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import build_graphs
-from mrfrank.ranking import (MODES, Anderson, HyperParams, NumericalError,
-                             combined_operator, init_state, iterate_once,
-                             normalize_innovativeness, rank_entities, run,
-                             write_convergence, write_ranking)
+from mrfrank.config import MODES, HyperParams
+from mrfrank.ranking import (Anderson, NumericalError, combined_operator, init_state,
+                             iterate_once, normalize_innovativeness, rank_entities,
+                             run, write_convergence, write_ranking)
 from mrfrank.sparse import Transposed, reciprocal
 from mrfrank.textfeat import build_feature_table
 
