@@ -40,6 +40,7 @@ class FeatureConfig:
     stopwords: str | None = None
 
 
+# the ablation modes ``HyperParams.effective`` applies
 MODES = ("full", "no_time", "no_content", "no_time_no_content")
 
 

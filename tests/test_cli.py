@@ -174,8 +174,9 @@ ARNETMINER_DIGESTS = {
     "stdout": "433a0067975ee534f660d49f4da77da3ca5b128b5ea4497f2dd3efa1cec47bb4",
 }
 # sha256 of the JSON list [exit code, stdout, stderr] of ``main`` for each
-# argument list, at 80 columns: the top-level and every subcommand's help,
-# and one usage error, so every flag, default, choice and help string is pinned
+# argument list, at 80 columns with Python 3.11's argparse: the top-level and
+# every subcommand's help, and one usage error, so every flag, default,
+# choice and help string is pinned
 PARSER_DIGESTS = {
     "--help": "f1a805fce714740eafbc8a8548229f53a79a5968d6ee10ef758040413f388fff",
     "ingest --help": "abc53d5a100f8547667e3dd907bc53e6e648341814262ac2bae7a564c3c1e5c6",
