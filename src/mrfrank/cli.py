@@ -222,10 +222,9 @@ def cmd_rank(args) -> int:
     cfg.workspace.mkdir(parents=True, exist_ok=True)
     hp = cfg.hyperparams
     sub, _, filter_report = _pipeline(cfg)
+    table = _feature_table(sub, cfg.features)
     (cfg.workspace / "filter_report.txt").write_text(
         "\n".join(filter_report.lines()) + "\n")
-
-    table = _feature_table(sub, cfg.features)
     n, m, k = len(sub), len(sub.authors), len(table.features)
     if n == 0 or m == 0 or k == 0:
         raise DataError("pipeline produced an empty entity set "
@@ -255,26 +254,6 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _read_ranking(path, positions: dict[str, int]) -> np.ndarray:
-    """The positions of a ranking file's ids, in file order.  Ids not in
-    ``positions`` are skipped: they are in no cohort."""
-    import numpy as np
-    ranked, seen = [], set()
-    for lineno, line in enumerate(text_lines(path), start=1):
-        if line.startswith("#") or line.startswith("rank\t"):
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) < 2 or not fields[1]:
-            raise DataError(f"{path} line {lineno}: no id column")
-        eid = fields[1]
-        if eid in seen:
-            raise DataError(f"{path} line {lineno}: id {eid!r} listed twice")
-        seen.add(eid)
-        if eid in positions:
-            ranked.append(positions[eid])
-    return np.array(ranked, dtype=np.int64)
-
-
 # per cohort kind: its eval.tsv letter, its ranking file prefix, and the
 # ``evaluate`` function that finds its members, also its name in warnings
 _COHORTS = (("P", "papers", "papers_of_year"), ("A", "authors", "authors_starting_year"))
@@ -282,7 +261,7 @@ _COHORTS = (("P", "papers", "papers_of_year"), ("A", "authors", "authors_startin
 
 def cmd_eval(args) -> int:
     from . import evaluate as eval_mod
-    from . import ranking as ranking_mod
+    from .ranking import rank_entities, read_ranking
     cfg = load_config(args)
     sub, gt, _ = _pipeline(cfg)
     ws = cfg.workspace
@@ -302,7 +281,7 @@ def cmd_eval(args) -> int:
     for mode in MODES:
         paths = [ws / f"{prefix}_{mode}.tsv" for _, prefix, _ in _COHORTS]
         if any(p.exists() for p in paths):
-            rankings[mode] = [_read_ranking(p, pos) if p.exists() else None
+            rankings[mode] = [read_ranking(p, pos) if p.exists() else None
                               for p, pos in zip(paths, positions)]
     if not rankings:
         raise DataError(f"no ranking files found in workspace {ws}")
@@ -317,7 +296,7 @@ def cmd_eval(args) -> int:
             continue
         runs = [(m, rankings[m][kind]) for m in sorted(rankings)
                 if rankings[m][kind] is not None]
-        runs.append(("cc", cohort[ranking_mod.rank_entities(counts[kind][cohort])]))
+        runs.append(("cc", cohort[rank_entities(counts[kind][cohort])]))
         for method, ranked in runs:
             for k, ri in eval_mod.evaluate_run(ranked, future[kind], cohort, protocol.ks):
                 rows.append((year, method, letter, k, ri))

@@ -1,5 +1,5 @@
 """Mutual-reinforcement iteration over papers, authors and text features,
-and ranked-list output.
+and the ranked lists: their order, and the ranking files that hold them.
 
 The combined (N+M+K)^2 block matrix is held as a list of terms, one per
 block: a chain of one or two sparse factors whose product is the
@@ -16,18 +16,25 @@ vectors are the three sections of that one vector, each rescaled to sum 1.
 The innovativeness vector is rescaled to sum 1 before entering the
 matrix, so only the relative burstiness of features matters and a global
 rescaling of the scores cannot change any ranking.
+
+``write_ranking`` and ``read_ranking`` alone know the ranking file format.
+``GraphSet`` is named in annotations only: this module loads no graph code.
 """
 
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import HyperParams
-from .graphs import GraphSet
+from .records import DataError, text_lines
 from .sparse import SparseMatrix, Transposed, reciprocal
+
+if typing.TYPE_CHECKING:
+    from .graphs import GraphSet
 
 # the number of past differences each Anderson-mixed step combines
 ANDERSON_MEMORY = 5
@@ -257,9 +264,9 @@ class Anderson:
     that system is singular, or when the mix has a negative entry or a
     section of zero mass; otherwise the mix rescaled to sum 1.
 
-    Only the two buffers of differences outlive a call: the latest residual
-    and image wait in the slot their difference will fill, since the
-    difference they displace has then been used for the last time.
+    The differences live in a ring of ``ANDERSON_MEMORY`` rows.  Each call
+    subtracts the last residual and image, held by reference (so the caller
+    must not change g afterwards), straight into the oldest slot.
     """
 
     def __init__(self, sizes: tuple[int, int, int]):
@@ -268,25 +275,22 @@ class Anderson:
         self.df = np.empty((ANDERSON_MEMORY, size))
         self.dg = np.empty((ANDERSON_MEMORY, size))
         self.gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
-        self.held = 0       # differences in the buffers
+        self.held = 0       # differences in the ring
         self.slot = 0       # the slot the next difference fills
-        self.primed = False  # that slot holds the last residual and image
+        self.last = None    # the last residual and image
 
     def mix(self, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         f = g - x
-        if self.primed:
+        if self.last is not None:
             s = self.slot
-            np.subtract(f, self.df[s], out=self.df[s])
-            np.subtract(g, self.dg[s], out=self.dg[s])
+            np.subtract(f, self.last[0], out=self.df[s])
+            np.subtract(g, self.last[1], out=self.dg[s])
             self.held = min(self.held + 1, ANDERSON_MEMORY)
             self.slot = (s + 1) % ANDERSON_MEMORY
             for j in range(self.held):
                 self.gram[s, j] = self.gram[j, s] = _dot(self.df[s], self.df[j])
-        out = self._combine(f, g) if self.held else None
-        self.df[self.slot] = f
-        self.dg[self.slot] = g
-        self.primed = True
-        return out
+        self.last = f, g
+        return self._combine(f, g) if self.held else None
 
     def _combine(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         gamma = _solve(self.gram, [_dot(self.df[j], f) for j in range(self.held)])
@@ -348,6 +352,25 @@ def write_ranking(path, ids, scores: np.ndarray, converged: bool = True) -> None
         fh.write("rank\tid\tscore\n")
         fh.writelines(f"{rank}\t{ids[i]}\t{score:.10g}\n" for rank, (i, score) in
                       enumerate(zip(order.tolist(), scores[order].tolist()), start=1))
+
+
+def read_ranking(path, positions: dict[str, int]) -> np.ndarray:
+    """The positions of a ranking file's ids, in file order.  Ids not in
+    ``positions`` are skipped: they are in no cohort."""
+    ranked, seen = [], set()
+    for lineno, line in enumerate(text_lines(path), start=1):
+        if line.startswith("#") or line.startswith("rank\t"):
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) < 2 or not fields[1]:
+            raise DataError(f"{path} line {lineno}: no id column")
+        eid = fields[1]
+        if eid in seen:
+            raise DataError(f"{path} line {lineno}: id {eid!r} listed twice")
+        seen.add(eid)
+        if eid in positions:
+            ranked.append(positions[eid])
+    return np.array(ranked, dtype=np.int64)
 
 
 def write_convergence(log: ConvergenceLog, path) -> None:

@@ -49,26 +49,16 @@ def _not_utf8(exc: UnicodeDecodeError) -> str:
 def text_lines(path):
     """Yield the lines of the UTF-8 text file at ``path``; a byte that is
     not UTF-8 is a DataError naming the file, the line and the byte within
-    the line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from fh
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
-
-
-def _undecodable(path, exc: UnicodeDecodeError) -> DataError:
-    """The error of the text file at ``path`` that ``exc`` failed to decode.
-    The decoder's position counts from the start of its chunk, so the file
-    is read again, its bad bytes kept as escapes, to find the first line
-    (split as ``text_lines`` splits) that is not UTF-8."""
+    the line.  The file is decoded once, its bad bytes kept as escapes, and
+    a line that is not ASCII is checked by decoding it again strictly."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as bad:
-                return DataError(f"{path} line {lineno}: {_not_utf8(bad)}")
-    return DataError(f"{path}: {exc}")   # the file changed since it was read
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise DataError(f"{path} line {lineno}: {_not_utf8(bad)}") from None
+            yield line
 
 
 # the ArnetMiner markers that set a text field

@@ -37,6 +37,7 @@ class SparseMatrix:
         out.shape, out.rows, out.cols, out.data = shape, rows, cols, data
         return out
 
+    # the sorting constructor gives the same bytes at a 16-20 MB higher rank peak
     @classmethod
     def symmetric(cls, n: int, rows: np.ndarray, cols: np.ndarray,
                   data: np.ndarray) -> "SparseMatrix":
