@@ -283,6 +283,10 @@ class TestExitCodes:
         assert code == 3
         assert (ws / "papers_full.tsv").read_text().startswith(
             "# WARNING: NOT CONVERGED\n")
+        *_, last = (ws / "convergence_full.tsv").read_text().splitlines()
+        delta = float(last.split("\t")[1])
+        assert capsys.readouterr().err.splitlines() == [
+            f"WARNING: not converged after 1 iterations (last delta {delta:.3g})"]
 
 
     @pytest.mark.parametrize("command, flag", [
