@@ -235,20 +235,20 @@ def cmd_rank(args) -> int:
 
     gs = graphs_mod.build_graphs(sub, table, t_current=cfg.protocol.cutoff_year,
                                  rho_edge=hp_eff.rho_edge)
-    state, conv = ranking_mod.run(gs, e, hp)
+    x, conv = ranking_mod.run(gs, e, hp)
 
     mode = hp.mode
     ws = cfg.workspace
-    for kind, ids, scores in (("papers", sub.papers, state.a_paper),
-                              ("authors", sub.authors, state.a_author),
-                              ("features", table.features, state.a_feature)):
+    for kind, ids, scores in zip(("papers", "authors", "features"),
+                                 (sub.papers, sub.authors, table.features),
+                                 ranking_mod.per_type(x, gs.sizes)):
         ranking_mod.write_ranking(ws / f"{kind}_{mode}.tsv", ids, scores,
                                   conv.converged)
     ranking_mod.write_convergence(conv, ws / f"convergence_{mode}.tsv")
 
     if not conv.converged:
         print(f"WARNING: not converged after {conv.iterations} iterations "
-              f"(last delta {state.last_delta:.3g})", file=sys.stderr)
+              f"(last delta {conv.deltas[-1]:.3g})", file=sys.stderr)
         return EXIT_NO_CONVERGE
     print(f"converged in {conv.iterations} iterations")
     return EXIT_OK
@@ -294,6 +294,10 @@ def cmd_eval(args) -> int:
         if not cohort.size:
             log.warning("empty %s cohort for year %d, omitted", name, year)
             continue
+        for k in protocol.ks:
+            if k > cohort.size:
+                log.warning("k=%d exceeds the %s cohort size %d for year %d, skipped",
+                            k, name, cohort.size, year)
         runs = [(m, rankings[m][kind]) for m in sorted(rankings)
                 if rankings[m][kind] is not None]
         runs.append(("cc", cohort[rank_entities(counts[kind][cohort])]))

@@ -8,14 +8,10 @@ count, ties by ascending position, which is ascending id.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .corpus import Corpus
 from .ranking import rank_entities
-
-log = logging.getLogger(__name__)
 
 
 def papers_of_year(corpus: Corpus, year: int) -> np.ndarray:
@@ -58,7 +54,6 @@ def evaluate_run(ranked: np.ndarray, future: np.ndarray, cohort: np.ndarray,
     results = []
     for k in ks:
         if k > cohort.size:
-            log.warning("k=%d exceeds cohort size %d, skipped", k, cohort.size)
             continue
         hits = np.flatnonzero(np.isin(returned[:k], truth[:k])) + 1
         results.append((k, sum((ri_item(o_r, k, True) for o_r in hits.tolist()), 0.0)))

@@ -10,8 +10,10 @@ and renormalizes it by its total sum: a power-iteration step, whose fixed
 point is the dominant eigenvector of the combined matrix.  ``run`` reaches
 that same fixed point in fewer applications by Anderson mixing: each next
 point combines the latest image with the last few images, and the plain
-image is taken whenever the mix is not a distribution.  The per-type
-vectors are the three sections of that one vector, each rescaled to sum 1.
+image is taken whenever the mix is not a distribution.  Every point is a
+plain vector; ``per_type`` reads the paper, author and feature vectors
+from one as its three sections, each rescaled to sum 1.  The step count
+and the deltas live in the ``ConvergenceLog`` alone.
 
 The innovativeness vector is rescaled to sum 1 before entering the
 matrix, so only the relative burstiness of features matters and a global
@@ -23,6 +25,7 @@ rescaling of the scores cannot change any ranking.
 
 from __future__ import annotations
 
+import logging
 import math
 import typing
 from dataclasses import dataclass, field
@@ -39,6 +42,9 @@ if typing.TYPE_CHECKING:
 # the number of past differences each Anderson-mixed step combines
 ANDERSON_MEMORY = 5
 
+# the first line of a ranking file written by a run that did not converge
+NOT_CONVERGED = "# WARNING: NOT CONVERGED"
+
 
 class NumericalError(Exception):
     """Non-finite value produced during the iteration."""
@@ -49,31 +55,10 @@ def _split(vector: np.ndarray, sizes: tuple[int, int, int]) -> list[np.ndarray]:
     return np.split(vector, np.cumsum(sizes[:2]))
 
 
-@dataclass
-class RankState:
-    # paper, author and feature authority concatenated; sums to 1
-    vector: np.ndarray
-    sizes: tuple[int, int, int]
-    iteration: int = 0
-    last_delta: float = float("inf")
-    # the three sections of ``vector``, each rescaled to sum 1, concatenated
-    per_type: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.per_type = np.concatenate([sec / sec.sum()
-                                        for sec in _split(self.vector, self.sizes)])
-
-    @property
-    def a_paper(self) -> np.ndarray:
-        return _split(self.per_type, self.sizes)[0]
-
-    @property
-    def a_author(self) -> np.ndarray:
-        return _split(self.per_type, self.sizes)[1]
-
-    @property
-    def a_feature(self) -> np.ndarray:
-        return _split(self.per_type, self.sizes)[2]
+def per_type(vector: np.ndarray, sizes: tuple[int, int, int]) -> list[np.ndarray]:
+    """The paper, author and feature authority vectors: the three sections
+    of ``vector``, each rescaled to sum 1."""
+    return [sec / sec.sum() for sec in _split(vector, sizes)]
 
 
 @dataclass
@@ -88,13 +73,14 @@ class ConvergenceLog:
         return len(self.deltas)
 
 
-def init_state(n: int, m: int, k: int) -> RankState:
-    """Uniform within each section, a third of the mass per section."""
+def init_state(n: int, m: int, k: int) -> np.ndarray:
+    """The starting vector: uniform within each section, a third of the
+    mass per section."""
     if n <= 0 or m <= 0 or k <= 0:
         raise ValueError(f"entity counts must be positive, got {(n, m, k)}")
     uniform = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m),
                               np.full(k, 1.0 / k)])
-    return RankState(vector=uniform * (1.0 / 3.0), sizes=(n, m, k))
+    return uniform * (1.0 / 3.0)
 
 
 def normalize_innovativeness(e: np.ndarray) -> np.ndarray:
@@ -199,13 +185,14 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
     return [(row, col, build(w)) for row, col, w, build in terms if w != 0.0]
 
 
-def iterate_once(state: RankState, operator: Operator) -> RankState:
-    """One Jacobi-style update of the whole vector from the old state.
+def iterate_once(x: np.ndarray, operator: Operator,
+                 sizes: tuple[int, int, int]) -> np.ndarray:
+    """One Jacobi-style update of the whole vector: the operator's image of
+    ``x``, renormalized to sum 1.
 
     A section whose image is all zero is reset to a uniform vector of unit
     mass before the global renormalization.
     """
-    x = state.vector
     y = np.zeros_like(x)
     for row, col, chain in operator:
         v = x[col:col + chain[0].shape[1]]
@@ -213,16 +200,13 @@ def iterate_once(state: RankState, operator: Operator) -> RankState:
             v = factor.matvec(v)
         y[row:row + v.size] += v
     if not np.all(np.isfinite(y)):
-        raise NumericalError(f"non-finite value at iteration {state.iteration + 1}")
+        raise NumericalError("non-finite value in the operator image")
     total = 0.0
-    for sec in _split(y, state.sizes):
+    for sec in _split(y, sizes):
         if sec.sum() == 0.0:
             sec[:] = 1.0 / sec.size
         total += sec.sum()
-    out = RankState(vector=y / total, sizes=state.sizes,
-                    iteration=state.iteration + 1)
-    out.last_delta = float(np.abs(out.per_type - state.per_type).sum())
-    return out
+    return y / total
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -306,8 +290,9 @@ class Anderson:
 
 
 def run(graphs: GraphSet, e: np.ndarray,
-        hp: HyperParams) -> tuple[RankState, ConvergenceLog]:
-    """Iterate to convergence or until max_iterations operator applications.
+        hp: HyperParams) -> tuple[np.ndarray, ConvergenceLog]:
+    """Iterate to convergence or until max_iterations operator applications;
+    return the last image and the log.
 
     Each step applies the operator once, to the current point x.  The run
     has converged when the L1 delta between the concatenated per-type
@@ -318,20 +303,22 @@ def run(graphs: GraphSet, e: np.ndarray,
     the next point came from the mix.
     """
     operator = combined_operator(graphs, e, hp)
-    state = init_state(*graphs.sizes)
+    sizes = graphs.sizes
+    x = init_state(*sizes)
     log = ConvergenceLog()
-    anderson = Anderson(state.sizes)
+    anderson = Anderson(sizes)
     while True:
-        image = iterate_once(state, operator)
-        log.deltas.append(image.last_delta)
-        log.converged = image.last_delta < hp.tolerance
+        g = iterate_once(x, operator, sizes)
+        delta = float(np.abs(np.concatenate(per_type(g, sizes))
+                             - np.concatenate(per_type(x, sizes))).sum())
+        log.deltas.append(delta)
+        log.converged = delta < hp.tolerance
         if log.converged or log.iterations == hp.max_iterations:
             log.mixed.append(False)
-            return image, log
-        mixed = anderson.mix(state.vector, image.vector)
+            return g, log
+        mixed = anderson.mix(x, g)
         log.mixed.append(mixed is not None)
-        state = image if mixed is None else RankState(
-            vector=mixed, sizes=state.sizes, iteration=image.iteration)
+        x = g if mixed is None else mixed
 
 
 def rank_entities(values: np.ndarray) -> np.ndarray:
@@ -348,7 +335,7 @@ def write_ranking(path, ids, scores: np.ndarray, converged: bool = True) -> None
     order = rank_entities(scores)
     with open(path, "w", encoding="utf-8") as fh:
         if not converged:
-            fh.write("# WARNING: NOT CONVERGED\n")
+            fh.write(NOT_CONVERGED + "\n")
         fh.write("rank\tid\tscore\n")
         fh.writelines(f"{rank}\t{ids[i]}\t{score:.10g}\n" for rank, (i, score) in
                       enumerate(zip(order.tolist(), scores[order].tolist()), start=1))
@@ -356,9 +343,13 @@ def write_ranking(path, ids, scores: np.ndarray, converged: bool = True) -> None
 
 def read_ranking(path, positions: dict[str, int]) -> np.ndarray:
     """The positions of a ranking file's ids, in file order.  Ids not in
-    ``positions`` are skipped: they are in no cohort."""
+    ``positions`` are skipped: they are in no cohort.  A file marked not
+    converged is read all the same, with a warning naming it."""
     ranked, seen = [], set()
     for lineno, line in enumerate(text_lines(path), start=1):
+        if line.rstrip("\n") == NOT_CONVERGED:
+            logging.getLogger(__name__).warning("%s is from a run that did not converge",
+                                                path)
         if line.startswith("#") or line.startswith("rank\t"):
             continue
         fields = line.rstrip("\n").split("\t")

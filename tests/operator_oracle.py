@@ -1,12 +1,13 @@
 """Dense oracles for the combined operator: a ``SparseMatrix`` as a dense
 array and as a re-sorted transpose, all eight column-normalized blocks
 materialized densely from the graph facts, the (N+M+K)^2 combined matrix
-built from them, the fixed point reached by plain power iteration, one
-block read from the production operator, and the recommendation intensity
-of a list of ids."""
+built from them, plain power iteration and the fixed point it reaches,
+one block read from the production operator, and the recommendation
+intensity of a list of ids."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +15,8 @@ import numpy as np
 from mrfrank.config import HyperParams
 from mrfrank.evaluate import ri_item
 from mrfrank.graphs import GraphSet
-from mrfrank.ranking import (RankState, combined_operator, init_state, iterate_once,
-                             normalize_innovativeness)
+from mrfrank.ranking import (combined_operator, init_state, iterate_once,
+                             normalize_innovativeness, per_type)
 from mrfrank.sparse import SparseMatrix, Transposed
 
 
@@ -127,16 +128,29 @@ def assemble_combined(graphs: GraphSet, e: np.ndarray, hp: HyperParams,
     return out
 
 
-def fixed_point(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> RankState:
-    """Plain power iteration, ``iterate_once`` with no mixing, until the L1
-    delta falls below 1e-14."""
+def plain_iteration(graphs: GraphSet, e: np.ndarray, hp: HyperParams):
+    """Plain power iteration, ``iterate_once`` with no mixing, from
+    ``init_state``.  Yields, per step, the image, its per-type vector (the
+    three ``per_type`` sections concatenated) and the L1 delta from the
+    previous per-type vector, computed as ``run`` computes it."""
     operator = combined_operator(graphs, e, hp)
-    state = init_state(*graphs.sizes)
-    for _ in range(100_000):
-        state = iterate_once(state, operator)
-        if state.last_delta < 1e-14:
-            return state
-    raise RuntimeError(f"no fixed point (last delta {state.last_delta:.3g})")
+    sizes = graphs.sizes
+    x = init_state(*sizes)
+    before = np.concatenate(per_type(x, sizes))
+    while True:
+        x = iterate_once(x, operator, sizes)
+        after = np.concatenate(per_type(x, sizes))
+        yield x, after, float(np.abs(after - before).sum())
+        before = after
+
+
+def fixed_point(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> np.ndarray:
+    """The per-type vector of plain power iteration once its L1 delta
+    falls below 1e-14."""
+    for _, vector, delta in itertools.islice(plain_iteration(graphs, e, hp), 100_000):
+        if delta < 1e-14:
+            return vector
+    raise RuntimeError(f"no fixed point (last delta {delta:.3g})")
 
 
 def ri_list(returned: list[str], gt_topk) -> float:

@@ -774,6 +774,36 @@ class TestEvalAndReport:
         text = report_path.read_text()
         assert "P@2" in text and "full" in text and "cc" in text
 
+    def test_eval_warns_of_rankings_not_converged(self, corpus_file, tmp_path, capsys,
+                                                  caplog):
+        """A ranking file marked not converged is scored, with one warning
+        naming it."""
+        cfg = self.make_config(corpus_file, tmp_path)
+        assert main(["rank", "--config", str(cfg), "--max-iterations", "1"]) == 3
+        assert main(["eval", "--config", str(cfg)]) == 0
+        ws = tmp_path / "ws"
+        assert [r.getMessage() for r in caplog.records if "converge" in r.getMessage()] == [
+            f"{ws / name} is from a run that did not converge"
+            for name in ("papers_full.tsv", "authors_full.tsv")]
+
+    def test_eval_warns_once_per_skipped_k(self, corpus_file, tmp_path, capsys, caplog):
+        """A k larger than its cohort is skipped with one warning naming the
+        k, the cohort and the year, however many methods are scored."""
+        ws = tmp_path / "ws"
+        cfg = eval_config(tmp_path / "cfg.json", corpus_file, ws,
+                          {"cutoff_year": 2003, "horizon_year": 2005,
+                           "cohort_years": [1996, 2000], "ks": [2, 5, 10]})
+        for mode in ("full", "no-time"):
+            assert main(["rank", "--config", str(cfg), "--mode", mode]) == 0
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert [r.getMessage() for r in caplog.records if "exceeds" in r.getMessage()] == [
+            f"k={k} exceeds the {name} cohort size {size} for year {year}, skipped"
+            for year, name, size, k in ((1996, "papers_of_year", 3, 5),
+                                        (1996, "papers_of_year", 3, 10),
+                                        (1996, "authors_starting_year", 6, 10),
+                                        (2000, "papers_of_year", 3, 5),
+                                        (2000, "papers_of_year", 3, 10))]
+
     def test_eval_without_rankings_is_data_error(self, corpus_file, tmp_path,
                                                  capsys):
         cfg = self.make_config(corpus_file, tmp_path)
