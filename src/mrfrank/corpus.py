@@ -42,7 +42,7 @@ class Corpus:
     authors: tuple[str, ...]
     first_year: np.ndarray       # M first publication years of the authors
     # E x 2 (citing, cited) positions, deduplicated, grouped by citing
-    # paper in the order of its references
+    # paper in ascending position, each in the order of its references
     citation_edges: np.ndarray
     # one (paper, author) pair per listing, grouped by paper in the order of
     # its author list; an author listed twice on a paper gives two listings

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_oracle as oracle
+from operator_oracle import transpose
 from mrfrank.config import PreprocessConfig
 from mrfrank.corpus import parse_corpus, preprocess, split_ground_truth, write_native
+from mrfrank.graphs import build_citation
 from mrfrank.records import DataError, read_arnetminer, read_native
 from mrfrank.evaluate import (authors_starting_year, citation_counts, evaluate_run,
                               papers_of_year)
 from mrfrank.ranking import rank_entities
+from mrfrank.sparse import SparseMatrix
 
 
 def rec(pid, year, refs=(), title="t", authors=("x",), abstract="a"):
@@ -351,6 +354,31 @@ def test_array_path_matches_oracle(case, data):
                 oracle.ground_truth_ranking(future, members)
             assert evaluate_run(ranked, truth, cohort, ks) == \
                 oracle.evaluate_run(ranked_ids, future, members, ks)
+
+
+@given(oracle_case(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_citation_edges_grouped_by_citing_position(case, seed):
+    """Records in shuffled order list their references out of order; the
+    citation edges come out grouped by citing paper in ascending position
+    after every stage, so the citation graph applied transposed adds each
+    cited paper's column in ascending citing order: bit for bit the
+    transpose of its (row, col) sorted copy, with ``x`` spread over twelve
+    orders of magnitude."""
+    records, cfg, cutoff, horizon = case
+    corpus, _ = parse_corpus(records)
+    pre, _ = preprocess(corpus, cfg)
+    sub, _ = split_ground_truth(pre, cutoff, horizon)
+    rng = np.random.default_rng(seed)
+    for stage in (corpus, pre, sub):
+        citing = stage.citation_edges[:, 0]
+        assert np.all(citing[1:] >= citing[:-1])
+        cit = build_citation(stage, t_current=2012, rho=0.37)
+        order = np.lexsort((cit.cols, cit.rows))
+        lexsorted = SparseMatrix(cit.shape, cit.rows[order], cit.cols[order],
+                                 cit.data[order])
+        x = rng.standard_normal(len(stage)) * 10.0 ** rng.integers(-6, 7, len(stage))
+        assert np.array_equal(cit.rmatvec(x), transpose(lexsorted).matvec(x))
 
 
 class TestReadNative:

@@ -113,6 +113,20 @@ class TestBuildGraphs:
         m = build_coauthor(corpus, t_current=2004, rho=1000.0)
         assert m.nnz == 2 and to_dense(m)[u, v] == to_dense(m)[v, u] == 1.0
 
+    def test_underflowed_citation_not_stored(self):
+        """At rho 1000 the references of B (2003) weigh exp(-1000), which
+        underflows to 0: they are not stored, B's pp column is zero and
+        ``refs`` counts only C's two stored references."""
+        corpus, _, gs = small_setup(rho=1000.0, t_current=2004)
+        a, b, c = positions(corpus.papers, "ABC")
+        cit = gs.citation
+        assert cit.nnz == 2 and b not in cit.rows.tolist()
+        assert np.array_equal(cit.data, np.ones(2))
+        pp = to_dense(term_factor(gs, "pp")).T
+        assert np.array_equal(pp[:, b], np.zeros(3))
+        assert pp[a, c] == pp[b, c] == 0.5
+        assert np.array_equal(pp, to_dense(operator_blocks(gs).pp))
+
     def test_coauthor_symmetric(self, rng):
         _, _, gs = small_setup()
         d = to_dense(gs.coauthor)
