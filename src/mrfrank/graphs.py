@@ -1,6 +1,7 @@
 """The five sparse literature graphs with time-aware edge weights, held as
 the six facts the paper names; ``ranking.combined_operator`` derives every
-block of the ranking iteration from them."""
+block of the ranking iteration from them.  The citation graph is stored in
+the corpus's edge order, the others in (row, col) order."""
 
 from __future__ import annotations
 
@@ -24,11 +25,15 @@ def decay_weights(years: np.ndarray, t_current: int, rho: float) -> np.ndarray:
 
 def build_citation(corpus: Corpus, t_current: int, rho: float) -> SparseMatrix:
     """N x N matrix, entry (i, j) when paper i cites paper j, weighted by
-    the age of the citation (citing paper's publication year)."""
+    the age of the citation (citing paper's publication year).  It is
+    stored in edge order, grouped by citing paper in ascending position, so
+    applied transposed it adds each cited paper's column in ascending
+    citing order.  A weight that underflows to 0 is not stored."""
     citing, cited = corpus.citation_edges.T
     n = len(corpus)
-    return SparseMatrix((n, n), citing, cited,
-                        decay_weights(corpus.years[citing], t_current, rho))
+    weights = decay_weights(corpus.years[citing], t_current, rho)
+    keep = weights != 0.0
+    return SparseMatrix((n, n), citing[keep], cited[keep], weights[keep])
 
 
 def build_coauthor(corpus: Corpus, t_current: int, rho: float) -> SparseMatrix:
@@ -55,7 +60,7 @@ def build_listings(corpus: Corpus) -> SparseMatrix:
     keys, counts = np.unique(corpus.listing_authors * n + corpus.listing_papers,
                              return_counts=True)
     rows, cols = np.divmod(keys, n)
-    return SparseMatrix.canonical((m, n), rows, cols, counts.astype(np.float64))
+    return SparseMatrix((m, n), rows, cols, counts.astype(np.float64))
 
 
 @dataclass
@@ -82,8 +87,8 @@ def build_graphs(corpus: Corpus, table: FeatureTable, t_current: int,
         citation=build_citation(corpus, t_current, rho_edge),
         coauthor=build_coauthor(corpus, t_current, rho_edge),
         listings=build_listings(corpus),
-        feature_counts=SparseMatrix.canonical((len(corpus), len(table.features)),
-                                              table.rows, table.cols, table.counts),
+        feature_counts=SparseMatrix((len(corpus), len(table.features)),
+                                    table.rows, table.cols, table.counts),
         idf_paper=idf_paper(corpus, table),
         idf_author=idf_author(corpus, table),
     )

@@ -4,7 +4,9 @@ and the ranked lists: their order, and the ranking files that hold them.
 The combined (N+M+K)^2 block matrix is held as a list of terms, one per
 block: a chain of one or two sparse factors whose product is the
 column-normalized block times its coefficient, placed at its row and column
-offset.  ``combined_operator`` builds all eight.  One operator application
+offset.  ``combined_operator`` builds all eight; a factor applied
+transposed is ``.T`` of a stored matrix, over the same arrays, so one
+kernel, ``SparseMatrix.matvec``, applies them all.  One operator application
 (``iterate_once``) applies every term to the concatenated authority vector
 and renormalizes it by its total sum: a power-iteration step, whose fixed
 point is the dominant eigenvector of the combined matrix.  ``run`` reaches
@@ -34,7 +36,7 @@ import numpy as np
 
 from .config import HyperParams
 from .records import DataError, text_lines
-from .sparse import SparseMatrix, Transposed, reciprocal
+from .sparse import SparseMatrix, reciprocal
 
 if typing.TYPE_CHECKING:
     from .graphs import GraphSet
@@ -93,9 +95,8 @@ def normalize_innovativeness(e: np.ndarray) -> np.ndarray:
 
 
 # (row offset, col offset, chain): the term adds
-# chain[-1] @ ... @ chain[0] @ x[col:] into the rows from ``row`` on; a
-# factor is a SparseMatrix or one applied ``Transposed``
-Operator = list[tuple[int, int, tuple[SparseMatrix | Transposed, ...]]]
+# chain[-1] @ ... @ chain[0] @ x[col:] into the rows from ``row`` on
+Operator = list[tuple[int, int, tuple[SparseMatrix, ...]]]
 
 
 def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Operator:
@@ -127,8 +128,9 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
 
     Every factor shares the ``rows`` and ``cols`` of R, S, L or C and gets
     its own ``data``, made with the divisor and w folded in; pp, pa, tp and
-    ta apply theirs ``Transposed``.  In a factor weighted on both sides the
-    column weight is multiplied in first.
+    ta apply theirs transposed, as ``.T``: the same arrays with ``rows`` and
+    ``cols`` swapped.  In a factor weighted on both sides the column weight
+    is multiplied in first.
     """
     hp = hp.effective()
     cit, co, lst, c = graphs.citation, graphs.coauthor, graphs.listings, graphs.feature_counts
@@ -142,20 +144,20 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
     papers_per_author = np.bincount(lst.rows, minlength=m)
     authors_per_paper = np.bincount(lst.cols, minlength=n)
     links = np.bincount(lst.rows, weights=authors_per_paper[lst.cols] - 1.0, minlength=m)
-    inv_colsum_c = reciprocal(c.rmatvec(np.ones(n)))
-    inv_colsum_lc = reciprocal(c.rmatvec(lst.rmatvec(np.ones(m))))
+    inv_colsum_c = reciprocal(c.T.matvec(np.ones(n)))
+    inv_colsum_lc = reciprocal(c.T.matvec(lst.T.matvec(np.ones(m))))
     inv_paper_tfidf = reciprocal(c.matvec(idf_p))
     inv_author_tfidf = reciprocal(lst.matvec(c.matvec(idf_a)))
 
     def on(g: SparseMatrix, data: np.ndarray) -> SparseMatrix:
         # a factor over g's rows and cols, with its own data
-        return SparseMatrix.canonical(g.shape, g.rows, g.cols, data)
+        return SparseMatrix(g.shape, g.rows, g.cols, data)
 
     def pp(w):
-        return (Transposed(on(cit, cit.data / refs[cit.rows] * w)),)
+        return (on(cit, cit.data / refs[cit.rows] * w).T,)
 
     def pa(w):
-        return (Transposed(on(lst, 1.0 / papers_per_author[lst.rows] * w)),)
+        return (on(lst, 1.0 / papers_per_author[lst.rows] * w).T,)
 
     def pt(w):
         return (on(c, c.data * (np.where(idf_p != 0.0, w, 0.0) * inv_colsum_c)[c.cols]),)
@@ -170,12 +172,11 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
         return (on(c, c.data * (np.where(idf_a != 0.0, w, 0.0) * inv_colsum_lc)[c.cols]), lst)
 
     def ta(w):
-        return (Transposed(on(lst, lst.data * inv_author_tfidf[lst.rows])),
-                Transposed(on(c, c.data * (w * e_norm * idf_a)[c.cols])))
+        return (on(lst, lst.data * inv_author_tfidf[lst.rows]).T,
+                on(c, c.data * (w * e_norm * idf_a)[c.cols]).T)
 
     def tp(w):
-        return (Transposed(on(c, c.data * (w * e_norm * idf_p)[c.cols]
-                              * inv_paper_tfidf[c.rows])),)
+        return (on(c, c.data * (w * e_norm * idf_p)[c.cols] * inv_paper_tfidf[c.rows]).T,)
 
     terms = [(0, 0, hp.alpha_p, pp), (0, n, hp.beta_p * (1.0 - hp.alpha_p), pa),
              (0, f, (1.0 - hp.beta_p) * (1.0 - hp.alpha_p), pt),

@@ -1,8 +1,9 @@
-"""Sparse matrices in canonical COO order, applied as they are or
-transposed over their own arrays, and the integer-id and integer-array
-helpers the corpus, graphs and feature table are built with.  A weighted
-copy of a matrix is ``SparseMatrix.canonical`` over its ``rows`` and
-``cols`` with new ``data``; no function here writes into a matrix's arrays."""
+"""Sparse COO matrices, applied with one kernel, and the integer-id and
+integer-array helpers the corpus, graphs and feature table are built with.
+A transpose is the same three arrays with ``rows`` and ``cols`` swapped,
+and a weighted copy of a matrix is a ``SparseMatrix`` over its ``rows``
+and ``cols`` with new ``data``; no function here writes into a matrix's
+arrays."""
 
 from __future__ import annotations
 
@@ -12,78 +13,50 @@ import numpy as np
 
 
 class SparseMatrix:
-    """COO triples in canonical (row, col) order; the constructor omits
-    zero weights."""
+    """COO triples, held as given: int64 ``rows`` and ``cols`` and float64
+    ``data``.  The storage order is the order in which ``matvec`` adds each
+    row's products, so it fixes the bits of the result.  Zeros stay
+    stored."""
 
-    def __init__(self, shape: tuple[int, int], rows, cols, data):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        data = np.asarray(data, dtype=np.float64)
-        keep = data != 0.0
-        rows, cols, data = rows[keep], cols[keep], data[keep]
-        # one stable sort of a key that orders exactly as (row, col)
-        order = np.argsort(rows * shape[1] + cols, kind="stable")
-        self.shape = shape
-        self.rows = rows[order]
-        self.cols = cols[order]
-        self.data = data[order]
+    def __init__(self, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+                 data: np.ndarray):
+        self.shape, self.rows, self.cols, self.data = shape, rows, cols, data
 
-    @classmethod
-    def canonical(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
-                  data: np.ndarray) -> "SparseMatrix":
-        """Wrap arrays that are already in canonical order; zeros in
-        ``data`` stay stored."""
-        out = cls.__new__(cls)
-        out.shape, out.rows, out.cols, out.data = shape, rows, cols, data
-        return out
-
-    # the sorting constructor gives the same bytes at a 16-20 MB higher rank peak
+    # a (row, col) sort of both triangles gives the same bytes at a 16-20 MB
+    # higher rank peak
     @classmethod
     def symmetric(cls, n: int, rows: np.ndarray, cols: np.ndarray,
                   data: np.ndarray) -> "SparseMatrix":
         """The n x n matrix holding each entry of an upper triangle (rows <
-        cols, in canonical order) at (row, col) and at (col, row), placed
-        straight into canonical order: row r holds the mirrors (r, a) of the
-        entries (a, r), then its own entries."""
+        cols, in (row, col) order) at (row, col) and at (col, row), placed
+        straight into (row, col) order: row r holds the mirrors (r, a) of
+        the entries (a, r), then its own entries."""
         lower, upper = np.bincount(cols, minlength=n), np.bincount(rows, minlength=n)
         starts = np.cumsum(lower + upper) - upper - lower
         out_cols, out_data = np.empty(2 * data.size, dtype=np.int64), np.empty(2 * data.size)
         # entries sharing a column are in ascending row order, so a stable
-        # sort by column puts the mirrors in canonical order
+        # sort by column puts the mirrors in (row, col) order
         order = np.argsort(cols, kind="stable")
         at = concat_ranges(starts, lower)
         out_cols[at], out_data[at] = rows[order], data[order]
         at = concat_ranges(starts + lower, upper)
         out_cols[at], out_data[at] = cols, data
-        return cls.canonical((n, n), np.repeat(np.arange(n), lower + upper),
-                             out_cols, out_data)
+        return cls((n, n), np.repeat(np.arange(n), lower + upper), out_cols, out_data)
 
     @property
     def nnz(self) -> int:
         return self.data.size
 
+    @property
+    def T(self) -> "SparseMatrix":
+        """The transpose, over the same arrays: its ``matvec`` adds each of
+        this matrix's columns in storage order."""
+        return SparseMatrix((self.shape[1], self.shape[0]), self.cols, self.rows, self.data)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x; each row adds its products in ascending column order."""
+        """A @ x; each row adds its products in storage order."""
         return np.bincount(self.rows, weights=self.data * x[self.cols],
                            minlength=self.shape[0]).astype(np.float64, copy=False)
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """A^T @ x, bit for bit the ``matvec`` of A^T held in canonical
-        order: each column adds its products in storage order, which is
-        ascending row, the order in which A^T holds that row's entries."""
-        return np.bincount(self.cols, weights=self.data * x[self.rows],
-                           minlength=self.shape[1]).astype(np.float64, copy=False)
-
-
-class Transposed:
-    """``m`` applied transposed, over its own arrays: no re-sorted copy."""
-
-    def __init__(self, m: SparseMatrix):
-        self.m = m
-        self.shape = m.shape[1], m.shape[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.m.rmatvec(x)
 
 
 def reciprocal(values: np.ndarray) -> np.ndarray:

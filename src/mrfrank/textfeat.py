@@ -91,8 +91,8 @@ def _floats() -> np.ndarray:
 @dataclass
 class FeatureTable:
     """Per-feature window statistics, one entry per column, plus the paper x
-    feature counts as COO arrays in canonical (row, col) order.  A row is
-    the paper's position in ``Corpus.papers``, a column the feature's
+    feature counts as COO arrays in (row, col) order.  A row is the
+    paper's position in ``Corpus.papers``, a column the feature's
     position in ``features``; the graphs' C has the same rows and columns.
 
     A feature key is ``w|word`` for a word and ``p|a|b`` for the pair of
@@ -164,7 +164,7 @@ def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window
     col_of = np.full(n_ids, -1, dtype=np.int64)
     col_of[kept[by_key]] = np.arange(k)
     cols = col_of[ids]
-    # the retained entries in canonical (row, col) order
+    # the retained entries in (row, col) order
     keep = np.flatnonzero(cols >= 0)
     keep = keep[np.argsort(rows[keep] * k + cols[keep])]
     rows, cols, counts = rows[keep], cols[keep], counts[keep].astype(np.float64)

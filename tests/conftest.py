@@ -21,7 +21,7 @@ def random_counts(rng, r, c, density=0.5, high=3):
     """Integer counts in [1, high) at about ``density`` of the entries."""
     a = rng.integers(1, high, (r, c)) * (rng.random((r, c)) < density)
     rows, cols = np.nonzero(a)
-    return SparseMatrix((r, c), rows, cols, a[rows, cols])
+    return SparseMatrix((r, c), rows, cols, a[rows, cols].astype(np.float64))
 
 
 def random_idf(rng, k, zero_share=0.2):

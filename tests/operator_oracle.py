@@ -17,7 +17,7 @@ from mrfrank.evaluate import ri_item
 from mrfrank.graphs import GraphSet
 from mrfrank.ranking import (combined_operator, init_state, iterate_once,
                              normalize_innovativeness, per_type)
-from mrfrank.sparse import SparseMatrix, Transposed
+from mrfrank.sparse import SparseMatrix
 
 
 def to_dense(m: SparseMatrix) -> np.ndarray:
@@ -27,11 +27,12 @@ def to_dense(m: SparseMatrix) -> np.ndarray:
 
 
 def transpose(m: SparseMatrix) -> SparseMatrix:
-    # entries sharing a column are in ascending row order, so a stable
-    # sort by column alone gives the transpose's canonical order
+    # for ``m`` in (row, col) order, entries sharing a column are in
+    # ascending row order, so a stable sort by column alone gives the
+    # transpose's (row, col) order
     order = np.argsort(m.cols, kind="stable")
-    return SparseMatrix.canonical((m.shape[1], m.shape[0]), m.cols[order],
-                                  m.rows[order], m.data[order])
+    return SparseMatrix((m.shape[1], m.shape[0]), m.cols[order], m.rows[order],
+                        m.data[order])
 
 
 def _from_dense(dense: np.ndarray) -> SparseMatrix:
@@ -103,7 +104,7 @@ def term_factor(graphs: GraphSet, name: str) -> SparseMatrix:
     operator = combined_operator(graphs, np.ones(graphs.sizes[2]),
                                  HyperParams(**UNIT_COEFFICIENT[name]))
     (factor,), = [chain for row, col, chain in operator if (row, col) == offsets]
-    return factor.m if isinstance(factor, Transposed) else factor
+    return factor.T if name in ("pp", "pa") else factor
 
 
 def assemble_combined(graphs: GraphSet, e: np.ndarray, hp: HyperParams,

@@ -378,7 +378,7 @@ def test_citation_edges_grouped_by_citing_position(case, seed):
         lexsorted = SparseMatrix(cit.shape, cit.rows[order], cit.cols[order],
                                  cit.data[order])
         x = rng.standard_normal(len(stage)) * 10.0 ** rng.integers(-6, 7, len(stage))
-        assert np.array_equal(cit.rmatvec(x), transpose(lexsorted).matvec(x))
+        assert np.array_equal(cit.T.matvec(x), transpose(lexsorted).matvec(x))
 
 
 class TestReadNative:

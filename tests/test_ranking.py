@@ -13,15 +13,8 @@ from mrfrank.config import MODES, HyperParams
 from mrfrank.ranking import (Anderson, NumericalError, combined_operator, init_state,
                              iterate_once, normalize_innovativeness, per_type,
                              rank_entities, run, write_convergence, write_ranking)
-from mrfrank.sparse import Transposed, reciprocal
+from mrfrank.sparse import reciprocal
 from mrfrank.textfeat import build_feature_table
-
-
-def factor_dense(factor):
-    """The dense matrix an operator factor applies."""
-    if isinstance(factor, Transposed):
-        return to_dense(factor.m).T
-    return to_dense(factor)
 
 
 class TestHyperParams:
@@ -127,8 +120,9 @@ class TestIterateOnce:
 
 
 # sha256 over every term of ``combined_operator`` on ``operator_instances``
-# in all four modes: each term's offsets, and each factor's shape,
-# ``Transposed`` flag and the bytes of its rows, cols and data
+# in all four modes: each term's offsets, and each factor's shape, whether
+# it is applied transposed, and the bytes of its rows, cols and data; a
+# transposed factor is hashed as the stored matrix it is ``.T`` of
 OPERATOR_DIGEST = "3fd42752f74dd39e511504d2b357a1466be49264a7c7721b1238661d49686879"
 
 
@@ -147,14 +141,17 @@ def operator_instances():
 def operator_digest() -> str:
     digest = hashlib.sha256()
     for gs, e, hp in operator_instances():
+        n, m, _ = gs.sizes
+        # the offsets of pp, pa, ta and tp, whose factors are applied transposed
+        transposed_terms = {(0, 0), (0, n), (n + m, n), (n + m, 0)}
         for mode in MODES:
             for row, col, chain in combined_operator(gs, e, replace(hp, mode=mode)):
                 digest.update(f"{mode} {row} {col} {len(chain)};".encode())
                 for factor in chain:
-                    transposed = isinstance(factor, Transposed)
-                    m = factor.m if transposed else factor
-                    digest.update(f"{transposed} {m.shape};".encode())
-                    for array in (m.rows, m.cols, m.data):
+                    transposed = (row, col) in transposed_terms
+                    stored = factor.T if transposed else factor
+                    digest.update(f"{transposed} {stored.shape};".encode())
+                    for array in (stored.rows, stored.cols, stored.data):
                         digest.update(array.dtype.str.encode() + array.tobytes())
     return digest.hexdigest()
 
@@ -176,9 +173,9 @@ class TestCombinedOperator:
         size = n + m + k
         dense = np.zeros((size, size))
         for row, col, chain in operator:
-            block = factor_dense(chain[0])
+            block = to_dense(chain[0])
             for factor in chain[1:]:
-                block = factor_dense(factor) @ block
+                block = to_dense(factor) @ block
             r, c = block.shape
             dense[row:row + r, col:col + c] += block
         assert np.allclose(dense, assemble_combined(gs, e, hp), rtol=0, atol=1e-15)
@@ -223,8 +220,8 @@ class TestFactoredTerms:
                       combined_operator(gs, e, HyperParams(alpha_f=0.0)) if (row, col) == (f, 0)]
         feature_w = 1.0 * normalize_innovativeness(e) * gs.idf_paper
         paper_w = reciprocal(c.matvec(gs.idf_paper))
-        assert np.array_equal(factor.m.data, c.data * feature_w[c.cols] * paper_w[c.rows])
-        assert not np.array_equal(factor.m.data, c.data * paper_w[c.rows] * feature_w[c.cols])
+        assert np.array_equal(factor.T.data, c.data * feature_w[c.cols] * paper_w[c.rows])
+        assert not np.array_equal(factor.T.data, c.data * paper_w[c.rows] * feature_w[c.cols])
 
     @pytest.mark.parametrize("featureless", [False, True])
     @pytest.mark.parametrize("mode", MODES)
@@ -244,7 +241,7 @@ class TestFactoredTerms:
         operator = combined_operator(gs, e, hp)
         for _, _, chain in operator:
             for factor in chain:
-                assert np.all(np.isfinite(factor_dense(factor)))
+                assert np.all(np.isfinite(to_dense(factor)))
         combined = assemble_combined(gs, e, hp)
         # x's features all have idf_a 0: nothing flows from x to features
         assert np.all(combined[n + m:, n + pos["x"]] == 0.0)

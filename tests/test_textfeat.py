@@ -424,7 +424,7 @@ def oracle_stats(table, expected):
 
 def assert_same_table(table, expected):
     """The array table holds the oracle's statistics, column by column, and
-    its entries in canonical (row, col) order."""
+    its entries in (row, col) order."""
     assert list(table.features) == sorted(map(feature_key, expected.features))
     for c, s in enumerate(oracle_stats(table, expected)):
         assert (table.window_counts[c].tolist()
