@@ -26,6 +26,9 @@ log = logging.getLogger(__name__)
 # years array cannot overflow
 _YEAR_MIN, _YEAR_MAX = -(2**31), 2**31 - 1
 _STR = frozenset({str})
+# the characters a ranking file's tab-separated lines, read with universal
+# newlines, split on: no paper id or author name may hold one
+_BREAKS = ("\t", "\n", "\r")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +159,9 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
 
     A record ``malformed_reason`` rejects is skipped, counted and logged
     with its position; a None record (a line ``read_native`` could not
-    decode, and reported) is skipped and counted.  A duplicate paper id is
-    a hard error.  Self-references and repeated references are dropped;
+    decode, and reported) is skipped and counted.  A duplicate paper id,
+    and a paper id or author name holding a tab or a line break, is a hard
+    error.  Self-references and repeated references are dropped;
     references to unknown ids are dropped and counted as dangling, once
     per record however often it lists them.
 
@@ -213,6 +217,8 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
 
     # order[i]: the file index of the paper at position i
     pids = [strings[k] for k in own.tolist()]
+    _check_no_breaks("paper id", pids)
+    _check_no_breaks("author name", names)
     order = np.array(sorted(range(len(pids)), key=pids.__getitem__), dtype=np.int64)
     pos = np.full(len(strings), -1, dtype=np.int64)
     pos[own[order]] = np.arange(order.size)
@@ -237,6 +243,16 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
     return _corpus(columns, np.stack([citing[resolved], cited[resolved]], axis=1),
                    listing_papers, author_pos[listing_authors],
                    [names[i] for i in by_name]), report
+
+
+def _check_no_breaks(kind: str, strings: list[str]) -> None:
+    """Raise a DataError naming the first of the distinct ``strings`` that
+    holds a tab or a line break; one scan of them all finds whether any
+    does."""
+    joined = "".join(strings)
+    if any(c in joined for c in _BREAKS):
+        bad = next(s for s in strings if any(c in s for c in _BREAKS))
+        raise DataError(f"{kind} {bad!r} holds a tab or a line break")
 
 
 def _int64(values: list[int]) -> np.ndarray:

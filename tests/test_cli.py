@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrfrank
-from mrfrank import graphs
 from mrfrank.cli import build_parser, main
 from mrfrank.config import MODES, HyperParams, PreprocessConfig
 from mrfrank.sparse import SparseMatrix
@@ -252,6 +251,23 @@ class TestExitCodes:
         path.write_text(json.dumps(rec) + "\n" + json.dumps(rec) + "\n")
         out = tmp_path / "out.jsonl"
         assert main(["ingest", "--input", str(path), "--output", str(out)]) == 2
+
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    @pytest.mark.parametrize("field", ["id", "authors"])
+    def test_data_error_id_with_a_break(self, tmp_path, capsys, field, char):
+        """A paper id or an author name holding a tab or a line break would
+        split a line of a ranking file: ``rank`` ends with exit 2 and an
+        ``error:`` line naming it, and writes no ranking file."""
+        recs = tiny_records()
+        bad = f"p05{char}x" if field == "id" else f"bad{char}author"
+        recs[5][field] = bad if field == "id" else [bad, "auth1"]
+        corpus = write_corpus(tmp_path / "corpus.jsonl", recs)
+        ws = tmp_path / "ws"
+        assert main(rank_args(corpus, ws)) == 2
+        kind = "paper id" if field == "id" else "author name"
+        assert f"error: {kind} {bad!r} holds a tab or a line break\n" in \
+            capsys.readouterr().err
+        assert not list(ws.glob("*.tsv"))
 
     @pytest.mark.parametrize("case", ["missing", "corpus_dir", "config_dir",
                                       "report_input_dir", "workspace_file"])
@@ -647,25 +663,11 @@ class TestRank:
                    for name in OUTPUT_DIGESTS}
         assert digests == OUTPUT_DIGESTS
 
-    def test_rank_makes_no_resorted_copy(self, corpus_file, tmp_path, capsys,
-                                         monkeypatch):
+    def test_rank_makes_no_resorted_copy(self, corpus_file, tmp_path, capsys):
         """``rank`` applies the transposed factors over the stored matrices
-        (``SparseMatrix`` has no ``transpose``), builds the coauthor graph
-        without the sorting constructor, and its ranking files keep the
-        recorded bytes."""
+        (``SparseMatrix`` has no ``transpose``), and its ranking files keep
+        the recorded bytes."""
         assert not hasattr(SparseMatrix, "transpose")
-
-        def refuse(*args):
-            raise AssertionError("re-sorted copy made during rank")
-
-        build_coauthor = graphs.build_coauthor
-
-        def build_coauthor_unsorted(*args):
-            with monkeypatch.context() as patch:
-                patch.setattr(SparseMatrix, "__init__", refuse)
-                return build_coauthor(*args)
-
-        monkeypatch.setattr(graphs, "build_coauthor", build_coauthor_unsorted)
         ws = tmp_path / "ws"
         for mode in MODES:
             assert main(rank_args(corpus_file, ws, "--mode", mode.replace("_", "-"))) == 0
