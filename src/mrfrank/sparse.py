@@ -18,12 +18,10 @@ class SparseMatrix:
     row's products, so it fixes the bits of the result.  Zeros stay
     stored."""
 
-    def __init__(self, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
-                 data: np.ndarray):
+    def __init__(self, shape: tuple[int, int], rows, cols, data):
         self.shape, self.rows, self.cols, self.data = shape, rows, cols, data
 
-    # a (row, col) sort of both triangles gives the same bytes at a 16-20 MB
-    # higher rank peak
+    # a (row, col) sort of both triangles gives the same bytes at a 16-20 MB higher rank peak
     @classmethod
     def symmetric(cls, n: int, rows: np.ndarray, cols: np.ndarray,
                   data: np.ndarray) -> "SparseMatrix":
