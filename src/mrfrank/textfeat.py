@@ -1,5 +1,5 @@
 """Word and same-sentence word-pair features, windowed frequency histories,
-burst-based innovativeness scores and idf weights."""
+burst-based innovativeness scores, idf weights and the one time decay."""
 
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ from importlib import resources
 
 import numpy as np
 
-from .config import FeatureConfig
+from .config import FeatureConfig, HyperParams
 from .corpus import Corpus
 from .records import text_lines
-from .sparse import (concat_ranges, distinct, interner, pairs_within_groups,
-                     per_distinct)
+from .sparse import (SparseMatrix, concat_ranges, distinct, interner,
+                     pairs_within_groups, per_distinct)
 
 # A piece is a run of letters and digits (a token) or a run of sentence
 # terminators; a sentence is the tokens between two terminator runs.
@@ -193,8 +193,14 @@ def _window(table: FeatureTable, w: int) -> np.ndarray:
     return np.zeros(len(table.features), dtype=np.int64)
 
 
+def decay(ages: np.ndarray, rho: float) -> np.ndarray:
+    """exp(-rho * age) per entry of ``ages``, with math.exp called once per
+    distinct age; all ones at rho = 0, since exp(-0.0 * age) is 1.0."""
+    return per_distinct(lambda age: math.exp(-rho * age), ages)
+
+
 def innovativeness_at_window(table: FeatureTable, j: int, rho: float,
-                             u: int = 3) -> np.ndarray:
+                             u: int = HyperParams.u) -> np.ndarray:
     """Burst score of every feature at window j, in column order: deviation
     from the Poisson mean, times discounted recent increments, times an age
     decay; clamped at 0.  A feature whose mean, or the global mean, is not
@@ -202,13 +208,12 @@ def innovativeness_at_window(table: FeatureTable, j: int, rho: float,
     """
     lam_i, lam = table.lam, table.global_lambda
     x_j = _window(table, j)
-    decay = per_distinct(lambda age: math.exp(-rho * age),
-                         (j - table.first_seen) * table.window_years)
+    age_decay = decay((j - table.first_seen) * table.window_years, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         lookback = np.zeros(len(table.features))
         for s in range(1, u + 1):
             lookback += ((x_j - _window(table, j - s)) / lam_i) * (1.0 / s)
-        score = np.abs(x_j - lam_i) / lam * lookback * decay
+        score = np.abs(x_j - lam_i) / lam * lookback * age_decay
     # -0.0 (first factor 0, lookback < 0) and nan both become +0.0
     return np.where((score > 0.0) & (lam_i > 0.0) & (lam > 0.0), score, 0.0)
 
@@ -229,17 +234,17 @@ def idf_paper(corpus: Corpus, table: FeatureTable) -> np.ndarray:
 AUTHOR_SLICE_KEYS = 1 << 18
 
 
-def idf_author(corpus: Corpus, table: FeatureTable) -> np.ndarray:
+def idf_author(listings: SparseMatrix, table: FeatureTable) -> np.ndarray:
     """ln(M / authors using the feature), per column; an author uses every
     feature of every paper that lists it.
 
-    The distinct (author, feature) keys are counted in slices of whole
-    authors, each about ``AUTHOR_SLICE_KEYS`` keys before deduplication, so
-    the author x feature expansion never exists whole.
+    The distinct (author, feature) keys are counted over L's entries, in
+    (author, paper) order, in slices of whole authors, each about
+    ``AUTHOR_SLICE_KEYS`` keys before deduplication, so the author x
+    feature expansion never exists whole.
     """
-    n, m, k = len(corpus.papers), len(corpus.authors), len(table.features)
-    order = np.argsort(corpus.listing_authors, kind="stable")
-    author, paper = corpus.listing_authors[order], corpus.listing_papers[order]
+    (m, n), k = listings.shape, len(table.features)
+    author, paper = listings.rows, listings.cols
     row_start = np.searchsorted(table.rows, np.arange(n + 1))
     starts = row_start[paper]
     lengths = row_start[paper + 1] - starts
@@ -257,7 +262,8 @@ def idf_author(corpus: Corpus, table: FeatureTable) -> np.ndarray:
     return _idf(m, users)
 
 
-def write_feature_table(table: FeatureTable, path, rho: float, u: int = 3) -> None:
+def write_feature_table(table: FeatureTable, path, rho: float,
+                        u: int = HyperParams.u) -> None:
     """Snapshot the table as TSV: kind, terms, df, lambda, per-window counts
     and innovativeness at the latest window."""
     if u < 1:

@@ -409,6 +409,25 @@ class TestExitCodes:
             assert len(errors) == 1 and str(cfg) in errors[0]
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content, message", [
+        ("[1, 2]", "config file {cfg} must hold a JSON object"),
+        ('{"corpus": 5}', "config setting corpus must be string or null, got 5"),
+    ], ids=["array", "corpus_not_string"])
+    def test_data_error_config_shape(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        for command in ("rank", "eval"):
+            assert main([command, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: {message.format(cfg=cfg)}\n" in err
+            assert "Traceback" not in err
+
+    def test_data_error_no_paths(self, capsys):
+        assert main(["rank"]) == 2
+        err = capsys.readouterr().err
+        assert "error: config must provide corpus and workspace paths\n" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("protocol, message", [
         ({"cutoff_year": 2005, "horizon_year": 2005},
          "protocol.cutoff_year 2005 must be before protocol.horizon_year 2005"),
@@ -500,6 +519,16 @@ class TestExitCodes:
         assert (f"protocol.cohort_years {cohort_years} give no paper or author "
                 "cohort in the ranked sub-corpus (years 1996-2005)") in err
         assert not (ws / "eval.tsv").exists()
+
+    def test_data_error_empty_entity_set(self, corpus_file, tmp_path, capsys):
+        """A year floor after every paper leaves nothing to rank: exit 2,
+        and the filter report is the only file written."""
+        ws = tmp_path / "ws"
+        assert main(["rank", "--corpus", str(corpus_file), "--workspace", str(ws),
+                     "--min-year", "3000"]) == 2
+        err = capsys.readouterr().err
+        assert "error: pipeline produced an empty entity set (N=0, M=0, K=0)\n" in err
+        assert [p.name for p in ws.iterdir()] == ["filter_report.txt"]
 
 
 class TestIngest:
@@ -805,6 +834,18 @@ class TestEvalAndReport:
                                         (1996, "authors_starting_year", 6, 10),
                                         (2000, "papers_of_year", 3, 5),
                                         (2000, "papers_of_year", 3, 10))]
+
+    def test_report_without_rows(self, tmp_path, capsys):
+        """An eval.tsv holding only its header renders as one line, both on
+        stdout and in the ``--output`` file."""
+        path = tmp_path / "eval.tsv"
+        path.write_text("year\tmethod\tkind\tk\tri\n")
+        assert main(["report", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "(no evaluation rows)\n"
+        out = tmp_path / "report.txt"
+        assert main(["report", "--input", str(path), "--output", str(out)]) == 0
+        assert out.read_text() == "(no evaluation rows)\n"
+        assert capsys.readouterr().out == ""
 
     def test_eval_without_rankings_is_data_error(self, corpus_file, tmp_path,
                                                  capsys):

@@ -13,6 +13,7 @@ from operator_oracle import transpose
 from mrfrank.config import PreprocessConfig
 from mrfrank.corpus import parse_corpus, preprocess, split_ground_truth, write_native
 from mrfrank.graphs import build_citation
+from mrfrank.textfeat import decay
 from mrfrank.records import DataError, read_arnetminer, read_native
 from mrfrank.evaluate import (authors_starting_year, citation_counts, evaluate_run,
                               papers_of_year)
@@ -373,7 +374,7 @@ def test_citation_edges_grouped_by_citing_position(case, seed):
     for stage in (corpus, pre, sub):
         citing = stage.citation_edges[:, 0]
         assert np.all(citing[1:] >= citing[:-1])
-        cit = build_citation(stage, t_current=2012, rho=0.37)
+        cit = build_citation(stage, decay(2012 - stage.years, 0.37))
         order = np.lexsort((cit.cols, cit.rows))
         lexsorted = SparseMatrix(cit.shape, cit.rows[order], cit.cols[order],
                                  cit.data[order])

@@ -9,8 +9,8 @@ from corpus_oracle import records
 from feature_oracle import extract_features, feature_key
 from operator_oracle import colnorm, operator_blocks, term_factor, to_dense, transpose
 from mrfrank.corpus import parse_corpus
-from mrfrank.graphs import SparseMatrix, build_coauthor, build_graphs, decay_weights
-from mrfrank.textfeat import build_feature_table
+from mrfrank.graphs import SparseMatrix, build_coauthor, build_graphs
+from mrfrank.textfeat import build_feature_table, decay
 
 
 def small_corpus():
@@ -97,7 +97,7 @@ class TestBuildGraphs:
              "year": 2003, "refs": []},
         ]
         corpus, _ = parse_corpus(recs)
-        m = build_coauthor(corpus, t_current=2004, rho=1.0)
+        m = build_coauthor(corpus, decay(2004 - corpus.years, 1.0))
         dense = to_dense(m)
         u, v = positions(corpus.authors, "uv")
         assert dense[u, v] == pytest.approx(1.0 + math.exp(-1.0))
@@ -105,7 +105,7 @@ class TestBuildGraphs:
         assert dense[u, u] == 0.0
         # at rho 1000 the 2003 papers weigh exp(-1000), which underflows to
         # 0: v-w is not stored, like a citation whose weight underflows
-        m = build_coauthor(corpus, t_current=2004, rho=1000.0)
+        m = build_coauthor(corpus, decay(2004 - corpus.years, 1000.0))
         assert m.nnz == 2 and to_dense(m)[u, v] == to_dense(m)[v, u] == 1.0
 
     def test_underflowed_citation_not_stored(self):
@@ -157,7 +157,7 @@ class TestBuildGraphs:
         """At rho_edge = 0 no edge decays: every citation weighs 1 and pp
         and aa are divided by the graphs' own sums."""
         corpus, _, gs = small_setup(rho=0.0)
-        assert np.array_equal(decay_weights(corpus.years, 2004, 0.0),
+        assert np.array_equal(decay(2004 - corpus.years, 0.0),
                               np.ones(len(corpus)))
         cit, co = gs.citation, gs.coauthor
         assert np.array_equal(cit.data, np.ones(cit.nnz))

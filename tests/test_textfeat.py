@@ -17,7 +17,7 @@ from operator_oracle import to_dense
 from mrfrank.corpus import parse_corpus
 from mrfrank import textfeat
 from mrfrank.graphs import build_graphs, build_listings
-from mrfrank.textfeat import (FeatureTable, build_feature_table, idf_author,
+from mrfrank.textfeat import (FeatureTable, build_feature_table, decay, idf_author,
                               idf_paper, innovativeness_at_window, load_stopwords,
                               write_feature_table)
 
@@ -190,6 +190,13 @@ class TestInnovativeness:
         decayed = innovativeness(table, 3, rho=0.5)
         assert decayed == pytest.approx(base * math.exp(-0.5 * 3), rel=1e-12)
 
+    def test_decay_once_per_age(self):
+        """One exp(-rho * age) per entry; exactly 1.0 at rho 0 whatever the
+        age's sign, with no branch for rho 0."""
+        ages = np.array([3, 0, -2, 3, 7])
+        assert decay(ages, 0.0).tolist() == [1.0] * 5
+        assert decay(ages, 0.5).tolist() == [math.exp(-0.5 * a) for a in ages.tolist()]
+
     def test_constant_series_scores_zero(self):
         table = make_table({0: 4, 1: 4, 2: 4, 3: 4}, 4.0, 3.0)
         assert innovativeness(table, 3, rho=0.0) == 0.0
@@ -340,7 +347,7 @@ class TestTfidf:
             expect = np.array([math.log(m / u) for u in used.sum(axis=0)])
             for size in (1, 2, 3, 7, 1 << 20):
                 monkeypatch.setattr(textfeat, "AUTHOR_SLICE_KEYS", size)
-                assert np.array_equal(idf_author(corpus, table), expect)
+                assert np.array_equal(idf_author(build_listings(corpus), table), expect)
 
 
 class TestFeatureKey:
