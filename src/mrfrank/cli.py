@@ -209,6 +209,7 @@ def _pipeline(cfg: RunConfig):
     from . import corpus as corpus_mod
     corpus, _ = _load_corpus(cfg.corpus)
     pre, filter_report = corpus_mod.preprocess(corpus, cfg.preprocess)
+    del corpus   # the filtered papers' texts are not needed past here
     sub, gt = corpus_mod.split_ground_truth(pre, cfg.protocol.cutoff_year,
                                             cfg.protocol.horizon_year)
     return sub, gt, filter_report
@@ -235,13 +236,18 @@ def cmd_rank(args) -> int:
 
     gs = graphs_mod.build_graphs(sub, table, t_current=cfg.protocol.cutoff_year,
                                  rho_edge=hp_eff.rho_edge)
-    x, conv = ranking_mod.run(gs, e, hp)
+    # the iteration needs the operator alone: free the corpus and the
+    # feature table before it is built, and the graphs after
+    entity_ids = (sub.papers, sub.authors, table.features)
+    del sub, table
+    operator = ranking_mod.combined_operator(gs, e, hp)
+    del gs
+    x, conv = ranking_mod.run(operator, (n, m, k), hp)
 
     mode = hp.mode
     ws = cfg.workspace
-    for kind, ids, scores in zip(("papers", "authors", "features"),
-                                 (sub.papers, sub.authors, table.features),
-                                 ranking_mod.per_type(x, gs.sizes)):
+    for kind, ids, scores in zip(("papers", "authors", "features"), entity_ids,
+                                 ranking_mod.per_type(x, (n, m, k))):
         ranking_mod.write_ranking(ws / f"{kind}_{mode}.tsv", ids, scores,
                                   conv.converged)
     ranking_mod.write_convergence(conv, ws / f"convergence_{mode}.tsv")

@@ -290,10 +290,12 @@ class Anderson:
         return out
 
 
-def run(graphs: GraphSet, e: np.ndarray,
+def run(operator: Operator, sizes: tuple[int, int, int],
         hp: HyperParams) -> tuple[np.ndarray, ConvergenceLog]:
-    """Iterate to convergence or until max_iterations operator applications;
-    return the last image and the log.
+    """Iterate ``operator`` (``combined_operator``) over vectors with
+    sections of ``sizes`` to convergence or until max_iterations operator
+    applications; return the last image and the log.  Nothing else is
+    needed, so a caller can free the graphs before iterating.
 
     Each step applies the operator once, to the current point x.  The run
     has converged when the L1 delta between the concatenated per-type
@@ -303,8 +305,6 @@ def run(graphs: GraphSet, e: np.ndarray,
     unusable (``Anderson.mix``).  The log records every delta and whether
     the next point came from the mix.
     """
-    operator = combined_operator(graphs, e, hp)
-    sizes = graphs.sizes
     x = init_state(*sizes)
     log = ConvergenceLog()
     anderson = Anderson(sizes)

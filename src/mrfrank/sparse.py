@@ -52,8 +52,12 @@ class SparseMatrix:
         return SparseMatrix((self.shape[1], self.shape[0]), self.cols, self.rows, self.data)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x; each row adds its products in storage order."""
-        return np.bincount(self.rows, weights=self.data * x[self.cols],
+        """A @ x; each row adds its products in storage order.  The products
+        are made in the gathered copy of ``x``, so one nnz-sized array is
+        allocated, not two."""
+        products = x[self.cols]
+        products *= self.data
+        return np.bincount(self.rows, weights=products,
                            minlength=self.shape[0]).astype(np.float64, copy=False)
 
 

@@ -34,18 +34,27 @@ def load_stopwords(path=None) -> frozenset[str]:
 
 _DEFAULT_STOPWORDS = load_stopwords()
 
+# Slice sizes: ``build_feature_table`` counts the (paper, feature) entries
+# in slices of whole papers of about FEATURE_SLICE_PIECES pieces, and
+# ``idf_author`` the distinct (author, feature) keys in slices of whole
+# authors of about AUTHOR_SLICE_KEYS keys, so the temporaries of one slice
+# bound the transient memory.  At 1 << 18 the author slices set the peak
+# RSS of a 6k-paper ``rank`` once the feature table needed less; at 1 << 16
+# they do not, and take the same time on a 100k-paper corpus.
+FEATURE_SLICE_PIECES = 1 << 16
+AUTHOR_SLICE_KEYS = 1 << 16
 
-def _occurrences(titles, abstracts, stopwords: frozenset[str]):
-    """The kept words in lexicographic order, then one (paper, feature id)
-    entry per word occurrence and per same-sentence pair of distinct words
-    (a pair once per sentence).
+
+def _tokenize(titles, abstracts, stopwords: frozenset[str]):
+    """The kept words in lexicographic order, every paper's pieces in order
+    as distinct-piece ids, each distinct piece's code, and each paper's
+    piece count.
 
     A word's id is its position in the word list, so ids order like the
-    words; the pair of words a < b has id ``V + a * V + b`` for V words.
-    Each paper's lowered ``title + ". " + abstract`` is split into pieces
-    once, and each piece is looked up in one dict, so the word tests (not a
-    terminator, 2 characters or more, not a stopword) run once per distinct
-    piece.
+    words.  Each paper's lowered ``title + ". " + abstract`` is split into
+    pieces once (at least the terminator between the two), and each piece
+    is looked up in one dict, so the word tests (not a terminator, 2
+    characters or more, not a stopword) run once per distinct piece.
     """
     interned = interner()   # a new piece gets the next id
     ids, lengths = array("q"), []
@@ -61,23 +70,44 @@ def _occurrences(titles, abstracts, stopwords: frozenset[str]):
     # per distinct piece: its word id, -1 for a terminator run, -2 otherwise
     code = np.array([word_id.get(s, -1 if s[0] in _TERMINATORS else -2)
                      for s in strings], dtype=np.int64)
-    piece = code[np.frombuffer(ids, dtype=np.int64)]
-    paper = np.repeat(np.arange(len(lengths)), lengths)
+    return words, np.frombuffer(ids, dtype=np.int64), code, np.array(lengths, dtype=np.int64)
+
+
+def _occurrences(piece: np.ndarray, lengths: np.ndarray, n: int):
+    """One (paper, feature id) pair per word occurrence and per sentence
+    holding a pair of distinct words (a pair once per sentence), for a run
+    of whole papers.
+
+    ``piece`` holds the papers' piece codes, ``lengths`` each paper's piece
+    count, and a paper is its position in the run.  For n words, the pair
+    of words a < b has id ``n + a * n + b``.
+    """
+    paper = np.repeat(np.arange(lengths.size), lengths)
     # a sentence ends at a terminator run and at the end of a paper
     sentence = np.cumsum(piece == -1) + paper
     paper_of = np.zeros(sentence[-1] + 1, dtype=np.int64)
     paper_of[sentence] = paper
     is_word = piece >= 0
     word, word_paper, word_sentence = piece[is_word], paper[is_word], sentence[is_word]
-
     # the distinct words of each sentence, ascending; each pairs with the
     # later ones of its sentence
-    n = len(words)
     sentence, word_u = np.divmod(distinct(word_sentence * n + word), n)
     first, second = pairs_within_groups(sentence)
-    pair_paper = paper_of[sentence[first]]
-    pair = n + word_u[first] * n + word_u[second]
-    return words, np.concatenate([word_paper, pair_paper]), np.concatenate([word, pair])
+    return (np.concatenate([word_paper, paper_of[sentence[first]]]),
+            np.concatenate([word, n + word_u[first] * n + word_u[second]]))
+
+
+def _entries(piece: np.ndarray, lengths: np.ndarray, n: int):
+    """The distinct (paper, feature) entries of a run of whole papers
+    (``_occurrences``), in (paper, feature id) order: the number of entries
+    of each paper, each entry's index into the run's distinct feature ids
+    (ascending), those ids, and how often each entry occurs."""
+    paper, feature = _occurrences(piece, lengths, n)
+    # compact ids keep the (paper, feature) keys below papers * features
+    raw, feature = np.unique(feature, return_inverse=True)
+    keys, counts = np.unique(paper * raw.size + feature, return_counts=True)
+    paper, feature = np.divmod(keys, raw.size)
+    return np.bincount(paper, minlength=lengths.size), feature, raw, counts
 
 
 def _ints() -> np.ndarray:
@@ -123,9 +153,14 @@ def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window
     or more.
 
     Each paper is tokenized once, and every word and pair is an int id
-    from then on (``_occurrences``); key strings are built only for the
-    retained features.  A feature's mean averages its frequencies from its
-    first window to the latest window.
+    from then on; key strings are built only for the retained features.
+    The (paper, feature) entries are counted in slices of whole papers,
+    each about ``FEATURE_SLICE_PIECES`` pieces, so the corpus-wide word and
+    pair occurrences never exist at once.  One sort of the entries' ids
+    gives each feature's document frequency; a second pass writes each
+    slice's retained entries into the table and drops the slice.  A
+    feature's mean averages its frequencies from its first window to the
+    latest window.
     """
     if window_years < 1:
         raise ValueError(f"window_years must be at least 1, got {window_years}")
@@ -140,34 +175,55 @@ def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window
     origin = int(years.min())
     n_windows = (int(years.max()) - origin) // window_years + 1
 
-    words, paper, feature = _occurrences(corpus.titles, corpus.abstracts, stopwords)
-    # compact ids keep the (paper, feature) keys below N * F; then one
-    # entry per (paper, feature) pair, counting its occurrences
-    raw, feature = np.unique(feature, return_inverse=True)
-    n_ids = raw.size
-    pairs, counts = np.unique(paper * n_ids + feature, return_counts=True)
-    rows, ids = np.divmod(pairs, n_ids)
-    # the occurrence arrays are the largest here: free them before the
-    # sort below, which sets the peak RSS of a small ``rank``
-    del paper, feature, pairs
-    papers_using = np.bincount(ids, minlength=n_ids)
+    words, pieces, code, lengths = _tokenize(corpus.titles, corpus.abstracts, stopwords)
+    n = len(words)
+    # the entries of each slice of whole papers, as ``_entries`` returns them
+    slices = []
+    ends = np.cumsum(lengths)
+    lo = 0
+    while lo < lengths.size:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = min(int(np.searchsorted(ends, start + FEATURE_SLICE_PIECES)) + 1, lengths.size)
+        slices.append(_entries(code[pieces[start:ends[hi - 1]]], lengths[lo:hi], n))
+        lo = hi
+    del pieces
+    # each feature id in the corpus, and the papers using it: one sort of
+    # the ids of all entries, in place
+    feature = np.concatenate([ids[index] for _, index, ids, _ in slices])
+    feature.sort()
+    first = np.ones(feature.size, dtype=bool)
+    first[1:] = feature[1:] != feature[:-1]
+    starts = np.flatnonzero(first)
+    raw, papers_using = feature[starts], np.diff(starts, append=feature.size)
+    del feature, first, starts
 
     # retained features in the order of (kind, word, word): pairs (ids from
     # V on) before words; they become columns in key order
-    n = len(words)
     kept = np.flatnonzero(papers_using >= min_df)
+    total = int(papers_using[kept].sum())
+    del papers_using
     kept = np.roll(kept, -int(np.searchsorted(raw[kept], n)))
     k = kept.size
     keys = [f"w|{words[i]}" if i < n else f"p|{words[i // n - 1]}|{words[i % n]}"
             for i in raw[kept].tolist()]
     by_key = sorted(range(k), key=keys.__getitem__)
-    col_of = np.full(n_ids, -1, dtype=np.int64)
+    col_of = np.full(raw.size, -1, dtype=np.int64)
     col_of[kept[by_key]] = np.arange(k)
-    cols = col_of[ids]
-    # the retained entries in (row, col) order
-    keep = np.flatnonzero(cols >= 0)
-    keep = keep[np.argsort(rows[keep] * k + cols[keep])]
-    rows, cols, counts = rows[keep], cols[keep], counts[keep].astype(np.float64)
+    # each slice's retained entries in (row, col) order, after those of the
+    # slices before it
+    rows, cols = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
+    counts = np.empty(total)
+    lo = at = 0
+    for i, (per_paper, index, ids, count) in enumerate(slices):
+        slices[i] = None
+        paper = np.repeat(np.arange(lo, lo + per_paper.size), per_paper)
+        lo += per_paper.size
+        col = col_of[np.searchsorted(raw, ids)][index]
+        keep = np.flatnonzero(col >= 0)
+        keep = keep[np.argsort(paper[keep] * k + col[keep])]
+        end = at + keep.size
+        rows[at:end], cols[at:end], counts[at:end] = paper[keep], col[keep], count[keep]
+        at = end
 
     # papers per (column, window)
     window = (years - origin) // window_years
@@ -226,12 +282,6 @@ def _idf(total: int, users: np.ndarray) -> np.ndarray:
 def idf_paper(corpus: Corpus, table: FeatureTable) -> np.ndarray:
     """ln(N / papers using the feature), per column."""
     return _idf(len(corpus.papers), table.doc_freq)
-
-
-# (author, feature) keys per slice in ``idf_author``: at 1 << 20 the slice's
-# arrays set the peak RSS of a 25k-paper ``rank`` (+20 MB); at 1 << 18 they
-# fit in memory freed earlier, at no measurable cost in time
-AUTHOR_SLICE_KEYS = 1 << 18
 
 
 def idf_author(listings: SparseMatrix, table: FeatureTable) -> np.ndarray:

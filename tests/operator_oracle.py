@@ -2,8 +2,8 @@
 array and as a re-sorted transpose, all eight column-normalized blocks
 materialized densely from the graph facts, the (N+M+K)^2 combined matrix
 built from them, plain power iteration and the fixed point it reaches,
-one block read from the production operator, and the recommendation
-intensity of a list of ids."""
+``ranking.run`` over the operator of a graph set, one block read from the
+production operator, and the recommendation intensity of a list of ids."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from mrfrank.config import HyperParams
 from mrfrank.evaluate import ri_item
 from mrfrank.graphs import GraphSet
 from mrfrank.ranking import (combined_operator, init_state, iterate_once,
-                             normalize_innovativeness, per_type)
+                             normalize_innovativeness, per_type, run)
 from mrfrank.sparse import SparseMatrix
 
 
@@ -143,6 +143,11 @@ def plain_iteration(graphs: GraphSet, e: np.ndarray, hp: HyperParams):
         after = np.concatenate(per_type(x, sizes))
         yield x, after, float(np.abs(after - before).sum())
         before = after
+
+
+def run_graphs(graphs: GraphSet, e: np.ndarray, hp: HyperParams):
+    """``ranking.run`` over the combined operator of ``graphs``."""
+    return run(combined_operator(graphs, e, hp), graphs.sizes, hp)
 
 
 def fixed_point(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> np.ndarray:

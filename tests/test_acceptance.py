@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperparams, random_instance
-from operator_oracle import assemble_combined, plain_iteration, ri_list
+from operator_oracle import assemble_combined, plain_iteration, ri_list, run_graphs
 from mrfrank.cli import main as cli_main
 from mrfrank.config import HyperParams
 from mrfrank.evaluate import max_ri, ri_item
-from mrfrank.ranking import per_type, run
+from mrfrank.ranking import per_type
 from mrfrank.textfeat import FeatureTable, innovativeness_at_window
 from synthgen import rising_paper_corpus, scale_corpus
 
@@ -93,12 +93,12 @@ def test_criterion_3_mode_reductions(rng, capfd):
                       "full-mode parameterizations"):
         gs, e = random_instance(rng)
         base = random_hyperparams(rng, tolerance=1e-10, max_iterations=3000)
-        a, _ = run(gs, e, replace(base, mode="full", rho_edge=0.0))
-        b, _ = run(gs, e, replace(base, mode="no_time", rho_edge=0.8))
+        a, _ = run_graphs(gs, e, replace(base, mode="full", rho_edge=0.0))
+        b, _ = run_graphs(gs, e, replace(base, mode="no_time", rho_edge=0.8))
         for x, y in zip(per_type(a, gs.sizes), per_type(b, gs.sizes)):
             assert np.array_equal(x, y)
-        c, _ = run(gs, e, replace(base, mode="full", beta_p=1.0, beta_a=1.0))
-        d, _ = run(gs, e, replace(base, mode="no_content"))
+        c, _ = run_graphs(gs, e, replace(base, mode="full", beta_p=1.0, beta_a=1.0))
+        d, _ = run_graphs(gs, e, replace(base, mode="no_content"))
         for x, y in zip(per_type(c, gs.sizes), per_type(d, gs.sizes)):
             assert np.array_equal(x, y)
 
@@ -109,8 +109,8 @@ def test_criterion_4_innovativeness_scaling_invariance(rng, capfd):
         for _ in range(5):
             gs, e = random_instance(rng)
             hp = random_hyperparams(rng, tolerance=1e-12, max_iterations=5000)
-            a, la = run(gs, e, hp)
-            b, lb = run(gs, 7.3 * e, hp)
+            a, la = run_graphs(gs, e, hp)
+            b, lb = run_graphs(gs, 7.3 * e, hp)
             assert la.converged and lb.converged
             for x, y in zip(per_type(a, gs.sizes), per_type(b, gs.sizes)):
                 assert np.max(np.abs(x - y)) < 1e-10

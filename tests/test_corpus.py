@@ -382,6 +382,25 @@ def test_citation_edges_grouped_by_citing_position(case, seed):
         assert np.array_equal(cit.T.matvec(x), transpose(lexsorted).matvec(x))
 
 
+def test_cited_column_added_in_citing_order():
+    """A paper cited by three others, with products 1, 1e16 and -1e16 in
+    citing order: the ascending sum is 0 and the reversed one 1, so a
+    citation graph stored in any other order than the corpus's edges reads
+    the wrong bits."""
+    records = [rec("D", 2003, refs=["A"]), rec("B", 2001, refs=["A"]),
+               rec("A", 2000), rec("C", 2002, refs=["A"])]
+    corpus, _ = parse_corpus(records)
+    assert list(corpus.papers) == ["A", "B", "C", "D"]
+    weight = np.array([1.0, 1.0, 2.0, 0.5])
+    x = np.array([0.0, 1.0, 5e15, -2e16])
+    products = (weight * x)[1:].tolist()
+    assert products == [1.0, 1e16, -1e16]
+    ascending = (products[0] + products[1]) + products[2]
+    reversed_sum = (products[2] + products[1]) + products[0]
+    assert (ascending, reversed_sum) == (0.0, 1.0)
+    assert build_citation(corpus, weight).T.matvec(x)[0] == ascending
+
+
 class TestReadNative:
     def test_undecodable_line_skipped_and_counted(self, tmp_path, caplog):
         path = tmp_path / "corpus.jsonl"

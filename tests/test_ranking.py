@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import random_counts, random_hyperparams, random_instance
-from operator_oracle import assemble_combined, fixed_point, plain_iteration, to_dense
+from operator_oracle import (assemble_combined, fixed_point, plain_iteration, run_graphs,
+                             to_dense)
 from mrfrank import ranking
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import build_graphs
 from mrfrank.config import MODES, HyperParams
 from mrfrank.ranking import (Anderson, NumericalError, combined_operator, init_state,
                              iterate_once, normalize_innovativeness, per_type,
-                             rank_entities, run, write_convergence, write_ranking)
+                             rank_entities, write_convergence, write_ranking)
 from mrfrank.sparse import reciprocal
 from mrfrank.textfeat import build_feature_table
 
@@ -268,7 +269,7 @@ class TestRun:
         for _ in range(24):
             gs, e = random_instance(rng)
             hp = random_hyperparams(rng, tolerance=1e-13, max_iterations=3000)
-            x, log = run(gs, e, hp)
+            x, log = run_graphs(gs, e, hp)
             if not log.converged:
                 continue
             combined = assemble_combined(gs, e, hp)
@@ -299,7 +300,7 @@ class TestRun:
         mixed = 0
         for _ in range(10):
             gs, e = random_instance(rng)
-            _, log = run(gs, e, random_hyperparams(rng, tolerance=1e-12))
+            _, log = run_graphs(gs, e, random_hyperparams(rng, tolerance=1e-12))
             mixed += sum(log.mixed)
         assert mixed > 0
         for x, sizes in fed:
@@ -314,7 +315,7 @@ class TestRun:
         monkeypatch.setattr(ranking, "_solve", lambda a, b: [1e12] * len(b))
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng, tolerance=1e-10, max_iterations=2000)
-        x, log = run(gs, e, hp)
+        x, log = run_graphs(gs, e, hp)
         assert log.converged and not any(log.mixed)
         for logged, (image, _, delta) in zip(log.deltas, plain_iteration(gs, e, hp)):
             assert delta == logged
@@ -356,7 +357,7 @@ class TestRun:
         power iteration reaches at a delta of 1e-14."""
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng, tolerance=1e-12, max_iterations=3000)
-        x, log = run(gs, e, hp)
+        x, log = run_graphs(gs, e, hp)
         assert log.converged
         assert np.abs(np.concatenate(per_type(x, gs.sizes))
                       - fixed_point(gs, e, hp)).sum() < 1e-10
@@ -364,7 +365,7 @@ class TestRun:
     def test_delta_log_matches_iterations(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng, tolerance=1e-10, max_iterations=2000)
-        _, log = run(gs, e, hp)
+        _, log = run_graphs(gs, e, hp)
         assert log.iterations == len(log.mixed)
         assert not log.mixed[-1]
         if log.converged:
@@ -373,13 +374,13 @@ class TestRun:
     def test_max_iterations_respected(self, rng):
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng, tolerance=1e-30, max_iterations=7)
-        _, log = run(gs, e, hp)
+        _, log = run_graphs(gs, e, hp)
         assert not log.converged
         assert log.iterations == 7
 
     def test_write_convergence(self, rng, tmp_path):
         gs, e = random_instance(rng)
-        _, log = run(gs, e, random_hyperparams(rng, tolerance=1e-10))
+        _, log = run_graphs(gs, e, random_hyperparams(rng, tolerance=1e-10))
         path = tmp_path / "convergence.tsv"
         write_convergence(log, path)
         lines = path.read_text().splitlines()
@@ -395,16 +396,16 @@ class TestRun:
         produce byte-identical scores to mode=full with rho_edge 0."""
         gs, e = random_instance(rng)
         base = random_hyperparams(rng, tolerance=1e-10, max_iterations=2000)
-        a, _ = run(gs, e, replace(base, mode="full", rho_edge=0.0))
-        b, _ = run(gs, e, replace(base, mode="no_time", rho_edge=0.9))
+        a, _ = run_graphs(gs, e, replace(base, mode="full", rho_edge=0.0))
+        b, _ = run_graphs(gs, e, replace(base, mode="no_time", rho_edge=0.9))
         for x, y in zip(per_type(a, gs.sizes), per_type(b, gs.sizes)):
             assert np.array_equal(x, y)
 
     def test_no_content_mode_reduces_exactly(self, rng):
         gs, e = random_instance(rng)
         base = random_hyperparams(rng, tolerance=1e-10, max_iterations=2000)
-        a, _ = run(gs, e, replace(base, mode="full", beta_p=1.0, beta_a=1.0))
-        b, _ = run(gs, e, replace(base, mode="no_content"))
+        a, _ = run_graphs(gs, e, replace(base, mode="full", beta_p=1.0, beta_a=1.0))
+        b, _ = run_graphs(gs, e, replace(base, mode="no_content"))
         for x, y in zip(per_type(a, gs.sizes)[:2], per_type(b, gs.sizes)[:2]):
             assert np.array_equal(x, y)
 
@@ -414,8 +415,8 @@ class TestRun:
         and only the final division picks up float noise."""
         gs, e = random_instance(rng)
         hp = random_hyperparams(rng, tolerance=1e-12, max_iterations=3000)
-        a, _ = run(gs, e, hp)
-        b, _ = run(gs, 7.3 * e, hp)
+        a, _ = run_graphs(gs, e, hp)
+        b, _ = run_graphs(gs, 7.3 * e, hp)
         for x, y in zip(per_type(a, gs.sizes), per_type(b, gs.sizes)):
             assert np.max(np.abs(x - y)) < 1e-10
 
