@@ -18,13 +18,12 @@ import types
 import typing
 from pathlib import Path
 
-from .config import MODES, FeatureConfig, HyperParams, PreprocessConfig, ProtocolConfig
+from .config import (MODES, FeatureConfig, HyperParams, PreprocessConfig, ProtocolConfig,
+                     at_least_one, finite_nonnegative)
 from .records import READERS, DataError, text_lines
 
 if typing.TYPE_CHECKING:
     import numpy as np
-
-    from .textfeat import FeatureTable
 
 log = logging.getLogger("mrfrank")
 
@@ -188,17 +187,14 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _feature_table(corpus, cfg: FeatureConfig) -> FeatureTable:
-    from . import textfeat
-    return textfeat.build_feature_table(corpus, cfg.window_years, cfg.min_df,
-                                        textfeat.load_stopwords(cfg.stopwords))
-
-
 def cmd_features(args) -> int:
     from . import textfeat
     cfg = _settings(FeatureConfig, args)
+    at_least_one("u", args.u)
+    finite_nonnegative("rho", args.rho)
+    stopwords = textfeat.load_stopwords(cfg.stopwords)
     corpus, _ = _load_corpus(args.input)
-    table = _feature_table(corpus, cfg)
+    table = textfeat.build_feature_table(corpus, cfg.window_years, cfg.min_df, stopwords)
     textfeat.write_feature_table(table, args.output, rho=args.rho, u=args.u)
     print(f"features\t{len(table.features)}")
     return EXIT_OK
@@ -220,10 +216,12 @@ def cmd_rank(args) -> int:
     from . import ranking as ranking_mod
     from . import textfeat
     cfg = load_config(args)
+    stopwords = textfeat.load_stopwords(cfg.features.stopwords)
     cfg.workspace.mkdir(parents=True, exist_ok=True)
     hp = cfg.hyperparams
     sub, _, filter_report = _pipeline(cfg)
-    table = _feature_table(sub, cfg.features)
+    table = textfeat.build_feature_table(sub, cfg.features.window_years,
+                                         cfg.features.min_df, stopwords)
     (cfg.workspace / "filter_report.txt").write_text(
         "\n".join(filter_report.lines()) + "\n")
     n, m, k = len(sub), len(sub.authors), len(table.features)

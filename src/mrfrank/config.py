@@ -11,6 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+# the years a record may hold: year arithmetic on int64 years cannot overflow
+YEAR_MIN, YEAR_MAX = -(2**31), 2**31 - 1
+
+
+def at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def finite_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:   # written so that nan fails
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
 
 @dataclass
 class PreprocessConfig:
@@ -33,11 +46,17 @@ class PreprocessConfig:
 class FeatureConfig:
     """The ``features`` settings: the window length in years, the papers a
     feature must appear in to be kept, and a stopword list file overriding
-    the built-in one.  ``build_feature_table`` checks their ranges."""
+    the built-in one."""
 
     window_years: int = 1
     min_df: int = 3
     stopwords: str | None = None
+
+    def __post_init__(self):
+        at_least_one("window_years", self.window_years)
+        if self.window_years >= 2**63:   # a year's window is an int64 division
+            raise ValueError(f"window_years must be below 2**63, got {self.window_years}")
+        at_least_one("min_df", self.min_df)
 
 
 # the ablation modes ``HyperParams.effective`` applies
@@ -66,14 +85,10 @@ class HyperParams:
                 raise ValueError(f"{name}={v} outside [0, 1]")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        for name in ("rho_edge", "rho_feature"):
-            v = getattr(self, name)
-            if not 0.0 <= v < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        for name in ("u", "max_iterations"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be at least 1, got {v}")
+        finite_nonnegative("rho_edge", self.rho_edge)
+        finite_nonnegative("rho_feature", self.rho_feature)
+        at_least_one("u", self.u)
+        at_least_one("max_iterations", self.max_iterations)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -101,13 +116,16 @@ class ProtocolConfig:
 
     def __post_init__(self):
         for k in self.ks:
-            if k < 1:
-                raise ValueError(f"protocol.ks must be at least 1, got {k}")
+            at_least_one("protocol.ks", k)
         for name in ("ks", "cohort_years"):
             values = getattr(self, name)
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise ValueError(f"protocol.{name} lists {v} more than once")
+        for name in ("cutoff_year", "horizon_year"):
+            v = getattr(self, name)
+            if not YEAR_MIN <= v <= YEAR_MAX:
+                raise ValueError(f"protocol.{name}={v} outside [{YEAR_MIN}, {YEAR_MAX}]")
         if self.cutoff_year >= self.horizon_year:
             raise ValueError(f"protocol.cutoff_year {self.cutoff_year} must be before "
                              f"protocol.horizon_year {self.horizon_year}")

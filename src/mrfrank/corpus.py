@@ -15,16 +15,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import PreprocessConfig
+from .config import YEAR_MAX, YEAR_MIN, PreprocessConfig
 from .records import DataError
 from .sparse import concat_ranges, interner
 
 log = logging.getLogger(__name__)
 
-
-# a year outside this range is malformed, so year arithmetic on the int64
-# years array cannot overflow
-_YEAR_MIN, _YEAR_MAX = -(2**31), 2**31 - 1
 _STR = frozenset({str})
 # the characters a ranking file's tab-separated lines, read with universal
 # newlines, split on: no paper id or author name may hold one
@@ -141,8 +137,8 @@ def malformed_reason(rec) -> str | None:
         return "missing id or year"
     if not isinstance(pid, str):
         return "id is not a string"
-    if type(year) is not int or not _YEAR_MIN <= year <= _YEAR_MAX:
-        return f"year is not an integer in [{_YEAR_MIN}, {_YEAR_MAX}]"
+    if type(year) is not int or not YEAR_MIN <= year <= YEAR_MAX:
+        return f"year is not an integer in [{YEAR_MIN}, {YEAR_MAX}]"
     for key in ("authors", "refs"):
         v = rec.get(key)
         if v is not None and not (isinstance(v, list) and _STR.issuperset(map(type, v))):

@@ -26,10 +26,8 @@ _TERMINATORS = ".!?"
 def load_stopwords(path=None) -> frozenset[str]:
     """The words of the list file at ``path``, one a line, or of the
     built-in list when no path is given."""
-    if path:
-        return frozenset(w.strip() for w in text_lines(path) if w.strip())
-    text = resources.files("mrfrank.data").joinpath("stopwords.txt").read_text()
-    return frozenset(w.strip() for w in text.splitlines() if w.strip())
+    lines = text_lines(path or resources.files("mrfrank.data") / "stopwords.txt")
+    return frozenset(w.strip() for w in lines if w.strip())
 
 
 _DEFAULT_STOPWORDS = load_stopwords()
@@ -162,12 +160,6 @@ def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window
     feature's mean averages its frequencies from its first window to the
     latest window.
     """
-    if window_years < 1:
-        raise ValueError(f"window_years must be at least 1, got {window_years}")
-    if window_years >= 2**63:   # a year's window is an int64 division
-        raise ValueError(f"window_years must be below 2**63, got {window_years}")
-    if min_df < 1:
-        raise ValueError(f"min_df must be at least 1, got {min_df}")
     if not len(corpus):
         return FeatureTable((), 0.0, window_years, 0, 0)
 
@@ -316,10 +308,6 @@ def write_feature_table(table: FeatureTable, path, rho: float,
                         u: int = HyperParams.u) -> None:
     """Snapshot the table as TSV: kind, terms, df, lambda, per-window counts
     and innovativeness at the latest window."""
-    if u < 1:
-        raise ValueError(f"u must be at least 1, got {u}")
-    if not 0.0 <= rho < math.inf:
-        raise ValueError(f"rho must be finite and >= 0, got {rho}")
     e = innovativeness_at_window(table, table.n_windows - 1, rho, u)
     # rows in (kind, word, word) order, which is not key order where one
     # word is a prefix of another: "p|ab|c" < "p|a|bc", but "ab" > "a"

@@ -213,8 +213,9 @@ def threads_env(threads: str) -> dict:
 def child_env(env_extra: dict) -> dict:
     """The environment of a ``python -m mrfrank.cli`` child: this
     checkout's ``src`` first on PYTHONPATH, so the child imports the code
-    under test whether or not mrfrank is installed."""
-    env = dict(os.environ, **env_extra)
+    under test whether or not mrfrank is installed, and warnings turned
+    into errors, as they are in the tests run in process."""
+    env = dict(os.environ, PYTHONWARNINGS="error", **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return env

@@ -428,26 +428,65 @@ class TestExitCodes:
         assert "error: config must provide corpus and workspace paths\n" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("protocol, message", [
-        ({"cutoff_year": 2005, "horizon_year": 2005},
+    # (section, settings, message); a row's id is its section, its index and
+    # its message
+    _EARLY_SETTINGS = [
+        ("protocol", {"cutoff_year": 2005, "horizon_year": 2005},
          "protocol.cutoff_year 2005 must be before protocol.horizon_year 2005"),
-        ({"cutoff_year": 2008, "horizon_year": 2003},
+        ("protocol", {"cutoff_year": 2008, "horizon_year": 2003},
          "protocol.cutoff_year 2008 must be before protocol.horizon_year 2003"),
-        ({"cutoff_year": 2011},
+        ("protocol", {"cutoff_year": 2011},
          "protocol.cutoff_year 2011 must be before protocol.horizon_year 2011"),
-    ])
-    def test_data_error_cutoff_not_before_horizon(self, tmp_path, capsys, protocol,
-                                                  message):
-        # the corpus does not exist: the check runs before it is read
+        ("features", {"window_years": 0}, "window_years must be at least 1, got 0"),
+        ("features", {"window_years": 2**70},
+         f"window_years must be below 2**63, got {2**70}"),
+        ("features", {"min_df": 0}, "min_df must be at least 1, got 0"),
+        ("hyperparams", {"u": 0}, "u must be at least 1, got 0"),
+        ("hyperparams", {"rho_edge": -1}, "rho_edge must be finite and >= 0, got -1"),
+        ("protocol", {"ks": [0]}, "protocol.ks must be at least 1, got 0"),
+        # years outside the record-year range would overflow int64 arithmetic
+        ("protocol", {"cutoff_year": 2**63, "horizon_year": 2**64},
+         f"protocol.cutoff_year={2**63} outside [-2147483648, 2147483647]"),
+    ]
+
+    @pytest.mark.parametrize("section, settings, message", _EARLY_SETTINGS,
+                             ids=[f"{section}{i}-{message}" for i, (section, _, message)
+                                  in enumerate(_EARLY_SETTINGS)])
+    def test_data_error_cutoff_not_before_horizon(self, tmp_path, capsys, section,
+                                                  settings, message):
+        # the corpus does not exist: every setting is checked before it is read
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"corpus": str(tmp_path / "missing.jsonl"),
                                    "workspace": str(tmp_path / "ws"),
-                                   "protocol": protocol}))
+                                   section: settings}))
         for command in ("rank", "eval"):
             assert main([command, "--config", str(cfg)]) == 2
             err = capsys.readouterr().err
             assert message in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("features", "--u", "0", "u must be at least 1, got 0"),
+        ("features", "--rho", "nan", "rho must be finite and >= 0, got nan"),
+        ("features", "--stopwords", "stopwords.txt", "stopwords.txt"),
+        ("rank", "--stopwords", "stopwords.txt", "stopwords.txt")])
+    def test_data_error_flag_before_corpus(self, tmp_path, capsys, command, flag, value,
+                                           message):
+        """An out-of-range flag or a missing stopword file is named, not the
+        corpus, which is missing too."""
+        corpus = tmp_path / "missing.jsonl"
+        if flag == "--stopwords":
+            value = message = str(tmp_path / value)
+        if command == "rank":
+            args = rank_args(corpus, tmp_path / "ws", flag, value)
+        else:
+            args = ["features", "--input", str(corpus),
+                    "--output", str(tmp_path / "f.tsv"), flag, value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert str(corpus) not in err
+        assert "Traceback" not in err
 
 
     @pytest.mark.parametrize("lines, message", [
@@ -710,9 +749,9 @@ class TestRank:
                                              ("--window-years", "0"), ("--min-df", "0")])
     def test_rank_failing_in_feature_step_writes_nothing(self, corpus_file, tmp_path,
                                                          capsys, flag, value):
-        """A rank that fails while building the feature table leaves every
-        file of a ranked workspace as it was, and writes no file in a new
-        one, ``filter_report.txt`` included."""
+        """A rank refused for its feature settings leaves every file of a
+        ranked workspace as it was, and writes no file in a new one,
+        ``filter_report.txt`` included."""
         ws = tmp_path / "ws"
         assert main(rank_args(corpus_file, ws)) == 0
         before = {p.name: p.read_bytes() for p in ws.iterdir()}

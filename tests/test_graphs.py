@@ -9,7 +9,8 @@ from corpus_oracle import records
 from feature_oracle import extract_features, feature_key
 from operator_oracle import colnorm, operator_blocks, term_factor, to_dense, transpose
 from mrfrank.corpus import parse_corpus
-from mrfrank.graphs import SparseMatrix, build_coauthor, build_graphs
+from mrfrank.graphs import build_coauthor, build_graphs
+from mrfrank.sparse import SparseMatrix
 from mrfrank.textfeat import build_feature_table, decay
 
 
@@ -40,13 +41,6 @@ def positions(ids, names):
 
 
 class TestSparseMatrix:
-    def test_matvec_matches_dense(self, rng):
-        for _ in range(20):
-            r, c = rng.integers(1, 15, 2)
-            m = random_sparse(rng, r, c)
-            x = rng.random(c)
-            assert np.allclose(m.matvec(x), to_dense(m) @ x)
-
     def test_transpose(self, rng):
         m = random_sparse(rng, 6, 4)
         assert np.array_equal(to_dense(transpose(m)), to_dense(m).T)
@@ -69,11 +63,6 @@ class TestSparseMatrix:
             for name in ("rows", "cols", "data"):
                 assert np.array_equal(getattr(fast, name), getattr(lexsorted, name))
                 assert getattr(fast, name).dtype == getattr(lexsorted, name).dtype
-
-    def test_empty_matvec(self):
-        none = np.zeros(0, dtype=np.int64)
-        m = SparseMatrix((3, 4), none, none, np.zeros(0))
-        assert np.array_equal(m.matvec(np.ones(4)), np.zeros(3))
 
 
 class TestBuildGraphs:

@@ -11,7 +11,7 @@ from operator_oracle import to_dense, transpose
 from mrfrank.sparse import SparseMatrix
 
 
-class TestNumpyPath:
+class TestMatvec:
     def test_matches_dense(self, rng):
         for _ in range(30):
             r, c = rng.integers(1, 40, 2)
@@ -28,7 +28,7 @@ class TestNumpyPath:
             assert np.array_equal(out, np.zeros(shape[0]))
 
 
-class TestRmatvec:
+class TestTransposed:
     def test_equals_transpose_matvec_bit_for_bit(self, rng):
         """Over triples in (row, col) order: repeated (row, col) entries,
         rows and columns left empty, and values over twelve orders of

@@ -16,6 +16,7 @@ from corpus_oracle import PaperRecord, records
 from feature_oracle import extract_features, feature_key, tokenize
 from operator_oracle import to_dense
 from synthgen import scale_corpus
+from mrfrank.config import FeatureConfig
 from mrfrank.corpus import parse_corpus
 from mrfrank import textfeat
 from mrfrank.graphs import build_graphs, build_listings
@@ -136,7 +137,7 @@ class TestFeatureTable:
     @pytest.mark.parametrize("setting", ["window_years", "min_df"])
     def test_setting_below_one_rejected(self, setting):
         with pytest.raises(ValueError, match=f"{setting} must be at least 1"):
-            build_feature_table(self.make_corpus(), **{setting: 0})
+            FeatureConfig(**{setting: 0})
 
     def test_window_years(self):
         table = build_feature_table(self.make_corpus(), window_years=2, min_df=1)
