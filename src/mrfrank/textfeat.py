@@ -105,7 +105,11 @@ def _entries(piece: np.ndarray, lengths: np.ndarray, n: int):
     raw, feature = np.unique(feature, return_inverse=True)
     keys, counts = np.unique(paper * raw.size + feature, return_counts=True)
     paper, feature = np.divmod(keys, raw.size)
-    return np.bincount(paper, minlength=lengths.size), feature, raw, counts
+    # an index and a count are both at most the run's occurrences, and a
+    # run of 2**31 occurrences could not be held in memory; the ids stay
+    # 64-bit, since a pair id reaches V + V**2 for V words
+    return (np.bincount(paper, minlength=lengths.size), feature.astype(np.int32),
+            raw, counts.astype(np.int32))
 
 
 def _ints() -> np.ndarray:
@@ -155,10 +159,10 @@ def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window
     The (paper, feature) entries are counted in slices of whole papers,
     each about ``FEATURE_SLICE_PIECES`` pieces, so the corpus-wide word and
     pair occurrences never exist at once.  One sort of the entries' ids
-    gives each feature's document frequency; a second pass writes each
-    slice's retained entries into the table and drops the slice.  A
-    feature's mean averages its frequencies from its first window to the
-    latest window.
+    gives the retained ids, with no array over every distinct id; a second
+    pass writes each slice's retained entries into the table and drops the
+    slice.  A feature's mean averages its frequencies from its first window
+    to the latest window.
     """
     if not len(corpus):
         return FeatureTable((), 0.0, window_years, 0, 0)
@@ -179,28 +183,29 @@ def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window
         slices.append(_entries(code[pieces[start:ends[hi - 1]]], lengths[lo:hi], n))
         lo = hi
     del pieces
-    # each feature id in the corpus, and the papers using it: one sort of
-    # the ids of all entries, in place
+    # the retained ids, ascending, from one sort of the ids of all entries,
+    # in place: a run of equal ids has min_df entries or more when its first
+    # entry equals the entry min_df - 1 places later
     feature = np.concatenate([ids[index] for _, index, ids, _ in slices])
     feature.sort()
-    first = np.ones(feature.size, dtype=bool)
-    first[1:] = feature[1:] != feature[:-1]
-    starts = np.flatnonzero(first)
-    raw, papers_using = feature[starts], np.diff(starts, append=feature.size)
-    del feature, first, starts
-
-    # retained features in the order of (kind, word, word): pairs (ids from
-    # V on) before words; they become columns in key order
-    kept = np.flatnonzero(papers_using >= min_df)
-    total = int(papers_using[kept].sum())
-    del papers_using
-    kept = np.roll(kept, -int(np.searchsorted(raw[kept], n)))
+    head = feature[:max(feature.size - min_df + 1, 0)]
+    retain = head == feature[min_df - 1:]
+    retain[1:] &= head[1:] != head[:-1]
+    kept = head[retain]
     k = kept.size
+    total = int((np.searchsorted(feature, kept, side="right")
+                 - np.searchsorted(feature, kept)).sum())
+    del feature, head, retain
+
+    # retained features become columns in key order
     keys = [f"w|{words[i]}" if i < n else f"p|{words[i // n - 1]}|{words[i % n]}"
-            for i in raw[kept].tolist()]
+            for i in kept.tolist()]
     by_key = sorted(range(k), key=keys.__getitem__)
-    col_of = np.full(raw.size, -1, dtype=np.int64)
-    col_of[kept[by_key]] = np.arange(k)
+    # each slice's ids are looked up by one searchsorted into the retained
+    # ids, followed by an id above every feature id, which matches no entry
+    bound = np.append(kept, n + n * n)
+    col_of = np.full(k + 1, -1, dtype=np.int64)
+    col_of[by_key] = np.arange(k)
     # each slice's retained entries in (row, col) order, after those of the
     # slices before it
     rows, cols = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
@@ -208,13 +213,15 @@ def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window
     lo = at = 0
     for i, (per_paper, index, ids, count) in enumerate(slices):
         slices[i] = None
-        paper = np.repeat(np.arange(lo, lo + per_paper.size), per_paper)
-        lo += per_paper.size
-        col = col_of[np.searchsorted(raw, ids)][index]
+        pos = np.searchsorted(bound, ids)
+        col = np.where(bound[pos] == ids, col_of[pos], -1)[index]
         keep = np.flatnonzero(col >= 0)
-        keep = keep[np.argsort(paper[keep] * k + col[keep])]
+        paper = np.repeat(np.arange(lo, lo + per_paper.size), per_paper)[keep]
+        lo += per_paper.size
+        col, count = col[keep], count[keep]
+        order = np.argsort(paper * k + col)
         end = at + keep.size
-        rows[at:end], cols[at:end], counts[at:end] = paper[keep], col[keep], count[keep]
+        rows[at:end], cols[at:end], counts[at:end] = paper[order], col[order], count[order]
         at = end
 
     # papers per (column, window)
@@ -224,9 +231,11 @@ def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window
     first_seen = np.argmax(window_counts > 0, axis=1)
     doc_freq = window_counts.sum(axis=1)
     lam = doc_freq / (n_windows - first_seen)
-    # the mean of the means, added in (kind, word, word) order: the order
-    # fixes the bits of the sum, and with them every score
-    global_lambda = sum(lam[col_of[kept]].tolist()) / k if k else 0.0
+    # the mean of the means, added in (kind, word, word) order, pairs (ids
+    # from V on) before words: the order fixes the bits of the sum, and
+    # with them every score
+    by_kind = np.roll(lam[col_of[:k]], -int(np.searchsorted(kept, n)))
+    global_lambda = sum(by_kind.tolist()) / k if k else 0.0
     return FeatureTable(
         features=tuple(keys[i] for i in by_key), global_lambda=global_lambda,
         window_years=window_years, origin_year=origin, n_windows=n_windows,

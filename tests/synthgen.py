@@ -78,6 +78,24 @@ def rising_paper_corpus(n_papers: int = 500, seed: int = 7) -> list[dict]:
     return records
 
 
+def long_sentence_records(n_papers: int = 400, seed: int = 13) -> list[dict]:
+    """Records with a 5-word title and an abstract of two 30-word sentences,
+    words drawn uniformly from 2000, so that same-sentence word pairs, most
+    of them in one paper only, outnumber the word occurrences many times
+    over."""
+    rng = random.Random(seed)
+    vocab = [f"w{i:05d}" for i in range(2000)]
+
+    def words(n):
+        return " ".join(rng.choices(vocab, k=n))
+
+    return [{"id": f"L{i:05d}", "title": words(5),
+             "abstract": f"{words(30)}. {words(30)}.",
+             "authors": [f"a{i % 50:02d}"], "year": 1990 + i % 10,
+             "venue": "synthetic", "refs": []}
+            for i in range(n_papers)]
+
+
 def scale_corpus(path, n_papers: int = 100_000, n_citations: int = 300_000,
                  n_authors: int = 50_000, vocab_size: int = 20_000,
                  seed: int = 11) -> None:
