@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrfrank
-from mrfrank.cli import build_parser, main
+from mrfrank.cli import build_parser, load_config, main
 from mrfrank.config import MODES, HyperParams, PreprocessConfig
 from mrfrank.sparse import SparseMatrix
 
@@ -383,6 +383,17 @@ class TestExitCodes:
          "preprocess.survey_substrings holds an empty pattern"),
         ("preprocess", {"proceedings_prefixes": ["workshop on", ""]},
          "preprocess.proceedings_prefixes holds an empty pattern"),
+        # a boolean is no integer and an integer no boolean; every list item
+        # is checked
+        ("protocol", {"ks": [True]}, "protocol.ks must be list of integers, got [True]"),
+        ("preprocess", {"require_abstract": 1},
+         "preprocess.require_abstract must be boolean, got 1"),
+        ("hyperparams", {"mode": 1}, "hyperparams.mode must be string, got 1"),
+        ("preprocess", {"survey_substrings": ["a", 1]},
+         "preprocess.survey_substrings must be list of strings, got ['a', 1]"),
+        # an integer sets a float and null a path: the error is the next setting's
+        ("hyperparams", {"tolerance": 1, "u": 0}, "u must be at least 1, got 0"),
+        ("features", {"stopwords": None, "min_df": 0}, "min_df must be at least 1, got 0"),
     ])
     def test_data_error_config_setting(self, corpus_file, tmp_path, capsys,
                                        section, settings, message):
@@ -904,6 +915,12 @@ def test_rank_flags_cover_all_config_fields():
         assert "--" + f.name.replace("_", "-") in opts, f.name
     for f in dataclasses.fields(PreprocessConfig):
         assert "--" + f.name.replace("_", "-") in opts, f.name
+
+
+def test_list_flag_drops_empty_items():
+    args = build_parser().parse_args(["rank", "--corpus", "c.jsonl", "--workspace", "ws",
+                                      "--survey-substrings", "a,,b"])
+    assert load_config(args).preprocess.survey_substrings == ("a", "b")
 
 
 # per numeric ``rank``, ``eval`` and ``features`` flag, values it must reject: text that
