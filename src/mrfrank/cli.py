@@ -14,12 +14,12 @@ import dataclasses
 import json
 import logging
 import sys
-import types
 import typing
 from pathlib import Path
 
-from .config import (MODES, FeatureConfig, HyperParams, PreprocessConfig, ProtocolConfig,
-                     at_least_one, finite_nonnegative)
+from .config import (FIELDS, FORMS, MODES, SECTIONS, FeatureConfig, HyperParams,
+                     PreprocessConfig, ProtocolConfig, at_least_one, finite_nonnegative,
+                     resolve)
 from .records import READERS, DataError, text_lines
 
 if typing.TYPE_CHECKING:
@@ -50,14 +50,6 @@ class RunConfig:
     protocol: ProtocolConfig
 
 
-# config file section -> the dataclass whose fields it sets, in the order
-# the sections are checked
-_SECTIONS = {"preprocess": PreprocessConfig, "hyperparams": HyperParams,
-             "features": FeatureConfig, "protocol": ProtocolConfig}
-_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string",
-               type(None): "null"}
-
-
 # help for the flags whose name is not enough
 _HELP = {"survey_substrings": "comma-separated title substrings",
          "proceedings_prefixes": "comma-separated title prefixes",
@@ -66,74 +58,17 @@ _HELP = {"survey_substrings": "comma-separated title substrings",
 
 def add_flags(parser, section: str) -> None:
     """One flag per field of a config section, ``--`` and the field name
-    with hyphens, left None when not given."""
+    with hyphens, in the flag form of its type, left None when not given."""
     g = parser.add_argument_group(section)
-    for name, hint in typing.get_type_hints(_SECTIONS[section]).items():
+    for name, form in FIELDS[section].items():
         kwargs = {"default": None, "help": _HELP.get(name)}
-        if hint is bool:
+        if form.flag is None:
             kwargs["action"] = "store_true"
         elif name == "mode":
             kwargs["choices"] = [m.replace("_", "-") for m in MODES]
         else:
-            kwargs["type"] = hint if hint in (int, float) else str
+            kwargs["type"] = form.flag
         g.add_argument("--" + name.replace("_", "-"), **kwargs)
-
-
-def _json_type(hint) -> str:
-    """The JSON type a config value needs to set a field of type ``hint``."""
-    if typing.get_origin(hint) is tuple:
-        return f"list of {_json_type(typing.get_args(hint)[0])}s"
-    if isinstance(hint, types.UnionType):
-        return " or ".join(map(_json_type, typing.get_args(hint)))
-    return _JSON_TYPES[hint]
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value can set a field of type ``hint``: a list for a
-    tuple, an integer (not a boolean) for an int, any number for a float."""
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0])
-                                               for v in value)
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if isinstance(value, bool) or hint is bool:
-        return isinstance(value, bool) and hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _section(raw: dict, name: str) -> dict:
-    """The settings of one config file section, each checked against the
-    type of the field it sets, lists turned into tuples."""
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise DataError(f"config section {name} must be an object")
-    hints = typing.get_type_hints(_SECTIONS[name])
-    for key, value in section.items():
-        if key not in hints:
-            raise DataError(f"unknown config setting {name}.{key}")
-        if not _fits(value, hints[key]):
-            raise DataError(f"config setting {name}.{key} must be "
-                            f"{_json_type(hints[key])}, got {value!r}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
-
-
-def _settings(cls, args, values=None):
-    """A settings dataclass: its defaults, overridden by ``values`` (a
-    config file section), overridden by each flag of ``args`` that is set.
-    A flag setting a tuple is comma-separated, empty items dropped, and
-    ``--mode`` takes hyphens for underscores."""
-    values = dict(values or {})
-    hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        v = getattr(args, f.name, None)
-        if v is None:
-            continue
-        if typing.get_origin(hints[f.name]) is tuple:
-            v = tuple(s for s in v.split(",") if s)
-        elif f.name == "mode":
-            v = v.replace("-", "_")
-        values[f.name] = v
-    return cls(**values)
 
 
 def load_config(args) -> RunConfig:
@@ -146,14 +81,13 @@ def load_config(args) -> RunConfig:
             raise DataError(f"config file {args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise DataError(f"config file {args.config} must hold a JSON object")
+    path = FORMS[str | None]
     for key in raw:
-        if key not in ("corpus", "workspace", *_SECTIONS):
+        if key not in ("corpus", "workspace", *SECTIONS):
             raise DataError(f"unknown config setting {key}")
-        if key not in _SECTIONS and not _fits(raw[key], str | None):
-            raise DataError(f"config setting {key} must be string or null, "
-                            f"got {raw[key]!r}")
-    sections = {name: _settings(cls, args, _section(raw, name))
-                for name, cls in _SECTIONS.items()}
+        if key not in SECTIONS and not path.fits(raw[key]):
+            raise DataError(f"config setting {key} must be {path.json}, got {raw[key]!r}")
+    sections = {name: resolve(name, raw, vars(args)) for name in SECTIONS}
     paths = [raw.get(key) if getattr(args, key) is None else getattr(args, key)
              for key in ("corpus", "workspace")]
     if None in paths:
@@ -178,7 +112,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_preprocess(args) -> int:
     from . import corpus as corpus_mod
-    cfg = _settings(PreprocessConfig, args)
+    cfg = resolve("preprocess", {}, vars(args))
     corpus, _ = _load_corpus(args.input)
     out, report = corpus_mod.preprocess(corpus, cfg)
     corpus_mod.write_native(out, args.output)
@@ -189,7 +123,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_features(args) -> int:
     from . import textfeat
-    cfg = _settings(FeatureConfig, args)
+    cfg = resolve("features", {}, vars(args))
     at_least_one("u", args.u)
     finite_nonnegative("rho", args.rho)
     stopwords = textfeat.load_stopwords(cfg.stopwords)

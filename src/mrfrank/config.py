@@ -1,5 +1,6 @@
 """The settings of a run, one dataclass per config file section: its
-fields with their defaults, and the checks of their values.
+fields with their defaults and the checks of their values; and ``FORMS``,
+how a setting of each type is written in a config file and as a flag.
 
 ``cli.load_config`` fills each from its defaults, the config file and the
 flags.  Nothing here needs numpy, so the CLI builds its parser from these
@@ -8,7 +9,9 @@ fields without importing the modules that compute.
 
 from __future__ import annotations
 
+import collections
 import math
+import typing
 from dataclasses import dataclass, replace
 
 # the years a record may hold: year arithmetic on int64 years cannot overflow
@@ -129,3 +132,63 @@ class ProtocolConfig:
         if self.cutoff_year >= self.horizon_year:
             raise ValueError(f"protocol.cutoff_year {self.cutoff_year} must be before "
                              f"protocol.horizon_year {self.horizon_year}")
+
+
+# How a setting of one type is written: a config file's JSON value must pass
+# ``fits`` (an error names the JSON type ``json``) and ``read`` turns it into
+# the setting; ``flag`` turns a flag's text into the setting, or is None for
+# a flag that takes no value and sets true.
+Form = collections.namedtuple("Form", "json fits read flag")
+
+
+def _is(*types):
+    """Whether a JSON value is of one of ``types``; a boolean is no number."""
+    return lambda v: isinstance(v, types) and (bool in types or not isinstance(v, bool))
+
+
+def _tuple_of(item: Form) -> Form:
+    """A tuple of ``item``s: a JSON list, or a flag's comma-separated items."""
+    return Form(f"list of {item.json}s",
+                lambda v: isinstance(v, list) and all(map(item.fits, v)),
+                tuple, lambda text: tuple(item.flag(s) for s in text.split(",") if s))
+
+
+# the form of each type a settings field has
+FORMS = {int: Form("integer", _is(int), int, int),
+         float: Form("number", _is(int, float), lambda v: v, float),
+         bool: Form("boolean", _is(bool), bool, None),
+         str: Form("string", _is(str), str, str),
+         str | None: Form("string or null", _is(str, type(None)), lambda v: v, str)}
+FORMS[tuple[str, ...]] = _tuple_of(FORMS[str])
+FORMS[tuple[int, ...]] = _tuple_of(FORMS[int])
+
+# config file section -> the dataclass whose fields it sets, in the order
+# the sections are checked
+SECTIONS = {"preprocess": PreprocessConfig, "hyperparams": HyperParams,
+            "features": FeatureConfig, "protocol": ProtocolConfig}
+# config file section -> field name -> the form of the field's type
+FIELDS = {name: {key: FORMS[hint] for key, hint in typing.get_type_hints(cls).items()}
+          for name, cls in SECTIONS.items()}
+
+
+def resolve(name: str, raw: dict, flags: dict):
+    """The settings of section ``name``: its dataclass defaults, overridden by
+    the config file's ``raw[name]``, each value checked against its field's
+    form, overridden by each flag value in ``flags`` that is not None."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name} must be an object")
+    fields, values = FIELDS[name], {}
+    for key, value in section.items():
+        form = fields.get(key)
+        if form is None:
+            raise ValueError(f"unknown config setting {name}.{key}")
+        if not form.fits(value):
+            raise ValueError(f"config setting {name}.{key} must be {form.json}, "
+                             f"got {value!r}")
+        values[key] = form.read(value)
+    for key in fields:
+        if flags.get(key) is not None:
+            # a mode flag takes hyphens for underscores
+            values[key] = flags[key].replace("-", "_") if key == "mode" else flags[key]
+    return SECTIONS[name](**values)

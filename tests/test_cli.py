@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import mrfrank
 from mrfrank.cli import build_parser, load_config, main
-from mrfrank.config import MODES, HyperParams, PreprocessConfig
+from mrfrank.config import FORMS, MODES, SECTIONS, HyperParams, PreprocessConfig
 from mrfrank.sparse import SparseMatrix
 
 VOCAB = ["ranking", "citation", "influence", "burst", "network", "topic"]
@@ -921,6 +922,22 @@ def test_list_flag_drops_empty_items():
     args = build_parser().parse_args(["rank", "--corpus", "c.jsonl", "--workspace", "ws",
                                       "--survey-substrings", "a,,b"])
     assert load_config(args).preprocess.survey_substrings == ("a", "b")
+
+
+def test_every_setting_has_a_written_form():
+    """Every field of the four sections has a row in ``config.FORMS``, which
+    checks its config file value and reads its flag."""
+    for cls in SECTIONS.values():
+        for name, hint in typing.get_type_hints(cls).items():
+            assert hint in FORMS, (cls.__name__, name, hint)
+
+
+def test_list_form_reads_json_lists_and_comma_separated_flags():
+    """The row of a list of integers, whose flag no command has yet."""
+    ints = FORMS[tuple[int, ...]]
+    assert ints.json == "list of integers"
+    assert ints.fits([3, 1]) and not ints.fits([3, True]) and not ints.fits(3)
+    assert ints.read([3, 1]) == ints.flag("3,,1") == (3, 1)
 
 
 # per numeric ``rank``, ``eval`` and ``features`` flag, values it must reject: text that
