@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 non-convergence.
 
-The parser is built from ``config`` and ``records``, which need no numpy;
-each command imports the modules it runs, so ``--help``, a usage error and
+The parser is built from ``config``, whose ``FORMS`` read every settings
+flag and check every config file value, and ``records``; neither needs numpy.
+Each command imports the modules it runs, so ``--help``, a usage error and
 ``report`` start without loading numpy.
 """
 
@@ -56,19 +57,20 @@ _HELP = {"survey_substrings": "comma-separated title substrings",
          "stopwords": "path to a stopword list overriding the built-in one"}
 
 
-def add_flags(parser, section: str) -> None:
-    """One flag per field of a config section, ``--`` and the field name
+def add_flags(parser, *sections: str) -> None:
+    """One flag per field of each config section, ``--`` and the field name
     with hyphens, in the flag form of its type, left None when not given."""
-    g = parser.add_argument_group(section)
-    for name, form in FIELDS[section].items():
-        kwargs = {"default": None, "help": _HELP.get(name)}
-        if form.flag is None:
-            kwargs["action"] = "store_true"
-        elif name == "mode":
-            kwargs["choices"] = [m.replace("_", "-") for m in MODES]
-        else:
-            kwargs["type"] = form.flag
-        g.add_argument("--" + name.replace("_", "-"), **kwargs)
+    for section in sections:
+        g = parser.add_argument_group(section)
+        for name, form in FIELDS[section].items():
+            kwargs = {"default": None, "help": _HELP.get(name)}
+            if form.flag is None:
+                kwargs["action"] = "store_true"
+            elif name == "mode":
+                kwargs["choices"] = [m.replace("_", "-") for m in MODES]
+            else:
+                kwargs["type"] = form.flag
+            g.add_argument("--" + name.replace("_", "-"), **kwargs)
 
 
 def load_config(args) -> RunConfig:
@@ -326,9 +328,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--corpus", default=None)
     p.add_argument("--workspace", default=None)
-    add_flags(p, "preprocess")
-    add_flags(p, "features")
-    add_flags(p, "hyperparams")
+    add_flags(p, "preprocess", "features", "hyperparams")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("eval", help="score rankings against ground truth")

@@ -1,10 +1,10 @@
-"""The settings of a run, one dataclass per config file section: its
-fields with their defaults and the checks of their values; and ``FORMS``,
-how a setting of each type is written in a config file and as a flag.
+"""The settings of a run: one dataclass per config file section, with its
+fields' defaults and the checks of their values; ``FORMS``, how a setting
+of each type is written in a config file and as a flag; and ``resolve``,
+which checks a section against them and applies the flags over it.
 
-``cli.load_config`` fills each from its defaults, the config file and the
-flags.  Nothing here needs numpy, so the CLI builds its parser from these
-fields without importing the modules that compute.
+Nothing here needs numpy, so the CLI builds its parser from these fields
+without importing the modules that compute.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class FeatureConfig:
         if self.window_years >= 2**63:   # a year's window is an int64 division
             raise ValueError(f"window_years must be below 2**63, got {self.window_years}")
         at_least_one("min_df", self.min_df)
+        if self.stopwords == "":   # null, or no flag, gives the built-in list
+            raise ValueError("features.stopwords is an empty path")
 
 
 # the ablation modes ``HyperParams.effective`` applies
@@ -134,10 +136,9 @@ class ProtocolConfig:
                              f"protocol.horizon_year {self.horizon_year}")
 
 
-# How a setting of one type is written: a config file's JSON value must pass
-# ``fits`` (an error names the JSON type ``json``) and ``read`` turns it into
-# the setting; ``flag`` turns a flag's text into the setting, or is None for
-# a flag that takes no value and sets true.
+# How a setting of one type is written: ``fits`` tests a config file's JSON
+# value (an error names the JSON type ``json``) and ``read`` turns it into the
+# setting; ``flag`` reads a flag's text, or is None for a flag that sets true.
 Form = collections.namedtuple("Form", "json fits read flag")
 
 
@@ -153,9 +154,8 @@ def _tuple_of(item: Form) -> Form:
                 tuple, lambda text: tuple(item.flag(s) for s in text.split(",") if s))
 
 
-# the form of each type a settings field has
 FORMS = {int: Form("integer", _is(int), int, int),
-         float: Form("number", _is(int, float), lambda v: v, float),
+         float: Form("number", _is(int, float), float, float),
          bool: Form("boolean", _is(bool), bool, None),
          str: Form("string", _is(str), str, str),
          str | None: Form("string or null", _is(str, type(None)), lambda v: v, str)}
@@ -172,9 +172,9 @@ FIELDS = {name: {key: FORMS[hint] for key, hint in typing.get_type_hints(cls).it
 
 
 def resolve(name: str, raw: dict, flags: dict):
-    """The settings of section ``name``: its dataclass defaults, overridden by
-    the config file's ``raw[name]``, each value checked against its field's
-    form, overridden by each flag value in ``flags`` that is not None."""
+    """Section ``name``'s settings: its dataclass defaults, overridden by the
+    config file's ``raw[name]``, each value checked against its field's form,
+    overridden by each flag in ``flags`` not None (``--mode`` takes hyphens)."""
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section {name} must be an object")
@@ -186,9 +186,11 @@ def resolve(name: str, raw: dict, flags: dict):
         if not form.fits(value):
             raise ValueError(f"config setting {name}.{key} must be {form.json}, "
                              f"got {value!r}")
-        values[key] = form.read(value)
+        try:
+            values[key] = form.read(value)
+        except OverflowError as exc:   # an integer beyond the largest float
+            raise ValueError(f"config setting {name}.{key}: {exc}") from None
     for key in fields:
         if flags.get(key) is not None:
-            # a mode flag takes hyphens for underscores
             values[key] = flags[key].replace("-", "_") if key == "mode" else flags[key]
     return SECTIONS[name](**values)

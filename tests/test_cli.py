@@ -459,6 +459,16 @@ class TestExitCodes:
         # years outside the record-year range would overflow int64 arithmetic
         ("protocol", {"cutoff_year": 2**63, "horizon_year": 2**64},
          f"protocol.cutoff_year={2**63} outside [-2147483648, 2147483647]"),
+        # a float setting reads its JSON number with float(), as its flag
+        # reads its text
+        ("hyperparams", {"rho_edge": 10**400},
+         "config setting hyperparams.rho_edge: int too large to convert to float"),
+        ("hyperparams", {"rho_feature": 10**400},
+         "config setting hyperparams.rho_feature: int too large to convert to float"),
+        ("hyperparams", {"tolerance": 10**400},
+         "config setting hyperparams.tolerance: int too large to convert to float"),
+        # null gives the built-in stopword list, not an empty path
+        ("features", {"stopwords": ""}, "features.stopwords is an empty path"),
     ]
 
     @pytest.mark.parametrize("section, settings, message", _EARLY_SETTINGS,
@@ -500,6 +510,22 @@ class TestExitCodes:
         assert str(corpus) not in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("command", ["features", "rank"])
+    def test_data_error_empty_stopwords_flag(self, tmp_path, capsys, command):
+        """``--stopwords ""`` is refused before the corpus is read, not taken
+        for the built-in list."""
+        corpus = tmp_path / "missing.jsonl"
+        if command == "rank":
+            args = rank_args(corpus, tmp_path / "ws", "--stopwords", "")
+        else:
+            args = ["features", "--input", str(corpus),
+                    "--output", str(tmp_path / "f.tsv"), "--stopwords", ""]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "features.stopwords is an empty path" in err
+        assert str(corpus) not in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("lines, message", [
         (["rank\tid\tscore", "1\tp05\t0.5", "2"], "papers_full.tsv line 3: no id column"),
