@@ -89,9 +89,11 @@ def load_config(args) -> RunConfig:
             raise DataError(f"unknown config setting {key}")
         if key not in SECTIONS and not path.fits(raw[key]):
             raise DataError(f"config setting {key} must be {path.json}, got {raw[key]!r}")
-    sections = {name: resolve(name, raw, vars(args)) for name in SECTIONS}
-    paths = [raw.get(key) if getattr(args, key) is None else getattr(args, key)
-             for key in ("corpus", "workspace")]
+    flags = vars(args)
+    if flags.get("mode"):   # --mode takes hyphens for underscores
+        flags = dict(flags, mode=flags["mode"].replace("-", "_"))
+    sections = {name: resolve(name, raw, flags) for name in SECTIONS}
+    paths = [raw.get(k) if flags[k] is None else flags[k] for k in ("corpus", "workspace")]
     if None in paths:
         raise DataError("config must provide corpus and workspace paths")
     return RunConfig(*map(Path, paths), **sections)

@@ -174,7 +174,7 @@ FIELDS = {name: {key: FORMS[hint] for key, hint in typing.get_type_hints(cls).it
 def resolve(name: str, raw: dict, flags: dict):
     """Section ``name``'s settings: its dataclass defaults, overridden by the
     config file's ``raw[name]``, each value checked against its field's form,
-    overridden by each flag in ``flags`` not None (``--mode`` takes hyphens)."""
+    overridden by each value of ``flags`` that is not None."""
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section {name} must be an object")
@@ -190,7 +190,5 @@ def resolve(name: str, raw: dict, flags: dict):
             values[key] = form.read(value)
         except OverflowError as exc:   # an integer beyond the largest float
             raise ValueError(f"config setting {name}.{key}: {exc}") from None
-    for key in fields:
-        if flags.get(key) is not None:
-            values[key] = flags[key].replace("-", "_") if key == "mode" else flags[key]
+    values.update((key, flags[key]) for key in fields if flags.get(key) is not None)
     return SECTIONS[name](**values)

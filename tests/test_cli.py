@@ -958,14 +958,6 @@ def test_every_setting_has_a_written_form():
             assert hint in FORMS, (cls.__name__, name, hint)
 
 
-def test_list_form_reads_json_lists_and_comma_separated_flags():
-    """The row of a list of integers, whose flag no command has yet."""
-    ints = FORMS[tuple[int, ...]]
-    assert ints.json == "list of integers"
-    assert ints.fits([3, 1]) and not ints.fits([3, True]) and not ints.fits(3)
-    assert ints.read([3, 1]) == ints.flag("3,,1") == (3, 1)
-
-
 # per numeric ``rank``, ``eval`` and ``features`` flag, values it must reject: text that
 # is no number of its type, and the numbers outside its range
 _NOT_AN_INT = st.sampled_from(["x", "", "1,5", "2.5", "nan", "0x10"])
