@@ -130,7 +130,11 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
     its own ``data``, made with the divisor and w folded in; pp, pa, tp and
     ta apply theirs transposed, as ``.T``: the same arrays with ``rows`` and
     ``cols`` swapped.  In a factor weighted on both sides the column weight
-    is multiplied in first.
+    is multiplied in first.  The C factors of tp and ta share a subset of
+    C: its entries in the columns where e and idf_p or idf_a are not 0,
+    picked through a mask over the K columns.  Every entry left out has a
+    product of exactly +0.0, and every kept product is finite and not
+    negative for a finite, non-negative x, so no image loses a bit.
     """
     hp = hp.effective()
     cit, co, lst, c = graphs.citation, graphs.coauthor, graphs.listings, graphs.feature_counts
@@ -148,6 +152,10 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
     inv_colsum_lc = reciprocal(c.T.matvec(lst.T.matvec(np.ones(m))))
     inv_paper_tfidf = reciprocal(c.matvec(idf_p))
     inv_author_tfidf = reciprocal(lst.matvec(c.matvec(idf_a)))
+
+    # the entries of C in the columns that tp or ta can weigh by more than 0
+    keep = np.flatnonzero(((e_norm != 0.0) & ((idf_p != 0.0) | (idf_a != 0.0)))[c.cols])
+    live = SparseMatrix(c.shape, c.rows[keep], c.cols[keep], c.data[keep])
 
     def on(g: SparseMatrix, data: np.ndarray) -> SparseMatrix:
         # a factor over g's rows and cols, with its own data
@@ -173,10 +181,11 @@ def combined_operator(graphs: GraphSet, e: np.ndarray, hp: HyperParams) -> Opera
 
     def ta(w):
         return (on(lst, lst.data * inv_author_tfidf[lst.rows]).T,
-                on(c, c.data * (w * e_norm * idf_a)[c.cols]).T)
+                on(live, live.data * (w * e_norm * idf_a)[live.cols]).T)
 
     def tp(w):
-        return (on(c, c.data * (w * e_norm * idf_p)[c.cols] * inv_paper_tfidf[c.rows]).T,)
+        return (on(live, live.data * (w * e_norm * idf_p)[live.cols]
+                   * inv_paper_tfidf[live.rows]).T,)
 
     terms = [(0, 0, hp.alpha_p, pp), (0, n, hp.beta_p * (1.0 - hp.alpha_p), pa),
              (0, f, (1.0 - hp.beta_p) * (1.0 - hp.alpha_p), pt),

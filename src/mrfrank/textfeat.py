@@ -4,7 +4,7 @@ burst-based innovativeness scores, idf weights and the one time decay."""
 from __future__ import annotations
 
 import math
-import re
+import string
 from array import array
 from dataclasses import dataclass, field
 from importlib import resources
@@ -17,23 +17,30 @@ from .records import text_lines
 from .sparse import (SparseMatrix, concat_ranges, distinct, interner,
                      pairs_within_groups, per_distinct)
 
-# A piece is a run of letters and digits (a token) or a run of sentence
-# terminators; a sentence is the tokens between two terminator runs.
-_PIECE = re.compile(r"[a-z0-9]+|[.!?]+")
-_TERMINATORS = ".!?"
+# A piece is a run of letters and digits (a token) or one sentence
+# terminator.  ``_BYTE_MAP`` keeps the bytes of [a-z0-9.] and _END, maps
+# "!" and "?" to "." and every other byte to a space; every byte of a
+# non-ASCII character is 0x80 or above, so such a character separates
+# tokens.  _END ends every paper: no lowered text holds an ASCII capital.
+_END = "Z"
+_BYTE_MAP = bytes(b if chr(b) in string.ascii_lowercase + string.digits + "." + _END
+                  else ord(".") if chr(b) in "!?" else ord(" ") for b in range(256))
 
 
 def load_stopwords(path=None) -> frozenset[str]:
-    """The words of the list file at ``path``, one a line, or of the
-    built-in list when no path is given."""
+    """The lowered words of the list file at ``path``, one a line, or of
+    the built-in list when no path is given; tokens are lowered before
+    they are looked up, so ``The`` in the file drops ``the``."""
     lines = text_lines(path or resources.files("mrfrank.data") / "stopwords.txt")
-    return frozenset(w.strip() for w in lines if w.strip())
+    return frozenset(w.strip().lower() for w in lines if w.strip())
 
 
 _DEFAULT_STOPWORDS = load_stopwords()
 
-# Slice sizes: ``build_feature_table`` counts the (paper, feature) entries
-# in slices of whole papers of about FEATURE_SLICE_PIECES pieces, and
+# Slice sizes: ``_tokenize`` splits runs of whole papers of about
+# FEATURE_SLICE_PIECES characters, so of about as many pieces or fewer, at
+# once; ``build_feature_table`` counts the (paper, feature) entries in
+# slices of whole papers of about FEATURE_SLICE_PIECES pieces, and
 # ``idf_author`` the distinct (author, feature) keys in slices of whole
 # authors of about AUTHOR_SLICE_KEYS keys, so the temporaries of one slice
 # bound the transient memory.  At 1 << 18 the author slices set the peak
@@ -43,32 +50,55 @@ FEATURE_SLICE_PIECES = 1 << 16
 AUTHOR_SLICE_KEYS = 1 << 16
 
 
+def _runs(ends: np.ndarray, bound: int):
+    """(lo, hi) of consecutive runs of whole items, from the cumulative
+    item sizes ``ends``: each run takes items until it holds ``bound`` or
+    more, or the items run out."""
+    lo = 0
+    while lo < ends.size:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = min(int(np.searchsorted(ends, start + bound)) + 1, ends.size)
+        yield lo, hi
+        lo = hi
+
+
 def _tokenize(titles, abstracts, stopwords: frozenset[str]):
     """The kept words in lexicographic order, every paper's pieces in order
     as distinct-piece ids, each distinct piece's code, and each paper's
     piece count.
 
     A word's id is its position in the word list, so ids order like the
-    words.  Each paper's lowered ``title + ". " + abstract`` is split into
-    pieces once (at least the terminator between the two), and each piece
-    is looked up in one dict, so the word tests (not a terminator, 2
-    characters or more, not a stopword) run once per distinct piece.
+    words.  A paper's text is its lowered ``title + ". " + abstract`` and
+    _END.  The texts of a run of whole papers (``_runs``) are joined,
+    encoded and mapped by ``_BYTE_MAP`` at once; spaces around each "."
+    make every terminator a piece, and one ``split`` gives the pieces.  A
+    sentence ends at a terminator and at _END, so a run of terminators
+    adds only empty sentences.  Each piece is looked up in one dict, so the
+    word tests (2 characters or more, which no terminator and no _END is,
+    and not a stopword) run once per distinct piece.
     """
     interned = interner()   # a new piece gets the next id
-    ids, lengths = array("q"), []
-    for title, abstract in zip(titles, abstracts):
-        pieces = _PIECE.findall((title + ". " + abstract).lower())
-        ids.extend(map(interned.__getitem__, pieces))
-        lengths.append(len(pieces))
+    interned[_END.encode()]   # id 0 ends each paper
+    ids = array("q")
+    size = (np.fromiter(map(len, titles), np.int64, len(titles))
+            + np.fromiter(map(len, abstracts), np.int64, len(abstracts)))
+    for lo, hi in _runs(np.cumsum(size), FEATURE_SLICE_PIECES):
+        texts = map(str.lower, map(". ".join, zip(titles[lo:hi], abstracts[lo:hi])))
+        text = f" {_END} ".join(texts) + f" {_END}"
+        # a lone surrogate, which a JSON escape can give, encodes to bytes
+        # of 0x80 and above too
+        data = text.encode("utf-8", "surrogatepass").translate(_BYTE_MAP)
+        ids.extend(map(interned.__getitem__, data.replace(b".", b" . ").split()))
     interned.default_factory = None   # frees the dict without the cycle collector
-    strings = list(interned)
-    words = sorted(s for s in strings if s[0] not in _TERMINATORS
-                   and len(s) >= 2 and s not in stopwords)
+    strings = [s.decode() for s in interned]
+    words = sorted(s for s in strings if len(s) >= 2 and s not in stopwords)
     word_id = dict(zip(words, range(len(words))))
-    # per distinct piece: its word id, -1 for a terminator run, -2 otherwise
-    code = np.array([word_id.get(s, -1 if s[0] in _TERMINATORS else -2)
+    # per distinct piece: its word id, -1 for a terminator or _END, -2
+    # otherwise
+    code = np.array([word_id.get(s, -1 if s in (".", _END) else -2)
                      for s in strings], dtype=np.int64)
-    return words, np.frombuffer(ids, dtype=np.int64), code, np.array(lengths, dtype=np.int64)
+    pieces = np.frombuffer(ids, dtype=np.int64)
+    return words, pieces, code, np.diff(np.flatnonzero(pieces == 0), prepend=-1)
 
 
 def _occurrences(piece: np.ndarray, lengths: np.ndarray, n: int):
@@ -81,7 +111,7 @@ def _occurrences(piece: np.ndarray, lengths: np.ndarray, n: int):
     of words a < b has id ``n + a * n + b``.
     """
     paper = np.repeat(np.arange(lengths.size), lengths)
-    # a sentence ends at a terminator run and at the end of a paper
+    # a sentence ends at a terminator and at the end of a paper
     sentence = np.cumsum(piece == -1) + paper
     paper_of = np.zeros(sentence[-1] + 1, dtype=np.int64)
     paper_of[sentence] = paper
@@ -174,14 +204,9 @@ def build_feature_table(corpus: Corpus, window_years: int = FeatureConfig.window
     words, pieces, code, lengths = _tokenize(corpus.titles, corpus.abstracts, stopwords)
     n = len(words)
     # the entries of each slice of whole papers, as ``_entries`` returns them
-    slices = []
     ends = np.cumsum(lengths)
-    lo = 0
-    while lo < lengths.size:
-        start = int(ends[lo - 1]) if lo else 0
-        hi = min(int(np.searchsorted(ends, start + FEATURE_SLICE_PIECES)) + 1, lengths.size)
-        slices.append(_entries(code[pieces[start:ends[hi - 1]]], lengths[lo:hi], n))
-        lo = hi
+    slices = [_entries(code[pieces[ends[lo] - lengths[lo]:ends[hi - 1]]], lengths[lo:hi], n)
+              for lo, hi in _runs(ends, FEATURE_SLICE_PIECES)]
     del pieces
     # the retained ids, ascending, from one sort of the ids of all entries,
     # in place: a run of equal ids has min_df entries or more when its first
@@ -299,17 +324,15 @@ def idf_author(listings: SparseMatrix, table: FeatureTable) -> np.ndarray:
     row_start = np.searchsorted(table.rows, np.arange(n + 1))
     starts = row_start[paper]
     lengths = row_start[paper + 1] - starts
-    ends = np.cumsum(lengths)
+    # the keys before each entry of L, and L's entries before each author
+    before = np.append(0, np.cumsum(lengths))
+    first = np.searchsorted(author, np.arange(m + 1))
     users = np.zeros(k, dtype=np.int64)
-    lo = 0
-    while lo < author.size:
-        base = int(ends[lo - 1]) if lo else 0
-        hi = min(int(np.searchsorted(ends, base + AUTHOR_SLICE_KEYS)) + 1, author.size)
-        hi = int(np.searchsorted(author, author[hi - 1], side="right"))
+    for a, b in _runs(before[first[1:]], AUTHOR_SLICE_KEYS):
+        lo, hi = first[a], first[b]
         entries = concat_ranges(starts[lo:hi], lengths[lo:hi])
         keys = distinct(np.repeat(author[lo:hi], lengths[lo:hi]) * k + table.cols[entries])
         users += np.bincount(keys % k, minlength=k)
-        lo = hi
     return _idf(m, users)
 
 

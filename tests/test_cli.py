@@ -735,6 +735,25 @@ class TestPreprocessAndFeatures:
         assert lines[1].split("\t")[0] == "kind"
         assert len(lines) > 2
 
+    def test_stopword_entries_lowered(self, tmp_path, capsys):
+        """Tokens are lowered before the stopword test, and so are the
+        entries of a list: ``The`` in the list drops ``the``."""
+        recs = tiny_records()
+        for r in recs:
+            r["title"] = "The " + r["title"]
+        corpus = write_corpus(tmp_path / "corpus.jsonl", recs)
+        words = {}
+        for entry in ("The", "of"):
+            stopwords = tmp_path / f"{entry}.txt"
+            stopwords.write_text(entry + "\n")
+            out = tmp_path / f"{entry}.tsv"
+            assert main(["features", "--input", str(corpus), "--output", str(out),
+                         "--min-df", "1", "--stopwords", str(stopwords)]) == 0
+            words[entry] = {line.split("\t")[1] for line in out.read_text().splitlines()[2:]
+                            if line.startswith("w\t")}
+        assert "the" in words["of"]
+        assert "the" not in words["The"] and words["The"] == words["of"] - {"the"}
+
 
 class TestRank:
     def test_outputs_written_and_converged(self, corpus_file, tmp_path, capsys):

@@ -14,7 +14,7 @@ from mrfrank.config import MODES, HyperParams
 from mrfrank.ranking import (Anderson, NumericalError, combined_operator, init_state,
                              iterate_once, normalize_innovativeness, per_type,
                              rank_entities, write_convergence, write_ranking)
-from mrfrank.sparse import reciprocal
+from mrfrank.sparse import SparseMatrix, reciprocal
 from mrfrank.textfeat import build_feature_table
 
 
@@ -124,7 +124,7 @@ class TestIterateOnce:
 # in all four modes: each term's offsets, and each factor's shape, whether
 # it is applied transposed, and the bytes of its rows, cols and data; a
 # transposed factor is hashed as the stored matrix it is ``.T`` of
-OPERATOR_DIGEST = "3fd42752f74dd39e511504d2b357a1466be49264a7c7721b1238661d49686879"
+OPERATOR_DIGEST = "f0d32b52af41bfe368d08daa89b0fed6ae5b78f709cf79c2ba8355b689179011"
 
 
 def operator_instances():
@@ -157,11 +157,56 @@ def operator_digest() -> str:
     return digest.hexdigest()
 
 
+def unpruned(operator, gs, e, hp):
+    """``operator`` with the C factors of tp and ta over every entry of C,
+    those whose feature weight is 0 included."""
+    n, m, _ = gs.sizes
+    c, hp = gs.feature_counts, hp.effective()
+    e_norm = normalize_innovativeness(e)
+    inv_paper_tfidf = reciprocal(c.matvec(gs.idf_paper))
+    out = []
+    for row, col, chain in operator:
+        if (row, col) == (n + m, 0):
+            weight = (1.0 - hp.alpha_f) * e_norm * gs.idf_paper
+            chain = (SparseMatrix(c.shape, c.rows, c.cols, c.data * weight[c.cols]
+                                  * inv_paper_tfidf[c.rows]).T,)
+        elif (row, col) == (n + m, n):
+            weight = hp.alpha_f * e_norm * gs.idf_author
+            chain = (chain[0], SparseMatrix(c.shape, c.rows, c.cols,
+                                            c.data * weight[c.cols]).T)
+        out.append((row, col, chain))
+    return out
+
+
 class TestCombinedOperator:
     def test_operator_bytes_pinned(self):
         """Every factor of every term keeps its bytes: a refactor of how
         the terms are built must not move a single ulp."""
         assert operator_digest() == OPERATOR_DIGEST
+
+    def test_pruned_feature_terms_keep_every_image(self):
+        """Leaving out the entries of tp's and ta's C factor whose feature
+        weight is 0 keeps every image bit for bit: each left-out product
+        was +0.0, added to a sum of non-negative products.  Checked from
+        the uniform start, whose mass is on every feature, and from random
+        non-negative points, with the instance's e and with half of e 0."""
+        rng = np.random.default_rng(27)
+        dropped = 0
+        for gs, e, hp in operator_instances():
+            size = sum(gs.sizes)
+            points = [init_state(*gs.sizes)] + [
+                rng.random(size) * (rng.random(size) < 0.8) for _ in range(3)]
+            for e in (e, e * (rng.random(e.size) < 0.5)):
+                for mode in MODES:
+                    mode_hp = replace(hp, mode=mode)
+                    operator = combined_operator(gs, e, mode_hp)
+                    full = unpruned(operator, gs, e, mode_hp)
+                    dropped += (sum(f.nnz for _, _, chain in full for f in chain)
+                                - sum(f.nnz for _, _, chain in operator for f in chain))
+                    for x in points:
+                        assert (iterate_once(x, operator, gs.sizes).tobytes()
+                                == iterate_once(x, full, gs.sizes).tobytes())
+        assert dropped > 0
 
     def test_no_content_leaves_out_pt_and_at(self, rng):
         gs, e = random_instance(rng)
@@ -216,13 +261,20 @@ class TestFactoredTerms:
         counts here run to 7."""
         gs, e = random_instance(rng)
         c = gs.feature_counts = random_counts(rng, gs.sizes[0], gs.sizes[2], high=8)
+        e[::3] = 0.0   # most burst scores are 0
         f = sum(gs.sizes[:2])
         (factor,), = [chain for row, col, chain in
                       combined_operator(gs, e, HyperParams(alpha_f=0.0)) if (row, col) == (f, 0)]
         feature_w = 1.0 * normalize_innovativeness(e) * gs.idf_paper
         paper_w = reciprocal(c.matvec(gs.idf_paper))
-        assert np.array_equal(factor.T.data, c.data * feature_w[c.cols] * paper_w[c.rows])
-        assert not np.array_equal(factor.T.data, c.data * paper_w[c.rows] * feature_w[c.cols])
+        # the factor keeps the entries of C in the columns where e and
+        # either idf are not 0
+        kept = ((e != 0.0) & ((gs.idf_paper != 0.0) | (gs.idf_author != 0.0)))[c.cols]
+        assert not kept.all()
+        rows, cols, data = c.rows[kept], c.cols[kept], c.data[kept]
+        assert np.array_equal(factor.T.rows, rows) and np.array_equal(factor.T.cols, cols)
+        assert np.array_equal(factor.T.data, data * feature_w[cols] * paper_w[rows])
+        assert not np.array_equal(factor.T.data, data * paper_w[rows] * feature_w[cols])
 
     @pytest.mark.parametrize("featureless", [False, True])
     @pytest.mark.parametrize("mode", MODES)

@@ -397,11 +397,14 @@ def test_brute_force_window_recount(rng):
 
 
 # "ab" is a prefix of "abc" and "abd", so their pair keys sort differently
-# from their pair tuples; "K" is the Kelvin sign, which lowers to "k"
+# from their pair tuples; "K" is the Kelvin sign, which lowers to "k";
+# "Z" is the byte that ends a paper in the tokenizer, and "é" a letter of
+# two bytes between ASCII letters
 _WORDS = ["ab", "abc", "abd", "Ab", "ABC", "zeta", "x", "7", "42", "a1", "b2b",
-          "naïve", "straße", "İstanbul", "K", "the", "of", "and"]
+          "naïve", "straße", "İstanbul", "K", "Z", "aZb", "abécd", "the", "of", "and"]
 _STOPWORDS = ["the", "of", "and", "a", "to", "we"]
-_GAPS = [" ", "  ", ", ", "-", " (", ") ", "; ", "\n"]
+# control bytes, and a lone surrogate, which JSON's "\ud800" escape gives
+_GAPS = [" ", "  ", ", ", "-", " (", ") ", "; ", "\n", "\x00", "\t", "\x7f", "\ud800"]
 _ENDS = [".", "?", "!", "?!.", "...", ". "]
 
 
@@ -489,6 +492,35 @@ def test_table_independent_of_slice_size(rng, monkeypatch):
             for size in (1, 2, 7, 1 << 20):
                 monkeypatch.setattr(textfeat, "FEATURE_SLICE_PIECES", size)
                 assert_same_table(build_feature_table(corpus, min_df=min_df), expected)
+
+
+@given(feature_case())
+@settings(max_examples=60, deadline=None)
+def test_table_independent_of_tokenizer_runs(case):
+    """Splitting the papers' texts in runs of whole papers gives the same
+    pieces and the oracle's table, whatever the run size: a paper's own
+    text never ends it, whichever bytes it holds."""
+    records, kwargs = case
+    corpus, _ = parse_corpus(records)
+    expected = oracle.build_feature_table(corpus, **kwargs)
+    tokenized = []
+    with pytest.MonkeyPatch.context() as patch:
+        for size in (1, 2, 7, 1 << 20):
+            patch.setattr(textfeat, "FEATURE_SLICE_PIECES", size)
+            assert_same_table(build_feature_table(corpus, **kwargs), expected)
+            tokenized.append(textfeat._tokenize(corpus.titles, corpus.abstracts,
+                                                kwargs["stopwords"]))
+    words, *arrays = tokenized[-1]
+    for other_words, *other_arrays in tokenized[:-1]:
+        assert other_words == words
+        assert all(map(np.array_equal, other_arrays, arrays))
+
+
+def test_no_lowered_text_holds_the_paper_end():
+    """The tokenizer ends each paper with an ASCII capital, which no
+    lowered character, surrogates included, gives back."""
+    assert textfeat._END.isascii() and textfeat._END.isupper()
+    assert textfeat._END not in "".join(map(chr, range(0x110000))).lower()
 
 
 def test_table_transient_memory(tmp_path, monkeypatch):
