@@ -431,6 +431,42 @@ class TestReadNative:
             "in double quotes at column 2)",
             "record 3 skipped: year is not an integer in [-2147483648, 2147483647]"]
 
+    @pytest.mark.parametrize("line, papers, warning", [
+        (json.dumps(rec("C", 2001)).encode() + b" x", ["A"],
+         "line 2 skipped: not JSON (Extra data at column 88)"),
+        (json.dumps(rec("C", 2001)).encode() + b" " + json.dumps(rec("D", 2001)).encode(),
+         ["A"], "line 2 skipped: not JSON (Extra data at column 88)"),
+        (b"\xef\xbb\xbf" + json.dumps(rec("C", 2001)).encode(), ["A"],
+         "line 2 skipped: not JSON (Unexpected UTF-8 BOM (decode using utf-8-sig) "
+         "at column 1)"),
+        # bytes.strip takes the form feeds and the vertical tab off the line
+        (b"\x0c" + json.dumps(rec("C", 2001)).encode() + b"\x0c\x0b", ["A", "C"], None),
+        (b'{"id": "C", "year": ' + b"1" * 4301 + b"}", ["A"],
+         "line 2 skipped: not decodable JSON (Exceeds the limit (4300 digits) for "
+         "integer string conversion: value has 4301 digits; use "
+         "sys.set_int_max_str_digits() to increase the limit)"),
+        (b'{"id": "C", "year": 2001, "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         ["A"], "line 2 skipped: not decodable JSON (maximum recursion depth exceeded "
+         "while decoding a JSON array from a unicode string)"),
+        (b'{"id": "C", "year": NaN}', ["A"],
+         "record 2 skipped: year is not an integer in [-2147483648, 2147483647]"),
+        (b'{"id": "C\xc3", "year": 2001}', ["A"],
+         "line 2 skipped: not UTF-8 (invalid continuation byte at byte 10)"),
+    ], ids=["extra_data", "two_objects", "bom_on_line_2", "form_feeds", "digits",
+            "deep", "nan_year", "not_utf8"])
+    def test_decoder_messages(self, tmp_path, caplog, line, papers, warning):
+        """Each line is logged, counted and kept or skipped as ``json.loads``
+        of the stripped line words it."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(json.dumps(rec("A", 2000)).encode() + b"\n" + line + b"\n")
+        corpus, report = parse_corpus(read_native(path))
+        assert list(corpus.papers) == papers
+        assert (report.parsed_papers, report.skipped_malformed) == (
+            len(papers), 2 - len(papers))
+        prefix = "" if warning is None or warning.startswith("record") else f"{path} "
+        assert [r.getMessage() for r in caplog.records] == (
+            [] if warning is None else [prefix + warning])
+
     def test_read_native_is_lazy(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(rec("A", 2000)) + "\n")
