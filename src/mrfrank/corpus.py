@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from array import array
 from dataclasses import dataclass, fields
 
@@ -122,48 +123,62 @@ class GroundTruth:
     authors: np.ndarray
 
 
-def malformed_reason(rec) -> str | None:
-    """Why a raw record cannot become a paper, or None when it can.
+def _fields(rec) -> tuple | str:
+    """A raw record's id, year, references, authors, title, abstract and
+    venue, each field looked up once; or why the record cannot become a
+    paper.
 
     ``id`` must be a non-empty string and ``year`` an integer (not a bool);
     ``authors`` and ``refs`` are lists of strings and ``title``,
-    ``abstract`` and ``venue`` strings, each of the five optional (missing
-    or null means empty).
+    ``abstract`` and ``venue`` strings, each of the five optional: missing
+    or null, it comes back empty.  The checks run in that order, so a
+    record with several faults gives the first one's reason.
     """
     if not isinstance(rec, dict):
         return "not a JSON object"
-    pid, year = rec.get("id"), rec.get("year")
+    get = rec.get
+    pid, year = get("id"), get("year")
     if not pid or year is None:
         return "missing id or year"
     if not isinstance(pid, str):
         return "id is not a string"
     if type(year) is not int or not YEAR_MIN <= year <= YEAR_MAX:
         return f"year is not an integer in [{YEAR_MIN}, {YEAR_MAX}]"
-    for key in ("authors", "refs"):
-        v = rec.get(key)
-        if v is not None and not (isinstance(v, list) and _STR.issuperset(map(type, v))):
-            return f"{key} is not a list of strings"
-    for key in ("title", "abstract", "venue"):
-        if rec.get(key) is not None and not isinstance(rec[key], str):
-            return f"{key} is not a string"
-    return None
+    authors, refs = get("authors"), get("refs")
+    if authors is not None and not (isinstance(authors, list)
+                                    and _STR.issuperset(map(type, authors))):
+        return "authors is not a list of strings"
+    if refs is not None and not (isinstance(refs, list)
+                                 and _STR.issuperset(map(type, refs))):
+        return "refs is not a list of strings"
+    title, abstract, venue = get("title"), get("abstract"), get("venue")
+    if title is not None and not isinstance(title, str):
+        return "title is not a string"
+    if abstract is not None and not isinstance(abstract, str):
+        return "abstract is not a string"
+    if venue is not None and not isinstance(venue, str):
+        return "venue is not a string"
+    return (pid, year, refs or (), authors or (), title or "", abstract or "",
+            venue or "")
 
 
 def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
     """Parse an iterable of raw record dicts into a Corpus, in one pass
     that keeps no record.
 
-    A record ``malformed_reason`` rejects is skipped, counted and logged
-    with its position; a None record (a line ``read_native`` could not
-    decode, and reported) is skipped and counted.  A duplicate paper id,
-    and a paper id or author name holding a tab or a line break, is a hard
-    error.  Self-references and repeated references are dropped;
-    references to unknown ids are dropped and counted as dangling, once
-    per record however often it lists them.
+    ``_fields`` checks each record and takes its fields in one pass.  A
+    record that fails a check is skipped, counted and logged with its
+    position and the first failed check; a None record (a line
+    ``read_native`` could not decode, and reported) is skipped and counted.
+    A duplicate paper id, and a paper id or author name holding a tab or a
+    line break, is a hard error.  Self-references and repeated references
+    are dropped; references to unknown ids are dropped and counted as
+    dangling, once per record however often it lists them.
 
     Paper ids and references are interned to int keys in one dict, author
-    ids in another, and each record leaves only its fields in flat columns
-    in file order, its references as listed.  After the pass, one numpy
+    ids in another, each through its dict's ``__getitem__`` bound once, and
+    each record leaves only its fields in flat columns in file order, its
+    references as listed.  After the pass, one numpy
     pass over the (own key, reference key) pairs drops self-references
     and repeats, keeping each pair's first occurrence in file order; then
     the keys are mapped once to positions in sorted id order, -1 for an id
@@ -177,30 +192,31 @@ def parse_corpus(record_stream) -> tuple[Corpus, ParseReport]:
     own, years, ref_ends, author_ends = (array("q") for _ in range(4))
     ref_keys, author_keys = [], []
     titles, abstracts, venues = [], [], []
+    intern, intern_author = key.__getitem__, author_key.__getitem__
     lineno = 0   # not enumerate: its reused result tuple would keep the last record
     for rec in record_stream:
         lineno += 1
-        reason = "" if rec is None else malformed_reason(rec)
-        if reason is not None:
-            report.skipped_malformed += 1
-            if reason:   # None records were reported by read_native
-                log.warning("record %d skipped: %s", lineno, reason)
-        else:
-            pid = rec["id"]
-            k = key[pid]
-            if k in parsed:
-                raise DataError(f"duplicate paper id {pid!r} at record {lineno}")
-            parsed.add(k)
-            own.append(k)
-            ref_keys += map(key.__getitem__, rec.get("refs") or ())
-            ref_ends.append(len(ref_keys))
-            author_keys += map(author_key.__getitem__, rec.get("authors") or ())
-            author_ends.append(len(author_keys))
-            years.append(rec["year"])
-            titles.append(rec.get("title") or "")
-            abstracts.append(rec.get("abstract") or "")
-            venues.append(rec.get("venue") or "")
+        row = "" if rec is None else _fields(rec)
         del rec   # a record dies before the next one is read
+        if isinstance(row, str):
+            report.skipped_malformed += 1
+            if row:   # None records were reported by read_native
+                log.warning("record %d skipped: %s", lineno, row)
+            continue
+        pid, year, refs, authors, title, abstract, venue = row
+        k = intern(pid)
+        if k in parsed:
+            raise DataError(f"duplicate paper id {pid!r} at record {lineno}")
+        parsed.add(k)
+        own.append(k)
+        ref_keys += map(intern, refs)
+        ref_ends.append(len(ref_keys))
+        author_keys += map(intern_author, authors)
+        author_ends.append(len(author_keys))
+        years.append(year)
+        titles.append(title)
+        abstracts.append(abstract)
+        venues.append(venue)
     report.parsed_papers = len(own)
 
     key.default_factory = author_key.default_factory = None   # frees the dicts
@@ -288,10 +304,12 @@ def _regroup(keys: np.ndarray, lengths: np.ndarray, order: np.ndarray):
 
 def _title_matches(titles: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     """Per title, whether it holds a survey substring or starts with a
-    proceedings prefix, ignoring case."""
-    substrings = [s.lower() for s in cfg.survey_substrings]
+    proceedings prefix, ignoring case.  One pattern of the escaped
+    substrings searches each lowered title; ``(?!)`` matches nothing."""
+    search = re.compile("|".join(re.escape(s.lower()) for s in cfg.survey_substrings)
+                        or "(?!)").search
     prefixes = tuple(p.lower() for p in cfg.proceedings_prefixes)
-    return np.fromiter((any(s in t for s in substrings) or t.startswith(prefixes)
+    return np.fromiter((search(t) is not None or t.startswith(prefixes)
                         for t in map(str.lower, titles)), dtype=bool, count=len(titles))
 
 

@@ -27,6 +27,7 @@ rescaling of the scores cannot change any ranking.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import typing
@@ -354,24 +355,43 @@ def write_ranking(path, ids, scores: np.ndarray, converged: bool = True) -> None
 def read_ranking(path, positions: dict[str, int]) -> np.ndarray:
     """The positions of a ranking file's ids, in file order.  Ids not in
     ``positions`` are skipped: they are in no cohort.  A file marked not
-    converged is read all the same, with a warning naming it."""
-    ranked, seen = [], set()
+    converged is read all the same, with a warning naming it.
+
+    Each row is only split and its id taken; a row with no id column ends
+    the reading.  The duplicate test and the lookup of positions then run
+    once over the ids taken, and of a duplicate and a row with no id
+    column, the one on the earlier line is raised."""
+    ids, headers = [], []
+    missing = None   # the line of a row with no id column
     for lineno, line in enumerate(text_lines(path), start=1):
-        if line.rstrip("\n") == NOT_CONVERGED:
-            logging.getLogger(__name__).warning("%s is from a run that did not converge",
-                                                path)
-        if line.startswith("#") or line.startswith("rank\t"):
+        if line.startswith(("#", "rank\t")):
+            if line.rstrip("\n") == NOT_CONVERGED:
+                logging.getLogger(__name__).warning(
+                    "%s is from a run that did not converge", path)
+            headers.append(lineno)
             continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) < 2 or not fields[1]:
-            raise DataError(f"{path} line {lineno}: no id column")
-        eid = fields[1]
-        if eid in seen:
-            raise DataError(f"{path} line {lineno}: id {eid!r} listed twice")
-        seen.add(eid)
-        if eid in positions:
-            ranked.append(positions[eid])
-    return np.array(ranked, dtype=np.int64)
+        row = line.split("\t", 2)
+        # the second column holds the line break when it is the last one
+        eid = row[1].rstrip("\n") if len(row) > 1 else ""
+        if not eid:
+            missing = lineno
+            break
+        ids.append(eid)
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for first, eid in enumerate(ids):
+            if eid in seen:
+                break
+            seen.add(eid)
+        lineno = first + 1   # the line of the row: each header before it moves it on
+        for header in headers:
+            lineno += header <= lineno
+        raise DataError(f"{path} line {lineno}: id {eid!r} listed twice")
+    if missing is not None:
+        raise DataError(f"{path} line {missing}: no id column")
+    found = np.fromiter(map(positions.get, ids, itertools.repeat(-1)), dtype=np.int64,
+                        count=len(ids))
+    return found[found >= 0]
 
 
 def write_convergence(log: ConvergenceLog, path) -> None:

@@ -8,10 +8,16 @@ Nothing here needs numpy, so the CLI imports it before it knows the command.
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
+from itertools import chain
 
 log = logging.getLogger(__name__)
+
+_BOM = codecs.BOM_UTF8
+# reads one JSON value from the start of a string and where it ends
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class DataError(Exception):
@@ -21,19 +27,33 @@ class DataError(Exception):
 def read_native(path):
     """Yield the records of a native JSON-lines corpus one at a time.  A
     line that is not UTF-8 JSON is logged with its line number and yielded
-    as None, which ``parse_corpus`` counts as malformed."""
+    as None, which ``parse_corpus`` counts as malformed.  A byte-order mark
+    that starts the file is not data, as ``utf-8-sig`` reads it, but the
+    byte positions of line 1 still count it."""
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        first = fh.readline()
+        bom = len(_BOM) if first.startswith(_BOM) else 0
+        for lineno, line in enumerate(chain([first[bom:]], fh), start=1):
             line = line.strip()
             if line:
-                yield _decode(line, path, lineno)
+                yield _decode(line, path, lineno, bom if lineno == 1 else 0)
 
 
-def _decode(line: bytes, path, lineno: int) -> dict | None:
+def _decode(line: bytes, path, lineno: int, offset: int = 0) -> dict | None:
+    """The JSON value that is the whole of ``line``, or None, logged, when
+    the line is not one.  One ``raw_decode`` reads a good line; a line it
+    refuses, or whose value does not end the line, is read again by
+    ``json.loads``, only to word the warning as ``json.loads`` words it.
+    ``offset`` bytes before ``line`` count in a bad byte's position."""
     try:
-        return json.loads(line.decode("utf-8"))
+        text = line.decode("utf-8")
+        try:
+            value, end = _raw_decode(text)
+        except (ValueError, RecursionError):
+            end = -1
+        return value if end == len(text) else json.loads(text)
     except UnicodeDecodeError as exc:
-        reason = _not_utf8(exc)
+        reason = _not_utf8(exc, offset)
     except json.JSONDecodeError as exc:
         reason = f"not JSON ({exc.msg} at column {exc.colno})"
     except (ValueError, RecursionError) as exc:   # too many digits, too deep
@@ -42,15 +62,17 @@ def _decode(line: bytes, path, lineno: int) -> dict | None:
     return None
 
 
-def _not_utf8(exc: UnicodeDecodeError) -> str:
-    return f"not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+def _not_utf8(exc: UnicodeDecodeError, offset: int = 0) -> str:
+    return f"not UTF-8 ({exc.reason} at byte {offset + exc.start + 1})"
 
 
 def text_lines(path):
     """Yield the lines of the UTF-8 text file at ``path``; a byte that is
     not UTF-8 is a DataError naming the file, the line and the byte within
-    the line.  The file is decoded once, its bad bytes kept as escapes, and
-    a line that is not ASCII is checked by decoding it again strictly."""
+    the line as the file holds it.  The file is decoded once, its bad bytes
+    kept as escapes, and a line that is not ASCII is checked by decoding it
+    again strictly.  A byte-order mark that starts the file is dropped, as
+    ``utf-8-sig`` drops it."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
@@ -58,6 +80,8 @@ def text_lines(path):
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as bad:
                     raise DataError(f"{path} line {lineno}: {_not_utf8(bad)}") from None
+                if lineno == 1:
+                    line = line.removeprefix("\ufeff")
             yield line
 
 

@@ -4,10 +4,11 @@
 module keeps the straightforward version built on dicts and tuples of
 ``(citing_id, cited_id, citing_year)`` string edges, so tests can check
 that the array path computes exactly the same corpora, reports, ground
-truth and citation counts.  It applies the same record rules as
-``parse_corpus`` (``malformed_reason``) but none of its array code.  Its
-evaluation half works on id sets and id lists, with a key sort for every
-order, where ``mrfrank.evaluate`` works on position arrays.
+truth and citation counts.  It keeps its own copy of the record rules
+(``malformed_reason``), a plain check per field, and none of
+``parse_corpus``'s array code.  Its evaluation half works on id sets and
+id lists, with a key sort for every order, where ``mrfrank.evaluate``
+works on position arrays.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-from mrfrank.config import PreprocessConfig
-from mrfrank.corpus import FilterReport, ParseReport, malformed_reason
+from mrfrank.config import YEAR_MAX, YEAR_MIN, PreprocessConfig
+from mrfrank.corpus import FilterReport, ParseReport
 from mrfrank.records import DataError
 from mrfrank.evaluate import ri_item
 
@@ -84,6 +85,33 @@ def assemble(papers: dict[str, PaperRecord]) -> OracleCorpus:
     return OracleCorpus(papers=kept,
                         authors=_derive_authors(papers),
                         citation_edges=tuple(edges))
+
+
+def malformed_reason(rec) -> str | None:
+    """Why a raw record cannot become a paper, or None when it can.
+
+    ``id`` must be a non-empty string and ``year`` an integer (not a bool);
+    ``authors`` and ``refs`` are lists of strings and ``title``,
+    ``abstract`` and ``venue`` strings, each of the five optional (missing
+    or null means empty).
+    """
+    if not isinstance(rec, dict):
+        return "not a JSON object"
+    pid, year = rec.get("id"), rec.get("year")
+    if not pid or year is None:
+        return "missing id or year"
+    if not isinstance(pid, str):
+        return "id is not a string"
+    if type(year) is not int or not YEAR_MIN <= year <= YEAR_MAX:
+        return f"year is not an integer in [{YEAR_MIN}, {YEAR_MAX}]"
+    for key in ("authors", "refs"):
+        v = rec.get(key)
+        if v is not None and not (isinstance(v, list) and all(type(x) is str for x in v)):
+            return f"{key} is not a list of strings"
+    for key in ("title", "abstract", "venue"):
+        if rec.get(key) is not None and not isinstance(rec[key], str):
+            return f"{key} is not a string"
+    return None
 
 
 def parse_corpus(record_stream) -> tuple[OracleCorpus, ParseReport]:

@@ -535,6 +535,13 @@ class TestExitCodes:
         # an id outside the ranked sub-corpus counts too
         (["rank\tid\tscore", "1\tzz\t0.5", "2\tzz\t0.4"],
          "papers_full.tsv line 3: id 'zz' listed twice"),
+        # of a duplicate and a row with no id column, the earlier line is named
+        (["rank\tid\tscore", "1\tp05\t0.5", "2\tp05\t0.4", "3"],
+         "papers_full.tsv line 3: id 'p05' listed twice"),
+        (["rank\tid\tscore", "1\tp05\t0.5", "2", "3\tp05\t0.3"],
+         "papers_full.tsv line 3: no id column"),
+        (["# WARNING: NOT CONVERGED", "rank\tid\tscore", "1\tp05\t0.5", "2\tp05\t0.4"],
+         "papers_full.tsv line 4: id 'p05' listed twice"),
     ])
     def test_data_error_malformed_ranking_file(self, corpus_file, tmp_path, capsys,
                                                lines, message):

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 import weakref
 from collections.abc import Iterator
@@ -24,6 +25,17 @@ from mrfrank.sparse import SparseMatrix
 def rec(pid, year, refs=(), title="t", authors=("x",), abstract="a"):
     return {"id": pid, "title": title, "abstract": abstract,
             "authors": list(authors), "year": year, "refs": list(refs)}
+
+
+class ListHandler(logging.Handler):
+    """Keeps the messages of the records it handles."""
+
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
 
 
 class TestParse:
@@ -70,6 +82,11 @@ class TestParse:
         ({"id": "B", "year": 2001, "refs": "A"}, "refs is not a list of strings"),
         ({"id": "B", "year": 2001, "refs": [["A"]]}, "refs is not a list of strings"),
         ({"id": "B", "year": 2001, "title": 5}, "title is not a string"),
+        ({"id": "B", "year": 2001, "abstract": ["a"]}, "abstract is not a string"),
+        ({"id": "B", "year": 2001, "venue": 1.5}, "venue is not a string"),
+        # the authors check comes first
+        ({"id": "B", "year": 2001, "authors": [None], "refs": 7},
+         "authors is not a list of strings"),
         (["B", 2001], "not a JSON object"),
     ])
     def test_malformed_record_rules(self, bad, reason, caplog):
@@ -77,6 +94,48 @@ class TestParse:
         assert list(corpus.papers) == ["A"]
         assert (report.parsed_papers, report.skipped_malformed) == (1, 1)
         assert f"record 2 skipped: {reason}" in caplog.text
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_record_rules_match_oracle(self, data):
+        """Records whose fields are drawn from ints, floats, bools, None,
+        strings and nested lists are kept or skipped, and each skip logged
+        with its reason, as the oracle's copy of the record rules says."""
+        text = st.text(st.characters(blacklist_characters="\t\n\r"), max_size=3)
+        value = st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                             | text, lambda inner: st.lists(inner, max_size=3),
+                             max_leaves=6)
+
+        def mostly(good):   # one draw in five from any value
+            return st.integers(0, 4).flatmap(lambda i: value if i == 0 else good)
+
+        required = {"id": mostly(text), "year": mostly(st.integers(1985, 2010))}
+        optional = {"authors": mostly(st.lists(text, max_size=2)),
+                    "refs": mostly(st.lists(st.sampled_from(["R0", "R1"]), max_size=2)),
+                    "title": mostly(text), "abstract": mostly(text), "venue": mostly(text)}
+        record = mostly(st.fixed_dictionaries(required, optional=optional))
+        records = []
+        for i in range(data.draw(st.integers(0, 6))):
+            rec = data.draw(record)
+            if isinstance(rec, dict) and isinstance(rec.get("id"), str) and rec["id"]:
+                rec["id"] = f"R{i}{rec['id']}"   # distinct ids
+            records.append(rec)
+        logger = logging.getLogger("mrfrank.corpus")
+        handler = ListHandler()
+        logger.addHandler(handler)
+        try:
+            corpus, report = parse_corpus(records)
+        finally:
+            logger.removeHandler(handler)
+        reasons = [oracle.malformed_reason(rec) for rec in records]
+        # a None record, a line read_native could not decode, was logged there
+        assert handler.messages == [
+            f"record {i} skipped: {r}" for i, (rec, r) in
+            enumerate(zip(records, reasons), start=1) if r and rec is not None]
+        assert (report.parsed_papers, report.skipped_malformed) == (
+            reasons.count(None), len(records) - reasons.count(None))
+        expected, _ = oracle.parse_corpus(records)
+        assert oracle.records(corpus) == expected.papers
 
     def test_null_optional_fields_are_empty(self):
         corpus, report = parse_corpus([
@@ -467,6 +526,23 @@ class TestReadNative:
         assert [r.getMessage() for r in caplog.records] == (
             [] if warning is None else [prefix + warning])
 
+    def test_byte_order_mark_starts_file(self, tmp_path, caplog):
+        """A byte-order mark that starts the file is not data, as
+        ``utf-8-sig`` reads it: the first record is kept, and a line of a
+        mark alone is blank.  A bad byte on line 1 is still counted from
+        the start of the line as the file holds it."""
+        path = tmp_path / "corpus.jsonl"
+        bom = b"\xef\xbb\xbf"
+        path.write_bytes(bom + json.dumps(rec("A", 2000)).encode() + b"\n")
+        assert list(parse_corpus(read_native(path))[0].papers) == ["A"]
+        path.write_bytes(bom + b"\n" + json.dumps(rec("A", 2000)).encode() + b"\n")
+        corpus, report = parse_corpus(read_native(path))
+        assert (list(corpus.papers), report.skipped_malformed) == (["A"], 0)
+        path.write_bytes(bom + b'{"id": "A\xff", "year": 2000}\n')
+        assert len(parse_corpus(read_native(path))[0]) == 0
+        assert caplog.records[-1].getMessage() == (
+            f"{path} line 1 skipped: not UTF-8 (invalid start byte at byte 13)")
+
     def test_read_native_is_lazy(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(rec("A", 2000)) + "\n")
@@ -530,6 +606,19 @@ class TestArnetMiner:
         assert records[0]["refs"] == ["2"]
         assert records[0]["abstract"] == "An abstract."
         assert records[1]["year"] == 2000
+
+    def test_byte_order_mark_starts_file(self, tmp_path):
+        """The mark that starts the file is dropped, so the first record's
+        title marker is read; a bad byte on line 1 is still counted from
+        the start of the line as the file holds it."""
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"\xef\xbb\xbf#*First Title\n#index1\n#t2000\n")
+        assert list(read_arnetminer(path)) == [
+            {"title": "First Title", "id": "1", "year": 2000}]
+        path.write_bytes(b"\xef\xbb\xbf#*First\xff\n")
+        message = f"{path} line 1: not UTF-8 (invalid start byte at byte 11)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            list(read_arnetminer(path))
 
     def test_read_arnetminer_is_lazy(self, tmp_path):
         """The first record comes before the reader decodes the second, whose

@@ -11,9 +11,11 @@ from mrfrank import ranking
 from mrfrank.corpus import parse_corpus
 from mrfrank.graphs import build_graphs
 from mrfrank.config import MODES, HyperParams
-from mrfrank.ranking import (Anderson, NumericalError, combined_operator, init_state,
-                             iterate_once, normalize_innovativeness, per_type,
-                             rank_entities, write_convergence, write_ranking)
+from mrfrank.ranking import (NOT_CONVERGED, Anderson, NumericalError, combined_operator,
+                             init_state, iterate_once, normalize_innovativeness, per_type,
+                             rank_entities, read_ranking, write_convergence,
+                             write_ranking)
+from mrfrank.records import DataError
 from mrfrank.sparse import SparseMatrix, reciprocal
 from mrfrank.textfeat import build_feature_table
 
@@ -518,3 +520,37 @@ class TestRankEntities:
         write_ranking(path, ("x", "y", "z"), np.array([0.25, 0.5, 0.25]),
                       converged=False)
         assert path.read_text().startswith("# WARNING: NOT CONVERGED\n")
+
+
+class TestReadRanking:
+    def test_byte_order_mark_starts_file(self, tmp_path, caplog):
+        """A byte-order mark that starts the file is not part of its first
+        line: a not-converged marker or a header there is read as one."""
+        path = tmp_path / "r.tsv"
+        positions = {"x": 0, "y": 1}
+        path.write_bytes("\ufeffrank\tid\tscore\n1\ty\t0.5\n2\tz\t0.4\n".encode())
+        assert read_ranking(path, positions).tolist() == [1]
+        assert not caplog.records
+        path.write_bytes(f"\ufeff{NOT_CONVERGED}\nrank\tid\tscore\n1\tx\t0.5\n".encode())
+        assert read_ranking(path, positions).tolist() == [0]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path} is from a run that did not converge"]
+
+    def test_duplicate_line_counts_headers(self, tmp_path, caplog):
+        """A duplicate's line counts the header and comment lines before it,
+        and a not-converged file warns once before the error."""
+        path = tmp_path / "r.tsv"
+        path.write_text("\n".join([NOT_CONVERGED, "rank\tid\tscore", "1\tx\t0.5",
+                                   "# a comment", "2\ty\t0.4", "# another", "3\tx\t0.3",
+                                   "4"]) + "\n")
+        with pytest.raises(DataError, match=r"r\.tsv line 7: id 'x' listed twice$"):
+            read_ranking(path, {"x": 0})
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path} is from a run that did not converge"]
+
+    def test_positions_in_file_order(self, tmp_path):
+        """Ids not in ``positions`` are skipped; an id column that ends the
+        line is read without its line break."""
+        path = tmp_path / "r.tsv"
+        path.write_text("rank\tid\tscore\n1\tb\t0.5\n2\tzz\n3\ta\t0.1\n4\tc")
+        assert read_ranking(path, {"a": 0, "b": 1, "c": 2}).tolist() == [1, 0, 2]

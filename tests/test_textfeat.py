@@ -606,6 +606,14 @@ def test_snapshot_rows_in_tuple_order():
     assert snapshot.decode().splitlines()[2].startswith("p\tab abc\t")
 
 
+def test_stopwords_byte_order_mark(tmp_path):
+    """A byte-order mark that starts a stopword list is not part of its
+    first entry."""
+    path = tmp_path / "stopwords.txt"
+    path.write_bytes("\ufeffthe\nof\n".encode())
+    assert load_stopwords(path) == {"the", "of"}
+
+
 def test_all_stopwords_corpus_has_no_features():
     corpus, _ = parse_corpus([
         {"id": f"P{i}", "title": "the of", "abstract": "and. a of!",
