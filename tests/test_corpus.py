@@ -82,12 +82,12 @@ class TestParse:
         ({"id": "B", "year": 2001, "refs": "A"}, "refs is not a list of strings"),
         ({"id": "B", "year": 2001, "refs": [["A"]]}, "refs is not a list of strings"),
         ({"id": "B", "year": 2001, "title": 5}, "title is not a string"),
+        (["B", 2001], "not a JSON object"),
         ({"id": "B", "year": 2001, "abstract": ["a"]}, "abstract is not a string"),
         ({"id": "B", "year": 2001, "venue": 1.5}, "venue is not a string"),
         # the authors check comes first
         ({"id": "B", "year": 2001, "authors": [None], "refs": 7},
          "authors is not a list of strings"),
-        (["B", 2001], "not a JSON object"),
     ])
     def test_malformed_record_rules(self, bad, reason, caplog):
         corpus, report = parse_corpus([rec("A", 2000), bad])
