@@ -511,8 +511,22 @@ class TestReadNative:
          "record 2 skipped: year is not an integer in [-2147483648, 2147483647]"),
         (b'{"id": "C\xc3", "year": 2001}', ["A"],
          "line 2 skipped: not UTF-8 (invalid continuation byte at byte 10)"),
+        # only \n ends a line: a CR before it, or alone, is JSON whitespace
+        (json.dumps(rec("C", 2001)).encode() + b"\r", ["A", "C"], None),
+        (b'{"id": "C",\r"year": 2001}', ["A", "C"], None),
+        # only bytes.strip's whitespace is taken off: U+0085, U+2028, U+001C
+        # and U+00A0, which str.strip would take, stay on the line
+        (json.dumps(rec("C", 2001)).encode() + b"\xc2\x85", ["A"],
+         "line 2 skipped: not JSON (Extra data at column 87)"),
+        (json.dumps(rec("C", 2001)).encode() + b"\xe2\x80\xa8", ["A"],
+         "line 2 skipped: not JSON (Extra data at column 87)"),
+        (json.dumps(rec("C", 2001)).encode() + b"\x1c", ["A"],
+         "line 2 skipped: not JSON (Extra data at column 87)"),
+        (b"\xc2\xa0" + json.dumps(rec("C", 2001)).encode(), ["A"],
+         "line 2 skipped: not JSON (Expecting value at column 1)"),
     ], ids=["extra_data", "two_objects", "bom_on_line_2", "form_feeds", "digits",
-            "deep", "nan_year", "not_utf8"])
+            "deep", "nan_year", "not_utf8", "crlf", "lone_cr", "nel_after",
+            "line_separator_after", "file_separator_after", "nbsp_before"])
     def test_decoder_messages(self, tmp_path, caplog, line, papers, warning):
         """Each line is logged, counted and kept or skipped as ``json.loads``
         of the stripped line words it."""
@@ -530,9 +544,14 @@ class TestReadNative:
         """A byte-order mark that starts the file is not data, as
         ``utf-8-sig`` reads it: the first record is kept, and a line of a
         mark alone is blank.  A bad byte on line 1 is still counted from
-        the start of the line as the file holds it."""
+        the start of the line as the file holds it.  A file of a mark
+        alone, like an empty file, has no record and logs no warning."""
         path = tmp_path / "corpus.jsonl"
         bom = b"\xef\xbb\xbf"
+        for content in (bom, b""):
+            path.write_bytes(content)
+            assert list(read_native(path)) == []
+        assert caplog.records == []
         path.write_bytes(bom + json.dumps(rec("A", 2000)).encode() + b"\n")
         assert list(parse_corpus(read_native(path))[0].papers) == ["A"]
         path.write_bytes(bom + b"\n" + json.dumps(rec("A", 2000)).encode() + b"\n")
