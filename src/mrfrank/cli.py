@@ -77,9 +77,8 @@ def load_config(args) -> RunConfig:
     raw = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, too deep
+            raw = json.loads("".join(text_lines(args.config)))
+        except (ValueError, RecursionError) as exc:   # not JSON, too deep
             raise DataError(f"config file {args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise DataError(f"config file {args.config} must hold a JSON object")
@@ -161,7 +160,7 @@ def cmd_rank(args) -> int:
     table = textfeat.build_feature_table(sub, cfg.features.window_years,
                                          cfg.features.min_df, stopwords)
     (cfg.workspace / "filter_report.txt").write_text(
-        "\n".join(filter_report.lines()) + "\n")
+        "\n".join(filter_report.lines()) + "\n", encoding="utf-8")
     n, m, k = len(sub), len(sub.authors), len(table.features)
     if n == 0 or m == 0 or k == 0:
         raise DataError("pipeline produced an empty entity set "
@@ -199,6 +198,7 @@ def cmd_rank(args) -> int:
 # per cohort kind: its eval.tsv letter, its ranking file prefix, and the
 # ``evaluate`` function that finds its members, also its name in warnings
 _COHORTS = (("P", "papers", "papers_of_year"), ("A", "authors", "authors_starting_year"))
+_EVAL_HEADER = "year\tmethod\tkind\tk\tri"   # the first line of eval.tsv
 
 
 def cmd_eval(args) -> int:
@@ -249,7 +249,7 @@ def cmd_eval(args) -> int:
 
     out = ws / "eval.tsv"
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write("year\tmethod\tkind\tk\tri\n")
+        fh.write(_EVAL_HEADER + "\n")
         for year, method, kind, k, ri in rows:
             fh.write(f"{year}\t{method}\t{kind}\t{k}\t{ri:.10g}\n")
     print(f"wrote {out} ({len(rows)} rows)")
@@ -260,8 +260,10 @@ def render_report(eval_path) -> str:
     """Aligned per-year table: method rows, (k, P/A) columns."""
     rows = []
     text = text_lines(eval_path)
-    if next(text, None) is None:
-        raise DataError(f"{eval_path} line 1: no header line")
+    header = next(text, "").rstrip("\n")
+    if header != _EVAL_HEADER:
+        reason = f"not the header line {_EVAL_HEADER!r}" if header else "no header line"
+        raise DataError(f"{eval_path} line 1: {reason}")
     for lineno, line in enumerate(text, start=2):
         try:
             year, method, kind, k, ri = line.rstrip("\n").split("\t")
@@ -294,7 +296,7 @@ def render_report(eval_path) -> str:
 def cmd_report(args) -> int:
     text = render_report(args.input)
     if args.output:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -1,6 +1,7 @@
 """The readers of the corpus formats and of the program's text files, and
 the error that ends a run on bad input data.
 
+``_decoded_lines`` is the one place an input file's bytes become lines.
 ``read_native`` and ``read_arnetminer`` yield the raw records of a corpus
 file one at a time; ``corpus.parse_corpus`` takes them into columns.
 Nothing here needs numpy, so the CLI imports it before it knows the command.
@@ -8,52 +9,62 @@ Nothing here needs numpy, so the CLI imports it before it knows the command.
 
 from __future__ import annotations
 
-import codecs
 import json
 import logging
-from itertools import chain
 
 log = logging.getLogger(__name__)
 
-_BOM = codecs.BOM_UTF8
 # reads one JSON value from the start of a string and where it ends
 _raw_decode = json.JSONDecoder().raw_decode
+# what bytes.strip takes; str.strip takes U+001C-1F, U+0085, U+00A0, U+2028 too
+_BLANK = " \t\n\r\x0b\x0c"
 
 
 class DataError(Exception):
     """Unrecoverable problem in the input data (e.g. duplicate paper id)."""
 
 
+def _decoded_lines(path, newline=None):
+    """Yield the number, the text and why it is not UTF-8 (or None) of each
+    line of the file at ``path``, split as ``open``'s ``newline`` splits.
+    The file is decoded once, bad bytes kept as escapes; a line that is not
+    ASCII is decoded again strictly, a bad byte counted from its start, and
+    then a file-start byte-order mark is dropped, as ``utf-8-sig`` does."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            reason = None
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    reason = f"not UTF-8 ({bad.reason} at byte {bad.start + 1})"
+                if lineno == 1:
+                    line = line.removeprefix("\ufeff")
+            yield lineno, line, reason
+
+
 def read_native(path):
-    """Yield the records of a native JSON-lines corpus one at a time.  A
-    line that is not UTF-8 JSON is logged with its line number and yielded
-    as None, which ``parse_corpus`` counts as malformed.  A byte-order mark
-    that starts the file is not data, as ``utf-8-sig`` reads it, but the
-    byte positions of line 1 still count it."""
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        bom = len(_BOM) if first.startswith(_BOM) else 0
-        for lineno, line in enumerate(chain([first[bom:]], fh), start=1):
-            line = line.strip()
-            if line:
-                yield _decode(line, path, lineno, bom if lineno == 1 else 0)
+    """Yield the records of a native JSON-lines corpus one at a time.  Only
+    LF ends a line, and a line loses only what ``bytes.strip`` would take.
+    A line that is not UTF-8 JSON is logged with its line number and
+    yielded as None, which ``parse_corpus`` counts as malformed."""
+    for lineno, line, reason in _decoded_lines(path, newline="\n"):
+        if reason is not None or (line := line.strip(_BLANK)):
+            yield _decode(line, reason, path, lineno)
 
 
-def _decode(line: bytes, path, lineno: int, offset: int = 0) -> dict | None:
-    """The JSON value that is the whole of ``line``, or None, logged, when
-    the line is not one.  One ``raw_decode`` reads a good line; a line it
-    refuses, or whose value does not end the line, is read again by
-    ``json.loads``, only to word the warning as ``json.loads`` words it.
-    ``offset`` bytes before ``line`` count in a bad byte's position."""
+def _decode(text: str, reason: str | None, path, lineno: int) -> dict | None:
+    """The JSON value that is the whole of ``text``, or None, logged, when
+    ``reason`` says it is not UTF-8 or it is not one value.  A line that one
+    ``raw_decode`` refuses, or does not read whole, is read again by
+    ``json.loads``, only to word the warning as ``json.loads`` words it."""
     try:
-        text = line.decode("utf-8")
-        try:
-            value, end = _raw_decode(text)
-        except (ValueError, RecursionError):
-            end = -1
-        return value if end == len(text) else json.loads(text)
-    except UnicodeDecodeError as exc:
-        reason = _not_utf8(exc, offset)
+        if reason is None:
+            try:
+                value, end = _raw_decode(text)
+            except (ValueError, RecursionError):
+                end = -1
+            return value if end == len(text) else json.loads(text)
     except json.JSONDecodeError as exc:
         reason = f"not JSON ({exc.msg} at column {exc.colno})"
     except (ValueError, RecursionError) as exc:   # too many digits, too deep
@@ -62,27 +73,13 @@ def _decode(line: bytes, path, lineno: int, offset: int = 0) -> dict | None:
     return None
 
 
-def _not_utf8(exc: UnicodeDecodeError, offset: int = 0) -> str:
-    return f"not UTF-8 ({exc.reason} at byte {offset + exc.start + 1})"
-
-
 def text_lines(path):
-    """Yield the lines of the UTF-8 text file at ``path``; a byte that is
-    not UTF-8 is a DataError naming the file, the line and the byte within
-    the line as the file holds it.  The file is decoded once, its bad bytes
-    kept as escapes, and a line that is not ASCII is checked by decoding it
-    again strictly.  A byte-order mark that starts the file is dropped, as
-    ``utf-8-sig`` drops it."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as bad:
-                    raise DataError(f"{path} line {lineno}: {_not_utf8(bad)}") from None
-                if lineno == 1:
-                    line = line.removeprefix("\ufeff")
-            yield line
+    """Yield the lines of the UTF-8 text file at ``path``, which CRLF and CR
+    end as LF does; a bad byte is a DataError naming file, line and byte."""
+    for lineno, line, reason in _decoded_lines(path):
+        if reason is not None:
+            raise DataError(f"{path} line {lineno}: {reason}")
+        yield line
 
 
 # the ArnetMiner markers that set a text field

@@ -238,6 +238,35 @@ def test_commands_that_compute_nothing_do_not_import_numpy(corpus_file, tmp_path
         "mrfrank.sparse", "mrfrank.corpus", "mrfrank.ranking", "mrfrank.evaluate"})
 
 
+def test_no_command_uses_the_locale_encoding(corpus_file, tmp_path):
+    """Every command reads and writes its files as UTF-8, not in the
+    locale's encoding: run with ``-X warn_default_encoding`` and
+    EncodingWarning an error, each exits 0."""
+    raw = tmp_path / "raw.txt"
+    raw.write_bytes(ARNETMINER_TEXT.encode("utf-8"))
+    ws = tmp_path / "ws"
+    cfg = eval_config(tmp_path / "cfg.json", corpus_file, ws, EVAL_PROTOCOL)
+    commands = [
+        ["ingest", "--input", str(raw), "--format", "arnetminer",
+         "--output", str(tmp_path / "arnetminer.jsonl")],
+        ["ingest", "--input", str(corpus_file), "--output", str(tmp_path / "ingest.jsonl")],
+        ["preprocess", "--input", str(corpus_file), "--min-year", "1990",
+         "--output", str(tmp_path / "preprocess.jsonl")],
+        ["features", "--input", str(corpus_file), "--output", str(tmp_path / "features.tsv")],
+        rank_args(corpus_file, ws),
+        ["eval", "--config", str(cfg)],
+        ["report", "--input", str(ws / "eval.tsv")],
+        ["report", "--input", str(ws / "eval.tsv"), "--output", str(tmp_path / "report.txt")]]
+    src = str(Path(mrfrank.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "mrfrank.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (argv, done.stderr[-2000:])
+
+
 class TestExitCodes:
     def test_usage_error_missing_arg(self, capsys):
         assert main(["ingest", "--input", "x"]) == 1
@@ -408,10 +437,11 @@ class TestExitCodes:
             assert message in err
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("content", [
-        b'{corpus: "c.jsonl"}', b'{"corpus": "\xff"}', b"[" * 100_000],
-        ids=["not_json", "not_utf8", "too_deep"])
-    def test_data_error_undecodable_config(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize("content, message", [
+        (b'{corpus: "c.jsonl"}', None),
+        (b'{"corpus": "\xff"}', "{cfg} line 1: not UTF-8 (invalid start byte at byte 13)"),
+        (b"[" * 100_000, None)], ids=["not_json", "not_utf8", "too_deep"])
+    def test_data_error_undecodable_config(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(content)
         for command in ("rank", "eval"):
@@ -419,6 +449,8 @@ class TestExitCodes:
             err = capsys.readouterr().err
             errors = [line for line in err.splitlines() if line.startswith("error:")]
             assert len(errors) == 1 and str(cfg) in errors[0]
+            if message is not None:
+                assert errors[0] == f"error: {message.format(cfg=cfg)}"
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("content, message", [
@@ -561,6 +593,8 @@ class TestExitCodes:
          "eval.tsv line 3: not enough values to unpack (expected 5, got 3)"),
         ("year\tmethod\tkind\tk\tri\n2000\tfull\tP\ttwo\t1.5\n",
          "eval.tsv line 2: invalid literal for int()"),
+        ("2000\tfull\tP\t2\t1.5\n2001\tfull\tP\t2\t0.5\n",
+         r"eval.tsv line 1: not the header line 'year\tmethod\tkind\tk\tri'"),
     ])
     def test_data_error_malformed_eval_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "eval.tsv"
@@ -579,9 +613,11 @@ class TestExitCodes:
         ws.mkdir()
         bad = {"report_input": tmp_path / "eval.tsv", "ranking_file": ws / "papers_full.tsv",
                "stopwords": tmp_path / "stopwords.txt"}[case]
-        # rows each of the three readers accepts, then the bad one on line 2002
+        # the reader's header line, rows each of the three readers accepts,
+        # then the bad one on line 2002
+        header = "year\tmethod\tkind\tk\tri" if case == "report_input" else "rank\tid\tscore"
         rows = "".join(f"2000\tm{i}\tP\t2\t1.5\n" for i in range(2000))
-        bad.write_bytes(b"rank\tid\tscore\n" + rows.encode() + b"1\tp05\xff\t0.5\n")
+        bad.write_bytes(f"{header}\n{rows}".encode() + b"1\tp05\xff\t0.5\n")
         args = {"report_input": ["report", "--input", str(bad)],
                 "ranking_file": ["eval", "--config", str(eval_config(
                     tmp_path / "cfg.json", corpus_file, ws, {"cohort_years": [1998]}))],
@@ -872,6 +908,16 @@ class TestRank:
         # overriding alpha-p on the command line changes the result
         assert main(["rank", "--config", str(cfg), "--alpha-p", "0.2"]) == 0
         assert (tmp_path / "ws" / "papers_full.tsv").read_bytes() != base
+
+    def test_config_file_byte_order_mark(self, corpus_file, tmp_path, capsys):
+        """A byte-order mark that starts the config file is dropped, as the
+        readers of every other input file drop it."""
+        ws = tmp_path / "ws"
+        cfg = eval_config(tmp_path / "cfg.json", corpus_file, ws, EVAL_PROTOCOL)
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        for command in ("rank", "eval"):
+            assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr().err
+        assert (ws / "eval.tsv").exists()
 
 
 class TestEvalAndReport:

@@ -524,9 +524,16 @@ class TestReadNative:
          "line 2 skipped: not JSON (Extra data at column 87)"),
         (b"\xc2\xa0" + json.dumps(rec("C", 2001)).encode(), ["A"],
          "line 2 skipped: not JSON (Expecting value at column 1)"),
+        # a bad byte counts from the start of the line as the file holds it,
+        # and the byte after a cut-short sequence is the one the file holds
+        (b'   {"id": "C\xff", "year": 2001}', ["A"],
+         "line 2 skipped: not UTF-8 (invalid start byte at byte 13)"),
+        (b'{"id": "C"}\xc3 ', ["A"],
+         "line 2 skipped: not UTF-8 (invalid continuation byte at byte 12)"),
     ], ids=["extra_data", "two_objects", "bom_on_line_2", "form_feeds", "digits",
             "deep", "nan_year", "not_utf8", "crlf", "lone_cr", "nel_after",
-            "line_separator_after", "file_separator_after", "nbsp_before"])
+            "line_separator_after", "file_separator_after", "nbsp_before",
+            "not_utf8_after_spaces", "not_utf8_before_space"])
     def test_decoder_messages(self, tmp_path, caplog, line, papers, warning):
         """Each line is logged, counted and kept or skipped as ``json.loads``
         of the stripped line words it."""
