@@ -24,40 +24,40 @@ class DataError(Exception):
     """Unrecoverable problem in the input data (e.g. duplicate paper id)."""
 
 
-def _decoded_lines(path, newline=None):
+def _decoded_lines(path, newline=None, blank=""):
     """Yield the number, the text and why it is not UTF-8 (or None) of each
     line of the file at ``path``, split as ``open``'s ``newline`` splits.
-    The file is decoded once, bad bytes kept as escapes; a line that is not
-    ASCII is decoded again strictly, a bad byte counted from its start, and
-    then a file-start byte-order mark is dropped, as ``utf-8-sig`` does."""
+    Bad bytes are kept as escapes, which only a line holding one fails to
+    encode; it is decoded strictly, less its trailing ``blank``, a bad byte
+    counted from its start.  Then a file-start BOM goes, as in ``utf-8-sig``."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
         for lineno, line in enumerate(fh, start=1):
             reason = None
             if not line.isascii():
                 try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as bad:
-                    reason = f"not UTF-8 ({bad.reason} at byte {bad.start + 1})"
-                if lineno == 1:
-                    line = line.removeprefix("\ufeff")
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    try:
+                        line.rstrip(blank).encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        reason = f"not UTF-8 ({bad.reason} at byte {bad.start + 1})"
+                line = line.removeprefix("\ufeff") if lineno == 1 else line
             yield lineno, line, reason
 
 
 def read_native(path):
     """Yield the records of a native JSON-lines corpus one at a time.  Only
-    LF ends a line, and a line loses only what ``bytes.strip`` would take.
-    A line that is not UTF-8 JSON is logged with its line number and
-    yielded as None, which ``parse_corpus`` counts as malformed."""
-    for lineno, line, reason in _decoded_lines(path, newline="\n"):
+    LF ends a line, which loses only what ``bytes.strip`` takes; one that is
+    not UTF-8 JSON is logged and yielded as None, counted as malformed."""
+    for lineno, line, reason in _decoded_lines(path, "\n", _BLANK):
         if reason is not None or (line := line.strip(_BLANK)):
             yield _decode(line, reason, path, lineno)
 
 
 def _decode(text: str, reason: str | None, path, lineno: int) -> dict | None:
     """The JSON value that is the whole of ``text``, or None, logged, when
-    ``reason`` says it is not UTF-8 or it is not one value.  A line that one
-    ``raw_decode`` refuses, or does not read whole, is read again by
-    ``json.loads``, only to word the warning as ``json.loads`` words it."""
+    ``reason`` says it is not UTF-8 or it is not one value.  ``json.loads``
+    words the warning for a line ``raw_decode`` refuses or leaves unread."""
     try:
         if reason is None:
             try:

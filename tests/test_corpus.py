@@ -525,11 +525,11 @@ class TestReadNative:
         (b"\xc2\xa0" + json.dumps(rec("C", 2001)).encode(), ["A"],
          "line 2 skipped: not JSON (Expecting value at column 1)"),
         # a bad byte counts from the start of the line as the file holds it,
-        # and the byte after a cut-short sequence is the one the file holds
+        # and a sequence cut short by the line's trailing blanks ends the data
         (b'   {"id": "C\xff", "year": 2001}', ["A"],
          "line 2 skipped: not UTF-8 (invalid start byte at byte 13)"),
         (b'{"id": "C"}\xc3 ', ["A"],
-         "line 2 skipped: not UTF-8 (invalid continuation byte at byte 12)"),
+         "line 2 skipped: not UTF-8 (unexpected end of data at byte 12)"),
     ], ids=["extra_data", "two_objects", "bom_on_line_2", "form_feeds", "digits",
             "deep", "nan_year", "not_utf8", "crlf", "lone_cr", "nel_after",
             "line_separator_after", "file_separator_after", "nbsp_before",
